@@ -31,6 +31,20 @@ EXIT_CODES = {
 # -- matroid sources --------------------------------------------------
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _file_elements(path, what, elems, n):
+    """A 1-based element list read from a file, checked, made 0-based."""
+    if not isinstance(elems, list) or not all(_is_int(e) for e in elems):
+        raise InvalidParams("%s: %s %r is not a list of integers" % (path, what, elems))
+    if not all(1 <= e <= n for e in elems):
+        raise InvalidParams("%s: %s %r out of range for n=%d (elements are 1-based)"
+                            % (path, what, elems, n))
+    return [e - 1 for e in elems]
+
+
 def load_matroid_file(path):
     try:
         with open(path) as fh:
@@ -42,11 +56,23 @@ def load_matroid_file(path):
     if not isinstance(data, dict) or "n" not in data or "rank" not in data:
         raise InvalidParams("%s: expected an object with n, rank" % path)
     n, rank = data["n"], data["rank"]
+    if not (_is_int(n) and _is_int(rank)):
+        raise InvalidParams("%s: n and rank must be integers, got n=%r rank=%r"
+                            % (path, n, rank))
     if "bases" in data:
-        bases = [[e - 1 for e in b] for b in data["bases"]]
+        if not isinstance(data["bases"], list):
+            raise InvalidParams("%s: bases must be a list of element lists" % path)
+        bases = [_file_elements(path, "basis", b, n) for b in data["bases"]]
         return Matroid.from_bases(n, rank, bases)
     if "cyclic_flats" in data:
-        flats = [([e - 1 for e in f["set"]], f["rank"]) for f in data["cyclic_flats"]]
+        if not isinstance(data["cyclic_flats"], list):
+            raise InvalidParams("%s: cyclic_flats must be a list of objects" % path)
+        flats = []
+        for f in data["cyclic_flats"]:
+            if not isinstance(f, dict) or "set" not in f or not _is_int(f.get("rank")):
+                raise InvalidParams("%s: cyclic flat %r needs a set and an integer rank"
+                                    % (path, f))
+            flats.append((_file_elements(path, "cyclic flat", f["set"], n), f["rank"]))
         return Matroid.from_cyclic_flats(n, rank, flats)
     raise InvalidParams("%s: needs either bases or cyclic_flats" % path)
 
@@ -125,12 +151,12 @@ class CacheStore:
                 key = tuple(int(x) for x in rec["key"])
                 poly = poly_from_json(rec["cd"])
                 version = rec["v"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError):
                 sys.stderr.write(
-                    "warning: %s: record %d is corrupt, ignoring it and the rest\n"
+                    "warning: %s: record %d is corrupt, skipping it\n"
                     % (self.path, idx + 1)
                 )
-                break
+                continue
             if version != CACHE_VERSION:
                 raise CacheVersionMismatch(
                     "%s: record %d has version %r, this build reads version %d"
@@ -159,9 +185,15 @@ class CacheStore:
                     )
                     self.known.add((kind, kt))
         if recs:
-            with open(self.path, "a") as fh:
-                for rec in recs:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs)
+            with open(self.path, "a+b") as fh:
+                if fh.tell():
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        # end a truncated last record, so the first new one
+                        # is not glued onto it
+                        text = "\n" + text
+                fh.write(text.encode())
         return len(recs)
 
     def verify(self):

@@ -5,7 +5,7 @@ maximizing every integer weight vector with distinct level structure
 over the vertex set (0/1 indicator vectors of the bases), dimensions by
 exact integer Gaussian elimination, and the flag vector by counting
 chains through dimension-graded incidence matrices.  Only the ab-to-cd
-conversion is shared.
+conversion and the bitmask-to-element-list helper are shared.
 """
 
 from itertools import permutations
@@ -13,6 +13,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import InvalidParams, ScaleExceeded
+from .matroid import _bits
 from .ncpoly import FlagFVector, NcPoly, ab_to_cd, flag_to_ab
 
 DEFAULT_MAX_N = 8
@@ -204,7 +205,7 @@ def eulerian_check(L):
     bad = (total != 0) & (span >= 2) & (contain == 1)
     if bad.any():
         b, t = map(int, np.argwhere(bad)[0])
-        return False, (sorted_bits(faces[b]), sorted_bits(faces[t]), int(dims[b]), int(dims[t]))
+        return False, (_bits(faces[b]), _bits(faces[t]), int(dims[b]), int(dims[t]))
     return True, None
 
 
@@ -215,14 +216,6 @@ def meet_closed_check(L):
     for i in range(len(faces)):
         for j in range(i + 1, len(faces)):
             if faces[i] & faces[j] not in fs:
-                return False, (sorted_bits(faces[i]), sorted_bits(faces[j]))
+                return False, (_bits(faces[i]), _bits(faces[j]))
     return True, None
 
-
-def sorted_bits(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out

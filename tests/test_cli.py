@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cdx import cli
+from cdx import cli, cuspidal, engine, hypersimplex
 from cdx.ncpoly import NcPoly
 
 
@@ -187,3 +187,69 @@ def test_unknown_builtin(capsys):
 def test_builtin_missing_params(capsys):
     rc, _, err = run(capsys, "compute", "--builtin", "cuspidal", "--k", "2", "--n", "5")
     assert rc == 2
+
+
+def write_json(tmp_path, obj):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+def test_file_element_zero_is_invalid(capsys, tmp_path):
+    path = write_json(tmp_path, {"n": 4, "rank": 2, "bases": [[0, 1], [1, 2]]})
+    rc, _, err = run(capsys, "compute", "--file", path)
+    assert rc == 2
+    assert "INVALID_PARAMS" in err
+    assert "basis [0, 1] out of range for n=4 (elements are 1-based)" in err
+
+
+def test_file_string_n_is_invalid(capsys, tmp_path):
+    path = write_json(tmp_path, {"n": "4", "rank": 2, "bases": [[1, 2]]})
+    rc, _, err = run(capsys, "compute", "--file", path)
+    assert rc == 2
+    assert "n and rank must be integers, got n='4' rank=2" in err
+
+
+def test_file_flat_without_rank_is_invalid(capsys, tmp_path):
+    path = write_json(tmp_path, {"n": 5, "rank": 3, "cyclic_flats": [{"set": [1, 2, 3]}]})
+    rc, _, err = run(capsys, "compute", "--file", path)
+    assert rc == 2
+    assert "cyclic flat {'set': [1, 2, 3]} needs a set and an integer rank" in err
+
+
+def test_file_out_of_range_reports_one_based(capsys, tmp_path):
+    path = write_json(tmp_path, {"n": 4, "rank": 2, "bases": [[1, 2], [1, 5]]})
+    rc, _, err = run(capsys, "compute", "--file", path)
+    assert rc == 2
+    assert "basis [1, 5] out of range for n=4" in err
+
+
+def compute_as_fresh_process(capsys, cache):
+    for clear in (hypersimplex.memo_clear, cuspidal.memo_clear, engine.w_memo_clear):
+        clear()
+    return run(capsys, "compute", "--builtin", "vamos", "--cache", str(cache))
+
+
+@pytest.mark.parametrize("damage", ["corrupt-middle", "bad-cd-middle", "truncated-last"])
+def test_cache_stops_growing_after_damage(capsys, tmp_path, damage):
+    cache = tmp_path / "cache.jsonl"
+    _, cold, _ = compute_as_fresh_process(capsys, cache)
+    lines = cache.read_text().splitlines()
+    if damage == "truncated-last":
+        damaged = lines[-1][:-10]
+        cache.write_text("\n".join(lines[:-1] + [damaged]))
+    else:
+        damaged = "{this is not json" if damage == "corrupt-middle" else json.dumps(
+            {"v": 1, "kind": "w", "key": [1], "cd": 5})
+        lines[len(lines) // 2] = damaged
+        cache.write_text("\n".join(lines) + "\n")
+    counts = []
+    for _ in range(3):
+        rc, out, err = compute_as_fresh_process(capsys, cache)
+        assert (rc, out) == (0, cold)
+        assert "corrupt, skipping it" in err
+        counts.append(len(cache.read_text().splitlines()))
+    # at most the damaged record is written again, once; then nothing more
+    assert counts[0] in (len(lines), len(lines) + 1)
+    assert counts == [counts[0]] * 3
+    assert cache.read_text().splitlines().count(damaged) == 1
