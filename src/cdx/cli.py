@@ -151,24 +151,26 @@ class CacheStore:
                 key = tuple(int(x) for x in rec["key"])
                 poly = poly_from_json(rec["cd"])
                 version = rec["v"]
-            except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError):
+                if version != CACHE_VERSION:
+                    raise CacheVersionMismatch(
+                        "%s: record %d has version %r, this build reads version %d"
+                        % (self.path, idx + 1, version, CACHE_VERSION)
+                    )
+                if kind not in _KINDS:
+                    raise CacheVersionMismatch(
+                        "%s: record %d has unknown kind %r" % (self.path, idx + 1, kind)
+                    )
+                if install:
+                    # the install checks the key against its kind
+                    _KINDS[kind][1](key, poly)
+            except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError,
+                    InvalidParams):
                 sys.stderr.write(
                     "warning: %s: record %d is corrupt, skipping it\n"
                     % (self.path, idx + 1)
                 )
                 continue
-            if version != CACHE_VERSION:
-                raise CacheVersionMismatch(
-                    "%s: record %d has version %r, this build reads version %d"
-                    % (self.path, idx + 1, version, CACHE_VERSION)
-                )
-            if kind not in _KINDS:
-                raise CacheVersionMismatch(
-                    "%s: record %d has unknown kind %r" % (self.path, idx + 1, kind)
-                )
             self.known.add((kind, key))
-            if install:
-                _KINDS[kind][1](key, poly)
             out.append((kind, key, poly))
         return out
 

@@ -16,9 +16,9 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import InvalidParams
-from .ncpoly import NcPoly, emve_mixed, g_cd, normalize_mixed
-from .hypersimplex import cd_hypersimplex, face_type_counts
-from .product import cd_product
+from .ncpoly import emve_mixed, g_cd, normalize_mixed
+from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product, face_type_counts
+from .product import cd_product  # noqa: F401  see ROADMAP item 6
 
 
 class CuspidalKey(NamedTuple):
@@ -98,22 +98,24 @@ def _compute(k, n, r, h):
     # faces inside the cut plane: product of two hypersimplices
     left = _factor_faces(r, h)
     right = _factor_faces(k - r, n - h)
-    for p1, dm1, ct1 in left:
-        for p2, dm2, ct2 in right:
-            dm = dm1 + dm2
+    for k1, n1, ct1 in left:
+        for k2, n2, ct2 in right:
+            dm = (n1 - 1) + (n2 - 1)
             if dm < 1:
                 continue
-            acc = acc + (ct1 * ct2) * (cd_product(p1, p2) * g_cd((n - 2) - dm))
+            piece = cd_hypersimplex_product(k1, n1, k2, n2)
+            acc = acc + (ct1 * ct2) * (piece * g_cd((n - 2) - dm))
     return normalize_mixed(acc)
 
 
 def _factor_faces(k, h):
-    """Faces of the (k, h) hypersimplex as (cd, dim, count) triples,
-    the polytope itself and its vertices included."""
-    out = [(cd_hypersimplex(k, h), h - 1, 1)]
+    """Faces of the (k, h) hypersimplex as (k', h', count) triples, each
+    face a (k', h') hypersimplex; the polytope itself and its vertices
+    (the point (0, 1)) included."""
+    out = [(k, h, 1)]
     for (i, j), ct in face_type_counts(k, h).items():
-        out.append((cd_hypersimplex(k - i, h - i - j), h - i - j - 1, ct))
-    out.append((NcPoly.one(), 0, comb(h, k)))
+        out.append((k - i, h - i - j, ct))
+    out.append((0, 1, comb(h, k)))
     return out
 
 

@@ -18,9 +18,9 @@ from .errors import (
     UnsupportedMatroid,
 )
 from .ncpoly import NcPoly, D as _D
-from .hypersimplex import cd_hypersimplex
+from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product
 from .cuspidal import cd_cuspidal
-from .product import cd_product, cd_product_all
+from .product import cd_product, cd_product_all  # noqa: F401  cd_product: see ROADMAP item 6
 from .matroid import (
     Matroid,
     is_connected_split,
@@ -60,7 +60,7 @@ def w_term(alpha, beta, a, b, n):
                 for j in range(q + 1, b - beta + q + 1):
                     if n - i - j == 0:
                         continue  # the paired face is the whole cut plane
-                    piece = cd_product(cd_hypersimplex(p, i), cd_hypersimplex(q, j))
+                    piece = cd_hypersimplex_product(p, i, q, j)
                     out = out + (
                         comb(a, i) * comb(b, j)
                         * comb(a - i, alpha - p) * comb(b - j, beta - q)
@@ -77,6 +77,11 @@ def cd_split_matroid(M):
         if chk.reason.startswith("not connected"):
             raise NotConnected(chk.reason + "; use cd_index for componentwise dispatch")
         raise NotSplit(chk.reason)
+    return _split_formula(M)
+
+
+def _split_formula(M):
+    """The closed formula, for M already known to be connected and split."""
     prof = split_profile(M)
     k, n = M.rank, M.n
     base = cd_hypersimplex(k, n)
@@ -125,7 +130,7 @@ def cd_index(M, oracle_fallback=False, oracle_max_n=None):
     parts = []
     for sub in M.connected_components():
         if is_connected_split(sub):
-            parts.append(cd_split_matroid(sub))
+            parts.append(_split_formula(sub))
         elif oracle_fallback:
             cap = oracle.DEFAULT_MAX_N if oracle_max_n is None else oracle_max_n
             parts.append(oracle.oracle_cd_index(sub, max_n=cap))

@@ -6,6 +6,10 @@ with |C| < k and |D| < n - k, leaving a smaller hypersimplex on the
 remaining ground set.  Summing each face's cd-index times the trailing
 chain weight g_cd(|C u D| - 1), plus the empty-chain and vertex terms,
 gives a mixed expression whose cd part is the cd-index.
+
+The cuspidal and modular-pair terms take products of two
+hypersimplices; ``cd_hypersimplex_product`` memoizes those beside the
+recursion's own table, and ``memo_clear`` empties both.
 """
 
 import threading
@@ -16,6 +20,7 @@ from typing import NamedTuple
 from .errors import InvalidParams
 from . import ncpoly
 from .ncpoly import NcPoly, emve_mixed, g_cd, normalize_mixed
+from .product import cd_product
 
 
 class FaceSpec(NamedTuple):
@@ -64,6 +69,7 @@ def _check_params(k, n):
 
 
 _memo = {}
+_products = {}  # sorted pair of canonical keys -> cd-index of the product
 _lock = threading.Lock()
 
 
@@ -83,6 +89,27 @@ def cd_hypersimplex(k, n):
     p = _compute(k, n)
     with _lock:
         _memo.setdefault(key, p)
+    return p
+
+
+def cd_hypersimplex_product(k1, n1, k2, n2):
+    """cd-index of the product of the (k1, n1) and (k2, n2) hypersimplices,
+    memoized on the sorted pair of canonical (min(k, n-k), n) keys."""
+    _check_params(k1, n1)
+    _check_params(k2, n2)
+    if k1 == 0 or k1 == n1:
+        return cd_hypersimplex(k2, n2)
+    if k2 == 0 or k2 == n2:
+        return cd_hypersimplex(k1, n1)
+    key = tuple(sorted([(min(k1, n1 - k1), n1), (min(k2, n2 - k2), n2)]))
+    with _lock:
+        got = _products.get(key)
+    if got is not None:
+        return got
+    (k1, n1), (k2, n2) = key
+    p = cd_product(cd_hypersimplex(k1, n1), cd_hypersimplex(k2, n2))
+    with _lock:
+        _products.setdefault(key, p)
     return p
 
 
@@ -111,3 +138,4 @@ def memo_install(key, poly):
 def memo_clear():
     with _lock:
         _memo.clear()
+        _products.clear()

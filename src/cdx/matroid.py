@@ -1,8 +1,9 @@
 """Matroids on small ground sets, stored as explicit basis bitmasks.
 
 Ground set is 0-based internally; the CLI layer does the 1-based file
-translation.  Everything here is desk scale: subset enumeration caps at
-n = 12 and basis-exchange validation at a few thousand bases.
+translation, and diagnostics print elements 1-based.  Everything here
+is desk scale: subset enumeration caps at n = 12 and basis-exchange
+validation at a few thousand bases.
 
 Up to that cap each matroid computes the rank of every subset once, on
 first use, into a table of 2^n bytes (4 KB at n = 12).  A downward pass
@@ -37,6 +38,11 @@ def _mask(elems):
     for e in elems:
         m |= 1 << e
     return m
+
+
+def _shown(elems):
+    """Elements as diagnostics print them: sorted and 1-based."""
+    return [e + 1 for e in sorted(elems)]
 
 
 def _bits(mask):
@@ -76,7 +82,7 @@ class Matroid:
             if m < 0 or m >> n:
                 raise InvalidParams("basis %r out of range for n=%d" % (b, n))
             if m.bit_count() != rank:
-                raise NotAMatroid("basis %r does not have size %d" % (sorted(_bits(m)), rank))
+                raise NotAMatroid("basis %r does not have size %d" % (_shown(_bits(m)), rank))
             masks.add(m)
         if not masks:
             raise EmptyMatroid("no bases given")
@@ -109,7 +115,7 @@ class Matroid:
         for elems, r in flats:
             fm = _mask(elems)
             if fm >> n or not 0 <= r <= rank:
-                raise InvalidParams("flat (%r, %d) out of range" % (sorted(elems), r))
+                raise InvalidParams("flat (%r, %d) out of range" % (_shown(elems), r))
             if fm == 0 or fm == (1 << n) - 1:
                 raise InvalidParams("cyclic flat presentations list proper nonempty flats only")
             fam.append((fm, r))
@@ -135,8 +141,8 @@ class Matroid:
         if missing or extra:
             raise PresentationMismatch(
                 "cyclic flats re-derived from the cut bases differ from the input: "
-                "missing=%r extra=%r" % (sorted((sorted(s), r) for s, r in missing),
-                                         sorted((sorted(s), r) for s, r in extra))
+                "missing=%r extra=%r" % (sorted((_shown(s), r) for s, r in missing),
+                                         sorted((_shown(s), r) for s, r in extra))
             )
         return M
 
@@ -177,7 +183,7 @@ class Matroid:
                     if not any(stripped | (1 << y) in bs for y in _bits(b2 & ~b1)):
                         raise NotAMatroid(
                             "exchange fails for bases %r, %r at element %d"
-                            % (tuple(_bits(b1)), tuple(_bits(b2)), x)
+                            % (_shown(_bits(b1)), _shown(_bits(b2)), x + 1)
                         )
 
     # -- rank machinery -----------------------------------------------
@@ -319,7 +325,7 @@ class Matroid:
             if (_mask(c) & fm).bit_count() >= r + 1
         }
         if not added:
-            raise InvalidParams("relaxation of %r adds no bases" % (sorted(_bits(fm)),))
+            raise InvalidParams("relaxation of %r adds no bases" % (_shown(_bits(fm)),))
         return Matroid(self.n, self.rank, self._bases | added)
 
 
@@ -341,7 +347,7 @@ def is_connected_split(M):
     comps = M.component_sets()
     if len(comps) > 1:
         return SplitCheck(False, "not connected: components %s"
-                          % [sorted(c) for c in comps])
+                          % [_shown(c) for c in comps])
     cur = M
     while True:
         proper = cur.proper_cyclic_flats()
@@ -364,7 +370,7 @@ def is_connected_split(M):
                         return SplitCheck(
                             False,
                             "nested proper cyclic flats %s < %s"
-                            % (sorted(proper[i].elements), sorted(proper[j].elements)),
+                            % (_shown(proper[i].elements), _shown(proper[j].elements)),
                         )
         cur = cur.relax(proper[pick].elements)
 
@@ -397,7 +403,7 @@ def split_profile(M):
         if M.rank_of(inter) != len(inter):
             raise ModularityAnomaly(
                 "modular pair %s, %s has dependent intersection"
-                % (sorted(fa.elements), sorted(fb.elements))
+                % (_shown(fa.elements), _shown(fb.elements))
             )
         gamma = len(inter)
         pa = (fa.rank - gamma, len(fa.elements) - gamma)

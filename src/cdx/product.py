@@ -1,18 +1,32 @@
 """cd-index of a cartesian product of polytopes.
 
-Faces of V x W are products of nonempty faces, so each flag entry of
-the product is a convolution of the factors' flag entries over weakly
-nondecreasing dimension splittings; the improper face of each factor is
-allowed inside a splitting and contributes its full flag count.
+Faces of V x W are the products F x G of nonempty faces, the improper
+faces V and W included, and dim(F x G) = dim F + dim G.  A chain of
+proper faces of the product is therefore a chain of dimension pairs
+(e, g), weakly increasing in each coordinate and strictly increasing
+in e + g < dim V + dim W, together with a chain of faces of V using
+the distinct e values and a chain of faces of W using the distinct g
+values.  A repeated e means the same face of V; e = dim V means V
+itself, which adds nothing to the count.
+
+The kernel walks these pair chains depth first, carrying three bit
+masks: S of the sums e + g, T of the e values and U of the g values.
+Each node of the walk, the empty chain included, adds fV[T] * fW[U] to
+the product's flag entry at S.  The factors' flag vectors are flat
+lists indexed by mask; each is stored twice over, so the improper top
+bit reads the same entry as the mask without it.
 """
 
 from .errors import InvalidParams
 from .ncpoly import NcPoly, cd_to_flag_f, flag_to_cd, FlagFVector
 
 
-def _extended(fv, dims):
-    """Flag entry allowing the improper top dimension in the index set."""
-    return fv.f(frozenset(d for d in dims if d != fv.dim))
+def _flag_list(p, dim):
+    """Flag entries of p by mask, with bit dim folded onto the mask without it."""
+    vec = [0] * (1 << dim)
+    for S, v in cd_to_flag_f(p, dim).entries().items():
+        vec[sum(1 << d for d in S)] = v
+    return vec + vec
 
 
 def cd_product(p, q):
@@ -23,28 +37,39 @@ def cd_product(p, q):
         if x.coeff("") < 0 or not x:
             raise InvalidParams("not a polytope cd-index: %s" % x.text())
     dp, dq = p.degree(), q.degree()
-    fp = cd_to_flag_f(p, dp)
-    fq = cd_to_flag_f(q, dq)
+    if dp == 0:
+        return q  # V is a point
+    if dq == 0:
+        return p
+    fp = _flag_list(p, dp)
+    fq = _flag_list(q, dq)
     D = dp + dq
-    entries = {}
-    for smask in range(1 << D):
-        S = [d for d in range(D) if smask >> d & 1]
-        total = 0
-        # split each chain dimension s into e + g, both weakly nondecreasing
-        stack = [(0, 0, 0, ())]  # index into S, min e, min g, e-sequence
-        while stack:
-            i, emin, gmin, seq = stack.pop()
-            if i == len(S):
-                e_dims = frozenset(seq)
-                g_dims = frozenset(s - e for s, e in zip(S, seq))
-                total += _extended(fp, e_dims) * _extended(fq, g_dims)
-                continue
-            s = S[i]
-            lo = max(emin, s - dq)
-            hi = min(dp, s - gmin)
-            for e in range(lo, hi + 1):
-                stack.append((i + 1, e, s - e, seq + (e,)))
-        entries[frozenset(S)] = total
+    # the pairs that may follow (e0, g0) in a chain, as entries
+    # (bit of e, bit of g, bit of e + g, the pairs that may follow (e, g))
+    after = {(e, g): [] for e in range(dp + 1) for g in range(dq + 1)}
+
+    def fill(pairs, e0, g0, s0):
+        for e in range(e0, dp + 1):
+            for g in range(max(g0, s0 + 1 - e), min(dq, D - 1 - e) + 1):
+                pairs.append((1 << e, 1 << g, 1 << (e + g), after[e, g]))
+
+    for (e0, g0), pairs in after.items():
+        fill(pairs, e0, g0, e0 + g0)
+    first = []
+    fill(first, 0, 0, -1)
+    out = [0] * (1 << D)
+    out[0] = 1  # the empty chain
+
+    def walk(pairs, S, T, U):
+        for be, bg, bs, more in pairs:
+            S2, T2, U2 = S | bs, T | be, U | bg
+            out[S2] += fp[T2] * fq[U2]
+            if more:
+                walk(more, S2, T2, U2)
+
+    walk(first, 0, 0, 0)
+    entries = {frozenset(d for d in range(D) if S >> d & 1): v
+               for S, v in enumerate(out)}
     return flag_to_cd(FlagFVector(D, entries))
 
 

@@ -253,3 +253,62 @@ def test_cache_stops_growing_after_damage(capsys, tmp_path, damage):
     assert counts[0] in (len(lines), len(lines) + 1)
     assert counts == [counts[0]] * 3
     assert cache.read_text().splitlines().count(damaged) == 1
+
+
+@pytest.mark.parametrize("record", [
+    {"v": 1, "kind": "hypersimplex", "key": [5, 8], "cd": {"cc": "1"}},
+    {"v": 1, "kind": "cuspidal", "key": [1, 2, 3, 4], "cd": {"cc": "1"}},
+    {"v": 1, "kind": "w", "key": [1], "cd": {"cc": "1"}},
+], ids=["hypersimplex", "cuspidal", "w"])
+def test_cache_record_with_a_key_unfit_for_its_kind_is_skipped(capsys, tmp_path, record):
+    for clear in (hypersimplex.memo_clear, cuspidal.memo_clear, engine.w_memo_clear):
+        clear()
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(record) + "\n")
+    rc, out, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
+    assert rc == 0
+    assert out.strip() == cli.PAPER_VALUES["fano"]
+    assert "record 1 is corrupt, skipping it" in err
+
+
+def test_file_basis_of_wrong_size_reports_one_based(capsys, tmp_path):
+    path = write_json(tmp_path, {"n": 4, "rank": 2, "bases": [[1, 2, 3], [1, 4]]})
+    rc, _, err = run(capsys, "compute", "--file", path)
+    assert rc == 2
+    assert "NOT_A_MATROID" in err
+    assert "basis [1, 2, 3] does not have size 2" in err
+
+
+def test_file_exchange_failure_reports_one_based(capsys, tmp_path):
+    path = write_json(tmp_path, {"n": 4, "rank": 2, "bases": [[1, 2], [3, 4]]})
+    rc, _, err = run(capsys, "compute", "--file", path)
+    assert rc == 2
+    assert "exchange fails for bases [1, 2], [3, 4] at element 1" in err
+
+
+def test_file_presentation_mismatch_reports_one_based(capsys, tmp_path):
+    path = write_json(tmp_path, {"n": 4, "rank": 2,
+                                 "cyclic_flats": [{"set": [2, 3, 4], "rank": 2}]})
+    rc, _, err = run(capsys, "compute", "--file", path)
+    assert rc == 2
+    assert "missing=[([2, 3, 4], 2)] extra=[]" in err
+
+
+# the records a vamos run writes; the product memo adds no kind and no key
+VAMOS_CACHE_KEYS = [
+    ("cuspidal", [2, 4, 1, 2]), ("cuspidal", [2, 5, 1, 2]), ("cuspidal", [2, 6, 1, 2]),
+    ("cuspidal", [3, 5, 2, 3]), ("cuspidal", [3, 6, 2, 3]), ("cuspidal", [3, 7, 2, 3]),
+    ("cuspidal", [4, 6, 3, 4]), ("cuspidal", [4, 7, 3, 4]), ("cuspidal", [4, 8, 3, 4]),
+    ("hypersimplex", [1, 3]), ("hypersimplex", [1, 4]), ("hypersimplex", [1, 5]),
+    ("hypersimplex", [2, 4]), ("hypersimplex", [2, 5]), ("hypersimplex", [2, 6]),
+    ("hypersimplex", [3, 6]), ("hypersimplex", [3, 7]), ("hypersimplex", [4, 8]),
+    ("w", [1, 1, 2, 2, 8]),
+]
+
+
+def test_vamos_cache_kinds_and_keys(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    rc, _, _ = compute_as_fresh_process(capsys, cache)
+    assert rc == 0
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert sorted((r["kind"], r["key"]) for r in records) == VAMOS_CACHE_KEYS

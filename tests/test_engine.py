@@ -22,6 +22,7 @@ from cdx.matroid import (
     example_m2,
     example_m3,
     fano,
+    is_connected_split,
     mk4,
     vamos,
 )
@@ -140,3 +141,21 @@ def test_profile_determines_polynomial():
     a = Matroid.from_cyclic_flats(6, 3, [((0, 1, 2), 2)])
     b = Matroid.from_cyclic_flats(6, 3, [((3, 4, 5), 2)])
     assert cd_split_matroid(a) == cd_split_matroid(b)
+
+
+def test_cd_index_runs_the_split_test_once_per_component(monkeypatch):
+    from cdx import engine
+
+    seen = []
+
+    def counted(M):
+        seen.append(M.n)
+        return is_connected_split(M)
+
+    monkeypatch.setattr(engine, "is_connected_split", counted)
+    # the Fano matroid plus a triangle, on disjoint ground sets
+    bases = [tuple(b) + (e,) for b in fano().bases() for e in (7, 8, 9)]
+    M = Matroid.from_bases(10, 4, bases)
+    got = cd_index(M)
+    assert sorted(seen) == [3, 7]
+    assert got == cd_product(cd_split_matroid(fano()), cd_hypersimplex(1, 3))

@@ -3,18 +3,22 @@ from math import comb
 import pytest
 
 from cdx.errors import InvalidParams
+from cdx import hypersimplex
 from cdx.hypersimplex import (
     _compute,
     cd_hypersimplex,
+    cd_hypersimplex_product,
     face_index_set,
     face_type_counts,
     faces_of_hypersimplex,
+    memo_clear,
     memo_install,
     memo_snapshot,
 )
 from cdx.matroid import Matroid
 from cdx.ncpoly import NcPoly, cd_to_ab
 from cdx.oracle import oracle_cd_index
+from cdx.product import cd_product
 
 
 def test_small_values():
@@ -95,6 +99,40 @@ def test_memoized_and_canonicalized():
     b = cd_hypersimplex(5, 8)
     assert a is b
     assert (3, 8) in memo_snapshot()
+
+
+def test_hypersimplex_product_equals_cd_product():
+    keys = [(0, 1), (1, 1), (0, 3), (2, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 6)]
+    for k1, n1 in keys:
+        for k2, n2 in keys:
+            want = cd_product(cd_hypersimplex(k1, n1), cd_hypersimplex(k2, n2))
+            assert cd_hypersimplex_product(k1, n1, k2, n2) == want, (k1, n1, k2, n2)
+            assert cd_hypersimplex_product(k2, n2, k1, n1) == want, (k1, n1, k2, n2)
+
+
+def test_hypersimplex_product_point_factor_is_the_other_factor():
+    assert cd_hypersimplex_product(0, 4, 2, 5) is cd_hypersimplex(2, 5)
+    assert cd_hypersimplex_product(3, 5, 4, 4) is cd_hypersimplex(2, 5)
+    assert cd_hypersimplex_product(1, 1, 0, 1) == NcPoly.one()
+
+
+def test_hypersimplex_product_memo_is_emptied_by_memo_clear():
+    memo_clear()
+    a = cd_hypersimplex_product(2, 5, 1, 4)
+    # the unordered pair of canonical keys is one entry
+    assert cd_hypersimplex_product(3, 4, 3, 5) is a
+    assert hypersimplex._products == {((1, 4), (2, 5)): a}
+    memo_clear()
+    assert hypersimplex._products == {}
+    assert memo_snapshot() == {}
+    assert cd_hypersimplex_product(1, 4, 2, 5) == a
+
+
+def test_hypersimplex_product_invalid_params():
+    with pytest.raises(InvalidParams):
+        cd_hypersimplex_product(3, 2, 1, 3)
+    with pytest.raises(InvalidParams):
+        cd_hypersimplex_product(1, 3, 0, 0)
 
 
 def test_memo_install_rejects_noncanonical():

@@ -1,11 +1,55 @@
+"""The product kernel against the oracle and against the convolution it
+replaced.
+
+The reference below is the former kernel: for each subset S of
+dimensions it enumerates every splitting of S into weakly
+nondecreasing (e, g) pairs, and looks the factors' flag entries up by
+frozenset, the improper top dimension of a factor dropped from its set.
+"""
+
 import pytest
 
 from cdx.errors import InvalidParams
 from cdx.hypersimplex import cd_hypersimplex
 from cdx.matroid import Matroid
-from cdx.ncpoly import NcPoly
+from cdx.ncpoly import FlagFVector, NcPoly, cd_to_flag_f, flag_to_cd
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product, cd_product_all
+
+
+def reference_product(p, q):
+    dp, dq = p.degree(), q.degree()
+    fp = cd_to_flag_f(p, dp)
+    fq = cd_to_flag_f(q, dq)
+
+    def extended(fv, dims):
+        return fv.f(frozenset(d for d in dims if d != fv.dim))
+
+    D = dp + dq
+    entries = {}
+    for smask in range(1 << D):
+        S = [d for d in range(D) if smask >> d & 1]
+        total = 0
+        # split each chain dimension s into e + g, both weakly nondecreasing
+        stack = [(0, 0, 0, ())]  # index into S, min e, min g, e-sequence
+        while stack:
+            i, emin, gmin, seq = stack.pop()
+            if i == len(S):
+                e_dims = frozenset(seq)
+                g_dims = frozenset(s - e for s, e in zip(S, seq))
+                total += extended(fp, e_dims) * extended(fq, g_dims)
+                continue
+            s = S[i]
+            for e in range(max(emin, s - dq), min(dp, s - gmin) + 1):
+                stack.append((i + 1, e, s - e, seq + (e,)))
+        entries[frozenset(S)] = total
+    return flag_to_cd(FlagFVector(D, entries))
+
+
+C = NcPoly.word("c")
+# the point, the segment, and every hypersimplex with n <= 7 up to duality
+FACTORS = [NcPoly.one(), C] + [cd_hypersimplex(k, n)
+                               for n in range(3, 8) for k in range(1, n // 2 + 1)]
 
 
 def direct_sum(*matroids):
@@ -29,6 +73,10 @@ def test_point_is_the_unit():
     assert cd_product(one, c) == c
     assert cd_product(c, one) == c
     assert cd_product(one, one) == one
+    # a point factor returns the other factor without a convolution
+    p = cd_hypersimplex(3, 7)
+    assert cd_product(one, p) is p
+    assert cd_product(p, one) is p
 
 
 def test_square():
@@ -76,3 +124,26 @@ def test_rejects_bad_inputs():
         cd_product(NcPoly.word("c") + NcPoly.one(), NcPoly.word("c"))
     with pytest.raises(InvalidParams):
         cd_product(NcPoly.zero(), NcPoly.word("c"))
+
+
+def test_kernel_matches_reference_on_hypersimplices():
+    checked = 0
+    for i, p in enumerate(FACTORS):
+        for q in FACTORS[i:]:
+            if p.degree() + q.degree() <= 9:
+                got = cd_product(p, q)
+                assert got == reference_product(p, q), (p.text(), q.text())
+                assert cd_product(q, p) == got
+                checked += 1
+    assert checked == 64
+
+
+def test_kernel_matches_reference_on_other_factors():
+    cube = cd_product_all([C, C, C])
+    stacked = cd_product(C, cd_product(C, cd_hypersimplex(1, 3)))
+    assert stacked.degree() == 4
+    for p in (cube, stacked):
+        for q in [cube, stacked] + FACTORS:
+            if p.degree() + q.degree() <= 9:
+                assert cd_product(p, q) == reference_product(p, q), (p.text(), q.text())
+                assert cd_product(q, p) == cd_product(p, q)
