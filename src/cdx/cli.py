@@ -16,7 +16,7 @@ from math import comb
 from . import cuspidal, engine, hypersimplex, matroid, oracle
 from .errors import CacheVersionMismatch, CdxError, InvalidParams
 from .matroid import Matroid
-from .ncpoly import NcPoly, cd_to_flag_f
+from .ncpoly import NcPoly, cd_to_flag_f, word_degree
 
 EXIT_CODES = {
     "NOT_A_MATROID": 2,
@@ -108,25 +108,23 @@ def builtin_matroid(name, args):
 # -- persistent cache -------------------------------------------------
 
 CACHE_VERSION = 1
-_KINDS = {
-    "hypersimplex": (hypersimplex.memo_snapshot, hypersimplex.memo_install,
-                     lambda key: hypersimplex.cd_hypersimplex(*key)),
-    "cuspidal": (cuspidal.memo_snapshot, cuspidal.memo_install,
-                 lambda key: cuspidal.cd_cuspidal(*key)),
-    "w": (engine.w_memo_snapshot, engine.w_memo_install,
-          lambda key: engine.w_term(*key)),
-}
+_KINDS = {"hypersimplex": hypersimplex.MEMO, "cuspidal": cuspidal.MEMO, "w": engine.W_MEMO}
 
 
 def poly_to_json(p):
     return {w: str(c) for w, c in p.terms().items()}
 
 
-def poly_from_json(obj):
-    out = NcPoly.zero()
+def poly_from_json(obj, degree):
+    """A record's cd-index: words over c, d of the given degree, each with an
+    integer or integer-string coefficient; anything else raises ValueError."""
+    terms = {}
     for w, c in obj.items():
-        out = out + int(c) * (NcPoly.one() if w == "" else NcPoly.word(w))
-    return out
+        if not (set(w) <= {"c", "d"} and word_degree(w) == degree
+                and (_is_int(c) or isinstance(c, str))):
+            raise ValueError("%r: %r is not a cd term of degree %d" % (w, c, degree))
+        terms[w] = int(c)
+    return NcPoly(terms)
 
 
 class CacheStore:
@@ -135,7 +133,9 @@ class CacheStore:
         self.known = set()  # (kind, key-tuple) already present in the file
 
     def load(self, install=True):
-        """Read records; returns them as (kind, key, poly) triples."""
+        """Read records; returns them as (kind, key, poly) triples.  A record
+        that does not parse, or that its table would never store, is
+        skipped with a warning; with install the rest go into the tables."""
         out = []
         if not os.path.exists(self.path):
             return out
@@ -147,23 +147,24 @@ class CacheStore:
                 continue
             try:
                 rec = json.loads(line)
-                kind = rec["kind"]
-                key = tuple(int(x) for x in rec["key"])
-                poly = poly_from_json(rec["cd"])
-                version = rec["v"]
-                if version != CACHE_VERSION:
+                if rec["v"] != CACHE_VERSION:
                     raise CacheVersionMismatch(
                         "%s: record %d has version %r, this build reads version %d"
-                        % (self.path, idx + 1, version, CACHE_VERSION)
+                        % (self.path, idx + 1, rec["v"], CACHE_VERSION)
                     )
+                kind, key = rec["kind"], rec["key"]
                 if kind not in _KINDS:
                     raise CacheVersionMismatch(
                         "%s: record %d has unknown kind %r" % (self.path, idx + 1, kind)
                     )
+                if not isinstance(key, list) or not all(_is_int(x) for x in key):
+                    raise ValueError("key %r is not a list of integers" % (key,))
+                key = tuple(key)
+                # the table's check refuses a key its function never stores
+                poly = poly_from_json(rec["cd"], _KINDS[kind].check(*key))
                 if install:
-                    # the install checks the key against its kind
-                    _KINDS[kind][1](key, poly)
-            except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError,
+                    _KINDS[kind].put(key, poly)
+            except (RecursionError, AttributeError, KeyError, TypeError, ValueError,
                     InvalidParams):
                 sys.stderr.write(
                     "warning: %s: record %d is corrupt, skipping it\n"
@@ -177,8 +178,8 @@ class CacheStore:
     def append_new(self):
         """Append records for memo entries not yet in the file."""
         recs = []
-        for kind, (snapshot, _install, _compute) in _KINDS.items():
-            for key, poly in sorted(snapshot().items()):
+        for kind, table in _KINDS.items():
+            for key, poly in sorted(table.snapshot().items()):
                 kt = tuple(key)
                 if (kind, kt) not in self.known:
                     recs.append(
@@ -203,7 +204,7 @@ class CacheStore:
         records = self.load(install=False)
         bad = []
         for kind, key, poly in records:
-            fresh = _KINDS[kind][2](key)
+            fresh = _KINDS[kind].compute(*key)
             if fresh != poly:
                 bad.append((kind, key, poly, fresh))
         return records, bad
@@ -406,6 +407,8 @@ def _verify_paper_values():
 def cmd_verify(args):
     if args.max_n > 8:
         raise InvalidParams("verify is oracle-bound; --max-n must be <= 8")
+    if args.cache_only and not args.cache:
+        raise InvalidParams("--cache-verify needs --cache FILE or CDX_CACHE")
     if args.cache:
         store = CacheStore(args.cache)
         records, bad = store.verify()

@@ -11,11 +11,11 @@ hypersimplices.  Ambient faces whose minimum already reaches r
 contribute nothing new.
 """
 
-import threading
 from math import comb
 from typing import NamedTuple
 
 from .errors import InvalidParams
+from .memo import Memo
 from .ncpoly import emve_mixed, g_cd, normalize_mixed
 from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product, face_type_counts
 from .product import cd_product  # noqa: F401  see ROADMAP item 6
@@ -31,13 +31,15 @@ class CuspidalKey(NamedTuple):
 def check_key(k, n, r, h):
     """The key is valid when F (size h, rank r) is a proper cyclic flat
     of a connected rank-k matroid on n elements: 1 <= r < min(k, h),
-    h < n, and k - (n - h) < r."""
+    h < n, and k - (n - h) < r.  Returns the degree n - 1 of the
+    cd-index."""
     if not (1 <= r < k and r < h and h < n and k < n):
         raise InvalidParams("bad cuspidal key (k=%d, n=%d, r=%d, h=%d)" % (k, n, r, h))
     if r <= k - (n - h):
         raise InvalidParams(
             "cuspidal key (k=%d, n=%d, r=%d, h=%d) forces coloops" % (k, n, r, h)
         )
+    return n - 1
 
 
 def dual_key(k, n, r, h):
@@ -52,23 +54,10 @@ def vertex_count(k, n, r, h):
     )
 
 
-_memo = {}
-_lock = threading.Lock()
-
-
 def cd_cuspidal(k, n, r, h):
     """cd-index of the (k, n, r, h) cuspidal matroid's base polytope."""
     check_key(k, n, r, h)
-    key = CuspidalKey(k, n, r, h)
-    with _lock:
-        got = _memo.get(key)
-    if got is not None:
-        return got
-    p = _compute(k, n, r, h)
-    with _lock:
-        _memo.setdefault(key, p)
-        _memo.setdefault(dual_key(k, n, r, h), p)
-    return p
+    return MEMO.lookup(CuspidalKey(k, n, r, h))
 
 
 def _compute(k, n, r, h):
@@ -105,7 +94,9 @@ def _compute(k, n, r, h):
                 continue
             piece = cd_hypersimplex_product(k1, n1, k2, n2)
             acc = acc + (ct1 * ct2) * (piece * g_cd((n - 2) - dm))
-    return normalize_mixed(acc)
+    p = normalize_mixed(acc)
+    MEMO.put(dual_key(k, n, r, h), p)  # the dual's polytope is its image under 1 - x
+    return p
 
 
 def _factor_faces(k, h):
@@ -127,18 +118,6 @@ def cuspidal_matroid(k, n, r, h):
     return Matroid.from_cyclic_flats(n, k, [(tuple(range(h)), r)])
 
 
-def memo_snapshot():
-    with _lock:
-        return dict(_memo)
-
-
-def memo_install(key, poly):
-    k, n, r, h = key
-    check_key(k, n, r, h)
-    with _lock:
-        _memo.setdefault(CuspidalKey(k, n, r, h), poly)
-
-
-def memo_clear():
-    with _lock:
-        _memo.clear()
+MEMO = Memo(check_key, _compute)
+memo_snapshot = MEMO.snapshot
+memo_clear = MEMO.clear

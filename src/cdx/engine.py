@@ -7,7 +7,6 @@ flats.  Disconnected matroids are handled componentwise, since the base
 polytope of a direct sum is the product of the summands' polytopes.
 """
 
-import threading
 from math import comb
 
 from .errors import (
@@ -17,6 +16,7 @@ from .errors import (
     NotSplit,
     UnsupportedMatroid,
 )
+from .memo import Memo
 from .ncpoly import NcPoly, D as _D
 from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product
 from .cuspidal import cd_cuspidal
@@ -28,13 +28,17 @@ from .matroid import (
     split_profile,
 )
 
-_w_memo = {}
-_w_lock = threading.Lock()
-
-
 def w_key(alpha, beta, a, b, n):
     (alpha, a), (beta, b) = sorted([(alpha, a), (beta, b)])
     return (alpha, beta, a, b, n)
+
+
+def check_w_key(alpha, beta, a, b, n):
+    """The keys w_term stores: canonical shapes; the term has degree n - 1."""
+    key = (alpha, beta, a, b, n)
+    if min(alpha, beta, a, b) < 1 or n < a + b or w_key(*key) != key:
+        raise InvalidParams("bad modular pair key %r" % (key,))
+    return n - 1
 
 
 def w_term(alpha, beta, a, b, n):
@@ -44,15 +48,12 @@ def w_term(alpha, beta, a, b, n):
     the common intersection removed; n is the ground size of the whole
     matroid.  Symmetric in the two (rank, size) pairs.
     """
-    if min(alpha, beta, a, b) < 1 or n < a + b:
-        raise InvalidParams(
-            "bad modular pair shape (%d, %d, %d, %d) for n=%d" % (alpha, beta, a, b, n)
-        )
     key = w_key(alpha, beta, a, b, n)
-    with _w_lock:
-        got = _w_memo.get(key)
-    if got is not None:
-        return got
+    check_w_key(*key)
+    return W_MEMO.lookup(key)
+
+
+def _w_compute(alpha, beta, a, b, n):
     out = NcPoly.zero()
     for p in range(1, alpha + 1):
         for q in range(1, beta + 1):
@@ -65,9 +66,12 @@ def w_term(alpha, beta, a, b, n):
                         comb(a, i) * comb(b, j)
                         * comb(a - i, alpha - p) * comb(b - j, beta - q)
                     ) * (piece * _D * cd_hypersimplex(1, n - i - j))
-    with _w_lock:
-        _w_memo.setdefault(key, out)
     return out
+
+
+W_MEMO = Memo(check_w_key, _w_compute)
+w_memo_snapshot = W_MEMO.snapshot
+w_memo_clear = W_MEMO.clear
 
 
 def cd_split_matroid(M):
@@ -140,21 +144,3 @@ def cd_index(M, oracle_fallback=False, oracle_max_n=None):
                 "rerun with the oracle fallback enabled" % sub.n
             )
     return cd_product_all(parts)
-
-
-def w_memo_snapshot():
-    with _w_lock:
-        return dict(_w_memo)
-
-
-def w_memo_install(key, poly):
-    alpha, beta, a, b, n = key
-    if w_key(alpha, beta, a, b, n) != tuple(key):
-        raise InvalidParams("w memo key must be canonical, got %r" % (key,))
-    with _w_lock:
-        _w_memo.setdefault(tuple(key), poly)
-
-
-def w_memo_clear():
-    with _w_lock:
-        _w_memo.clear()

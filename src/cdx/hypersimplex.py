@@ -12,28 +12,13 @@ hypersimplices; ``cd_hypersimplex_product`` memoizes those beside the
 recursion's own table, and ``memo_clear`` empties both.
 """
 
-import threading
-from itertools import combinations
 from math import comb
-from typing import NamedTuple
 
 from .errors import InvalidParams
 from . import ncpoly
+from .memo import Memo
 from .ncpoly import NcPoly, emve_mixed, g_cd, normalize_mixed
 from .product import cd_product
-
-
-class FaceSpec(NamedTuple):
-    """A face of dimension >= 1: pinned coordinate sets and its type."""
-
-    ones: frozenset  # coordinates fixed to 1
-    zeros: frozenset  # coordinates fixed to 0
-    k: int  # the face is a (k, n) hypersimplex
-    n: int
-
-    @property
-    def dim(self):
-        return self.n - 1
 
 
 def face_index_set(k, n):
@@ -50,27 +35,9 @@ def face_type_counts(k, n):
     return {(i, j): comb(n, i) * comb(n - i, j) for i, j in face_index_set(k, n)}
 
 
-def faces_of_hypersimplex(k, n):
-    """All faces of dimension >= 1 as explicit FaceSpec pairs (0-based ground)."""
-    _check_params(k, n)
-    ground = range(n)
-    out = []
-    for i, j in face_index_set(k, n):
-        for C in combinations(ground, i):
-            rest = [e for e in ground if e not in C]
-            for D in combinations(rest, j):
-                out.append(FaceSpec(frozenset(C), frozenset(D), k - i, n - i - j))
-    return out
-
-
 def _check_params(k, n):
     if n < 1 or k < 0 or k > n:
         raise InvalidParams("hypersimplex needs 0 <= k <= n, n >= 1, got k=%d n=%d" % (k, n))
-
-
-_memo = {}
-_products = {}  # sorted pair of canonical keys -> cd-index of the product
-_lock = threading.Lock()
 
 
 def cd_hypersimplex(k, n):
@@ -78,18 +45,9 @@ def cd_hypersimplex(k, n):
     _check_params(k, n)
     if k == 0 or k == n:
         return NcPoly.one()  # a single vertex
-    k = min(k, n - k)
     if n == 2:
         return ncpoly.C
-    key = (k, n)
-    with _lock:
-        got = _memo.get(key)
-    if got is not None:
-        return got
-    p = _compute(k, n)
-    with _lock:
-        _memo.setdefault(key, p)
-    return p
+    return MEMO.lookup((min(k, n - k), n))
 
 
 def cd_hypersimplex_product(k1, n1, k2, n2):
@@ -101,16 +59,28 @@ def cd_hypersimplex_product(k1, n1, k2, n2):
         return cd_hypersimplex(k2, n2)
     if k2 == 0 or k2 == n2:
         return cd_hypersimplex(k1, n1)
-    key = tuple(sorted([(min(k1, n1 - k1), n1), (min(k2, n2 - k2), n2)]))
-    with _lock:
-        got = _products.get(key)
-    if got is not None:
-        return got
-    (k1, n1), (k2, n2) = key
-    p = cd_product(cd_hypersimplex(k1, n1), cd_hypersimplex(k2, n2))
-    with _lock:
-        _products.setdefault(key, p)
-    return p
+    pair = sorted([(min(k1, n1 - k1), n1), (min(k2, n2 - k2), n2)])
+    return PRODUCTS.lookup(pair[0] + pair[1])
+
+
+def _check_key(k, n):
+    """The keys cd_hypersimplex stores; the cd-index there has degree n - 1."""
+    if not 1 <= k <= n - k or n < 3:
+        raise InvalidParams("bad hypersimplex memo key (%d, %d)" % (k, n))
+    return n - 1
+
+
+def _check_pair(k1, n1, k2, n2):
+    """The keys cd_hypersimplex_product stores: a sorted pair of canonical
+    keys of hypersimplices of dimension >= 1; the product has degree
+    n1 + n2 - 2."""
+    if not (1 <= k1 <= n1 - k1 and 1 <= k2 <= n2 - k2 and (k1, n1) <= (k2, n2)):
+        raise InvalidParams("bad hypersimplex product key %r" % ((k1, n1, k2, n2),))
+    return n1 + n2 - 2
+
+
+def _product(k1, n1, k2, n2):
+    return cd_product(cd_hypersimplex(k1, n1), cd_hypersimplex(k2, n2))
 
 
 def _compute(k, n):
@@ -121,21 +91,11 @@ def _compute(k, n):
     return normalize_mixed(acc)
 
 
-def memo_snapshot():
-    with _lock:
-        return dict(_memo)
-
-
-def memo_install(key, poly):
-    k, n = key
-    _check_params(k, n)
-    if k != min(k, n - k):
-        raise InvalidParams("memo key must be canonical, got %r" % (key,))
-    with _lock:
-        _memo.setdefault((k, n), poly)
+MEMO = Memo(_check_key, _compute)
+PRODUCTS = Memo(_check_pair, _product)
+memo_snapshot = MEMO.snapshot
 
 
 def memo_clear():
-    with _lock:
-        _memo.clear()
-        _products.clear()
+    MEMO.clear()
+    PRODUCTS.clear()

@@ -155,12 +155,6 @@ class Matroid:
     def basis_masks(self):
         return sorted(self._bases)
 
-    def nonbases(self):
-        return sorted(
-            tuple(c) for c in combinations(range(self.n), self.rank)
-            if _mask(c) not in self._bases
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Matroid)

@@ -1,0 +1,46 @@
+"""One memo table type for the recursions and the result cache.
+
+Every expensive result is keyed by a small tuple of integers: the
+hypersimplex (k, n), a product of two hypersimplices, the cuspidal
+(k, n, r, h) and the modular-pair term (alpha, beta, a, b, n).  Each
+table is a ``Memo``; the cache reads and fills three of them.
+"""
+
+import threading
+
+
+class Memo:
+    """Results of ``compute(*key)`` by key, behind one lock so that
+    ``verify --threads`` can share the table.
+
+    ``check(*key)`` raises InvalidParams unless the table's function
+    stores ``key``, and returns the degree of the cd-index stored there;
+    the cache runs it on every record it reads.
+    """
+
+    def __init__(self, check, compute):
+        self.check = check
+        self.compute = compute
+        self._table = {}
+        self._lock = threading.Lock()
+
+    def lookup(self, key):
+        """The result for key, computed and stored on a miss."""
+        with self._lock:
+            got = self._table.get(key)
+        if got is None:
+            got = self.put(key, self.compute(*key))
+        return got
+
+    def put(self, key, value):
+        """Store value unless key is present; returns what is stored."""
+        with self._lock:
+            return self._table.setdefault(key, value)
+
+    def snapshot(self):
+        with self._lock:
+            return dict(self._table)
+
+    def clear(self):
+        with self._lock:
+            self._table.clear()

@@ -408,24 +408,13 @@ def g_cd(t):
     return base * g_cd(t - 2) + comm * _csq_minus_2d_pow((t - 3) // 2) * (C - 2 * B)
 
 
-def emve(dim, num_vertices):
-    """(a-b)^dim + num_vertices * b(a-b)^(dim-1); just 1 when dim = 0.
+def emve_mixed(dim, num_vertices):
+    """(a-b)^dim + num_vertices * b(a-b)^(dim-1), just 1 when dim = 0, with
+    every b a trailing letter.
 
     The empty-plus-vertex part of the stratified chain count: the empty
     chain contributes (a-b)^dim and each vertex b(a-b)^(dim-1).
     """
-    if dim < 0:
-        raise InvalidParams("dimension must be >= 0")
-    if num_vertices < 1:
-        raise InvalidParams("a polytope has at least one vertex")
-    if dim == 0:
-        return NcPoly.one()
-    e = A - B
-    return e**dim + num_vertices * (B * e ** (dim - 1))
-
-
-def emve_mixed(dim, num_vertices):
-    """Same polynomial as emve, rewritten so every b is a trailing letter."""
     if dim < 0:
         raise InvalidParams("dimension must be >= 0")
     if num_vertices < 1:

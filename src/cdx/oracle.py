@@ -207,15 +207,3 @@ def eulerian_check(L):
         b, t = map(int, np.argwhere(bad)[0])
         return False, (_bits(faces[b]), _bits(faces[t]), int(dims[b]), int(dims[t]))
     return True, None
-
-
-def meet_closed_check(L):
-    """Intersection of two faces' vertex sets must again be a face."""
-    fs = set(L.faces)
-    faces = L.faces
-    for i in range(len(faces)):
-        for j in range(i + 1, len(faces)):
-            if faces[i] & faces[j] not in fs:
-                return False, (_bits(faces[i]), _bits(faces[j]))
-    return True, None
-

@@ -1,0 +1,101 @@
+"""Property: any single line in a cache file leaves both cache readers
+with a documented exit code and never an uncaught exception."""
+
+import contextlib
+import functools
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cdx import cli, cuspidal, engine, hypersimplex
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4}
+
+
+def run_cli(*argv):
+    """``cdx`` in-process on empty memo tables, as in a fresh process."""
+    for clear in (hypersimplex.memo_clear, cuspidal.memo_clear, engine.w_memo_clear):
+        clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def fano_records():
+    """The records a cold fano run writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.jsonl")
+        run_cli("compute", "--builtin", "fano", "--cache", path)
+        with open(path) as fh:
+            return [line.strip() for line in fh]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+coefficients = (st.integers(-5, 10**6) | st.text("0123456789-.e", max_size=5)
+                | st.floats() | st.booleans() | json_values)
+
+
+@st.composite
+def damaged_records(draw):
+    """A record of a fano run with at most one field damaged, so that many
+    lines pass the parse and reach the key check, the degree check or the
+    formula itself.  Key entries stay below 13, the largest ground set
+    the command line computes, so a record that passes its check is
+    cheap to recompute."""
+    rec = json.loads(draw(st.sampled_from(fano_records())))
+    words = sorted(rec["cd"])
+    what = draw(st.sampled_from(["none", "v", "kind", "key", "key-entry",
+                                 "coefficient", "new-word", "lost-word"]))
+    if what == "v":
+        rec["v"] = draw(json_values)
+    elif what == "kind":
+        rec["kind"] = draw(st.sampled_from(sorted(cli._KINDS) + ["product"]) | json_values)
+    elif what == "key":
+        rec["key"] = draw(st.lists(st.integers(-1, 12), max_size=6)
+                          | json_values.filter(lambda v: not isinstance(v, list)))
+    elif what == "key-entry":
+        rec["key"][draw(st.integers(0, len(rec["key"]) - 1))] = draw(st.integers(-1, 12))
+    elif what == "coefficient":
+        rec["cd"][draw(st.sampled_from(words))] = draw(coefficients)
+    elif what == "new-word":
+        rec["cd"][draw(st.text("cdx", max_size=8))] = draw(st.integers(-5, 5))
+    elif what == "lost-word":
+        del rec["cd"][draw(st.sampled_from(words))]
+    return rec
+
+
+@st.composite
+def cache_lines(draw):
+    line = json.dumps(draw(damaged_records() | json_values))
+    if draw(st.booleans()):
+        return line
+    # a record cut short, as by an interrupted write
+    return line[:draw(st.integers(0, max(0, len(line) - 1)))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cache_lines())
+def test_any_cache_line_gives_a_documented_exit_code(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.jsonl")
+        with open(path, "w") as fh:
+            fh.write(line + "\n")
+        verify_rc, _ = run_cli("verify", "--cache", path, "--cache-verify")
+        assert verify_rc in DOCUMENTED_EXIT_CODES
+        rc, out = run_cli("compute", "--builtin", "fano", "--cache", path)
+        assert rc in DOCUMENTED_EXIT_CODES
+    if rc == 0 and out.strip() != cli.PAPER_VALUES["fano"]:
+        # a record that changed the answer is caught by --cache-verify
+        assert verify_rc == 1

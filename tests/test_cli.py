@@ -224,9 +224,13 @@ def test_file_out_of_range_reports_one_based(capsys, tmp_path):
     assert "basis [1, 5] out of range for n=4" in err
 
 
-def compute_as_fresh_process(capsys, cache):
+def clear_memos():
     for clear in (hypersimplex.memo_clear, cuspidal.memo_clear, engine.w_memo_clear):
         clear()
+
+
+def compute_as_fresh_process(capsys, cache):
+    clear_memos()
     return run(capsys, "compute", "--builtin", "vamos", "--cache", str(cache))
 
 
@@ -255,20 +259,70 @@ def test_cache_stops_growing_after_damage(capsys, tmp_path, damage):
     assert cache.read_text().splitlines().count(damaged) == 1
 
 
+# keys no table stores: not canonical, an invalid cuspidal shape, the
+# wrong length, a canonical w shape with a zero rank, a k = 0 hypersimplex
 @pytest.mark.parametrize("record", [
     {"v": 1, "kind": "hypersimplex", "key": [5, 8], "cd": {"cc": "1"}},
     {"v": 1, "kind": "cuspidal", "key": [1, 2, 3, 4], "cd": {"cc": "1"}},
     {"v": 1, "kind": "w", "key": [1], "cd": {"cc": "1"}},
-], ids=["hypersimplex", "cuspidal", "w"])
+    {"v": 1, "kind": "w", "key": [0, 1, 1, 1, 5], "cd": {"cccc": "1"}},
+    {"v": 1, "kind": "hypersimplex", "key": [0, 5], "cd": {"cccc": "1"}},
+], ids=["hypersimplex", "cuspidal", "w", "w-zero-rank", "hypersimplex-k0"])
 def test_cache_record_with_a_key_unfit_for_its_kind_is_skipped(capsys, tmp_path, record):
-    for clear in (hypersimplex.memo_clear, cuspidal.memo_clear, engine.w_memo_clear):
-        clear()
     cache = tmp_path / "cache.jsonl"
     cache.write_text(json.dumps(record) + "\n")
+    clear_memos()
+    rc, out, err = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    assert (rc, out) == (0, "cache verify: 0 records OK\n")
+    assert "record 1 is corrupt, skipping it" in err
     rc, out, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
     assert rc == 0
     assert out.strip() == cli.PAPER_VALUES["fano"]
     assert "record 1 is corrupt, skipping it" in err
+    assert tuple(record["key"]) not in cli._KINDS[record["kind"]].snapshot()
+
+
+# a letter outside c, d; a coefficient that is no integer; a word of the
+# wrong degree for its key (2 for the (1, 3) hypersimplex)
+@pytest.mark.parametrize("cd", ['{"x": "1"}', '{"cc": 1e400}', '{"cc": "1.5"}',
+                                '{"ccc": "1"}'],
+                         ids=["letter", "overflow", "fraction", "degree"])
+def test_cache_record_with_a_corrupt_cd_is_skipped(capsys, tmp_path, cd):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"v": 1, "kind": "hypersimplex", "key": [1, 3], "cd": %s}\n' % cd)
+    clear_memos()
+    rc, out, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
+    assert rc == 0
+    assert out.strip() == cli.PAPER_VALUES["fano"]
+    assert "record 1 is corrupt, skipping it" in err
+
+
+def test_cache_verify_needs_a_cache(capsys, monkeypatch):
+    monkeypatch.delenv("CDX_CACHE", raising=False)
+    rc, out, err = run(capsys, "verify", "--cache-verify")
+    assert (rc, out) == (2, "")
+    assert "INVALID_PARAMS" in err and "--cache-verify needs" in err
+
+
+WARM_CACHE_RUNS = [
+    ["--builtin", "fano"], ["--builtin", "vamos"], ["--builtin", "example-m1"],
+    ["--builtin", "mk4"],
+    ["--builtin", "cuspidal", "--k", "5", "--n", "12", "--r", "3", "--h", "6"],
+]
+
+
+def test_every_memo_key_passes_its_check(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    clear_memos()
+    for argv in WARM_CACHE_RUNS:
+        assert run(capsys, "compute", *argv, "--cache", str(cache))[0] == 0
+    for kind, table in cli._KINDS.items():
+        for key, poly in table.snapshot().items():
+            assert table.check(*key) == poly.degree(), (kind, key)
+    clear_memos()
+    # so a warm run reads every record back and skips none
+    rc, _, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
+    assert (rc, err) == (0, "")
 
 
 def test_file_basis_of_wrong_size_reports_one_based(capsys, tmp_path):

@@ -1,24 +1,51 @@
+from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import pytest
 
 from cdx.errors import InvalidParams
 from cdx import hypersimplex
 from cdx.hypersimplex import (
+    _check_params,
     _compute,
     cd_hypersimplex,
     cd_hypersimplex_product,
     face_index_set,
     face_type_counts,
-    faces_of_hypersimplex,
     memo_clear,
-    memo_install,
     memo_snapshot,
 )
 from cdx.matroid import Matroid
 from cdx.ncpoly import NcPoly, cd_to_ab
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product
+
+
+class FaceSpec(NamedTuple):
+    """A face of dimension >= 1: pinned coordinate sets and its type."""
+
+    ones: frozenset  # coordinates fixed to 1
+    zeros: frozenset  # coordinates fixed to 0
+    k: int  # the face is a (k, n) hypersimplex
+    n: int
+
+    @property
+    def dim(self):
+        return self.n - 1
+
+
+def faces_of_hypersimplex(k, n):
+    """All faces of dimension >= 1 as explicit FaceSpec pairs (0-based ground)."""
+    _check_params(k, n)
+    ground = range(n)
+    out = []
+    for i, j in face_index_set(k, n):
+        for C in combinations(ground, i):
+            rest = [e for e in ground if e not in C]
+            for D in combinations(rest, j):
+                out.append(FaceSpec(frozenset(C), frozenset(D), k - i, n - i - j))
+    return out
 
 
 def test_small_values():
@@ -121,9 +148,9 @@ def test_hypersimplex_product_memo_is_emptied_by_memo_clear():
     a = cd_hypersimplex_product(2, 5, 1, 4)
     # the unordered pair of canonical keys is one entry
     assert cd_hypersimplex_product(3, 4, 3, 5) is a
-    assert hypersimplex._products == {((1, 4), (2, 5)): a}
+    assert hypersimplex.PRODUCTS.snapshot() == {(1, 4, 2, 5): a}
     memo_clear()
-    assert hypersimplex._products == {}
+    assert hypersimplex.PRODUCTS.snapshot() == {}
     assert memo_snapshot() == {}
     assert cd_hypersimplex_product(1, 4, 2, 5) == a
 
@@ -135,9 +162,15 @@ def test_hypersimplex_product_invalid_params():
         cd_hypersimplex_product(1, 3, 0, 0)
 
 
-def test_memo_install_rejects_noncanonical():
-    with pytest.raises(InvalidParams):
-        memo_install((5, 8), NcPoly.one())
+def test_memo_check_rejects_noncanonical():
+    assert hypersimplex.MEMO.check(3, 8) == 7
+    for key in [(5, 8), (0, 5), (1, 2), (2, 3)]:
+        with pytest.raises(InvalidParams):
+            hypersimplex.MEMO.check(*key)
+    assert hypersimplex.PRODUCTS.check(1, 4, 2, 5) == 7
+    for key in [(2, 5, 1, 4), (0, 1, 2, 5), (3, 5, 1, 4)]:
+        with pytest.raises(InvalidParams):
+            hypersimplex.PRODUCTS.check(*key)
 
 
 def test_invalid_params():

@@ -1,0 +1,28 @@
+from cdx.memo import Memo
+
+
+def test_lookup_computes_each_key_once():
+    calls = []
+
+    def compute(a, b):
+        calls.append((a, b))
+        return [a + b]
+
+    table = Memo(lambda a, b: None, compute)
+    first = table.lookup((1, 2))
+    assert first == [3]
+    assert table.lookup((1, 2)) is first
+    assert calls == [(1, 2)]
+
+
+def test_put_keeps_the_first_value_and_snapshot_is_a_copy():
+    table = Memo(lambda a: None, lambda a: [a])
+    kept = [0]
+    assert table.put((1,), kept) is kept
+    assert table.put((1,), [9]) is kept
+    assert table.lookup((1,)) is kept
+    snap = table.snapshot()
+    snap.clear()
+    assert table.snapshot() == {(1,): [0]}
+    table.clear()
+    assert table.snapshot() == {}

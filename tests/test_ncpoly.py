@@ -20,7 +20,6 @@ from cdx.ncpoly import (
     ab_to_cd,
     cd_to_ab,
     cd_to_flag_f,
-    emve,
     emve_mixed,
     expand_ab,
     flag_to_ab,
@@ -143,6 +142,21 @@ def test_g_cd_matches_ab_definition():
 def test_g_cd_invalid():
     with pytest.raises(InvalidParams):
         g_cd(-1)
+
+
+def emve(dim, num_vertices):
+    """(a-b)^dim + num_vertices * b(a-b)^(dim-1); just 1 when dim = 0.
+
+    The reference for emve_mixed, which writes the same polynomial with
+    every b a trailing letter.
+    """
+    if dim < 0:
+        raise InvalidParams("dimension must be >= 0")
+    if num_vertices < 1:
+        raise InvalidParams("a polytope has at least one vertex")
+    if dim == 0:
+        return NcPoly.one()
+    return E**dim + num_vertices * (B * E ** (dim - 1))
 
 
 def test_emve():

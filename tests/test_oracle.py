@@ -4,13 +4,12 @@ import pytest
 
 from cdx.errors import ScaleExceeded
 from cdx.hypersimplex import face_type_counts
-from cdx.matroid import Matroid, example_535, fano
+from cdx.matroid import Matroid, _bits, example_535, fano
 from cdx.ncpoly import NcPoly, flag_to_ab
 from cdx.oracle import (
     FaceLattice,
     eulerian_check,
     face_lattice,
-    meet_closed_check,
     oracle_cd_index,
     oracle_flag_f,
 )
@@ -89,6 +88,17 @@ def test_eulerian_detects_mutation():
     ok, witness = eulerian_check(mutated)
     assert not ok
     assert witness is not None
+
+
+def meet_closed_check(L):
+    """Intersection of two faces' vertex sets must again be a face."""
+    fs = set(L.faces)
+    faces = L.faces
+    for i in range(len(faces)):
+        for j in range(i + 1, len(faces)):
+            if faces[i] & faces[j] not in fs:
+                return False, (_bits(faces[i]), _bits(faces[j]))
+    return True, None
 
 
 def test_meet_closed():
