@@ -2,10 +2,19 @@
 
 The faces of dimension at least one of the (k, n) hypersimplex are cut
 out by disjoint pairs (C, D): coordinates pinned to 1 on C and 0 on D,
-with |C| < k and |D| < n - k, leaving a smaller hypersimplex on the
-remaining ground set.  Summing each face's cd-index times the trailing
-chain weight g_cd(|C u D| - 1), plus the empty-chain and vertex terms,
-gives a mixed expression whose cd part is the cd-index.
+with |C| < k and |D| < n - k, leaving the (k - |C|, n - |C u D|)
+hypersimplex on the remaining ground set.  Each face contributes its
+cd-index times the trailing chain weight g_cd(|C u D| - 1); with the
+empty-chain and vertex terms this gives a mixed expression whose cd
+part is the cd-index.
+
+The weight depends only on the face size m = |C u D|, so the recursion
+works one m at a time: it sums count * cd_hypersimplex(k - i, n - m)
+over the face types (i, m - i) into one coefficient dict, with no
+product, then multiplies that sum once by g_cd(m - 1), adding the terms
+into a single accumulator in place.  Only one group is held at a time.
+``normalize_mixed`` then extracts the cd part and checks that no
+trailing-b residue is left.
 
 The cuspidal and modular-pair terms take products of two
 hypersimplices; ``cd_hypersimplex_product`` memoizes those beside the
@@ -85,10 +94,24 @@ def _product(k1, n1, k2, n2):
 
 def _compute(k, n):
     # recursion run for the given k as-is; duality tests call both sides
-    acc = emve_mixed(n - 1, comb(n, k))
+    by_size = {}
     for (i, j), count in face_type_counts(k, n).items():
-        acc = acc + count * (cd_hypersimplex(k - i, n - i - j) * g_cd(i + j - 1))
-    return normalize_mixed(acc)
+        by_size.setdefault(i + j, []).append((k - i, count))
+    acc = dict(emve_mixed(n - 1, comb(n, k))._t)
+    get = acc.get
+    for m, faces in by_size.items():
+        group = {}
+        for face_k, count in faces:
+            for w, c in cd_hypersimplex(face_k, n - m)._t.items():
+                group[w] = group.get(w, 0) + count * c
+        weight = g_cd(m - 1)._t.items()
+        for w1, c1 in group.items():
+            for w2, c2 in weight:
+                w = w1 + w2
+                acc[w] = get(w, 0) + c1 * c2
+    mixed = NcPoly.__new__(NcPoly)
+    mixed._t = {w: c for w, c in acc.items() if c}
+    return normalize_mixed(mixed)
 
 
 MEMO = Memo(_check_key, _compute)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -302,6 +305,45 @@ def test_cache_verify_needs_a_cache(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify", "--cache-verify")
     assert (rc, out) == (2, "")
     assert "INVALID_PARAMS" in err and "--cache-verify needs" in err
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def cdx_argv(*argv):
+    return [sys.executable, "-m", "cdx.cli", *argv]
+
+
+def cdx_env():
+    return dict(os.environ, PYTHONPATH=SRC)
+
+
+def test_cache_verify_skips_a_record_above_the_compute_bound(tmp_path):
+    # the 39-simplex has Fibonacci-many cd words: recomputing it would not
+    # finish, while compute never stores a degree above 11
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(
+        '{"v": 1, "kind": "hypersimplex", "key": [1, 40], "cd": {}}\n'
+        '{"v": 1, "kind": "hypersimplex", "key": [1, 3], "cd": {"cc": "1", "d": "1"}}\n'
+    )
+    done = subprocess.run(cdx_argv("verify", "--cache", str(cache), "--cache-verify"),
+                          env=cdx_env(), capture_output=True, text=True, timeout=20)
+    assert (done.returncode, done.stdout) == (0, "cache verify: 1 records OK, 1 skipped\n")
+    assert "Traceback" not in done.stderr
+    assert "hypersimplex record [1, 40] has degree 39, above the 11" in done.stderr
+
+
+def test_stdout_closed_early_gives_no_traceback():
+    proc = subprocess.Popen(cdx_argv("compute", "--builtin", "vamos"), env=cdx_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        # the reader goes away before cdx has imported, let alone printed
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert b"Traceback" not in err
+    assert (proc.returncode, err) == (1, b"")
 
 
 WARM_CACHE_RUNS = [

@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -17,7 +18,7 @@ from cdx.hypersimplex import (
     memo_snapshot,
 )
 from cdx.matroid import Matroid
-from cdx.ncpoly import NcPoly, cd_to_ab
+from cdx.ncpoly import NcPoly, cd_to_ab, emve_mixed, g_cd, normalize_mixed
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product
 
@@ -46,6 +47,25 @@ def faces_of_hypersimplex(k, n):
             for D in combinations(rest, j):
                 out.append(FaceSpec(frozenset(C), frozenset(D), k - i, n - i - j))
     return out
+
+
+@cache
+def reference_hypersimplex(k, n):
+    """The recursion one face type (i, j) at a time, each with its own
+    product and a copying sum, on its own results all the way down."""
+    if k == 0 or k == n:
+        return NcPoly.one()
+    acc = emve_mixed(n - 1, comb(n, k))
+    for (i, j), count in face_type_counts(k, n).items():
+        acc = acc + count * (reference_hypersimplex(k - i, n - i - j) * g_cd(i + j - 1))
+    return normalize_mixed(acc)
+
+
+def test_grouped_recursion_matches_the_per_face_type_sum():
+    # k runs over both sides of each dual pair (k, n - k)
+    for n in range(2, 15):
+        for k in range(1, n):
+            assert _compute(k, n) == reference_hypersimplex(k, n), (k, n)
 
 
 def test_small_values():
