@@ -133,12 +133,14 @@ class CacheStore:
     def __init__(self, path):
         self.path = path
         self.known = set()  # (kind, key-tuple) already present in the file
+        self.corrupt = 0  # records the last load skipped as corrupt
 
     def load(self, install=True):
         """Read records; returns them as (kind, key, poly) triples.  A record
         that does not parse, or that its table would never store, is
         skipped with a warning; with install the rest go into the tables."""
         out = []
+        self.corrupt = 0
         if not os.path.exists(self.path):
             return out
         with open(self.path) as fh:
@@ -172,6 +174,7 @@ class CacheStore:
                     "warning: %s: record %d is corrupt, skipping it\n"
                     % (self.path, idx + 1)
                 )
+                self.corrupt += 1
                 continue
             self.known.add((kind, key))
             out.append((kind, key, poly))
@@ -204,9 +207,10 @@ class CacheStore:
     def verify(self):
         """Recompute each record from scratch and compare.  Returns the
         count of records recomputed, the (kind, key, stored, fresh)
-        mismatches and the count skipped: a record above VERIFY_MAX_DEGREE,
-        which compute never stores and whose recomputation can outgrow any
-        machine, is not recomputed, with a warning each."""
+        mismatches, the count skipped and the count corrupt: a record
+        above VERIFY_MAX_DEGREE, which compute never stores and whose
+        recomputation can outgrow any machine, is not recomputed, with a
+        warning each."""
         checked, bad, skipped = 0, [], 0
         for kind, key, poly in self.load(install=False):
             table = _KINDS[kind]
@@ -223,7 +227,7 @@ class CacheStore:
             fresh = table.compute(*key)
             if fresh != poly:
                 bad.append((kind, key, poly, fresh))
-        return checked, bad, skipped
+        return checked, bad, skipped, self.corrupt
 
 
 # -- compute ----------------------------------------------------------
@@ -427,8 +431,9 @@ def cmd_verify(args):
         raise InvalidParams("--cache-verify needs --cache FILE or CDX_CACHE")
     if args.cache:
         store = CacheStore(args.cache)
-        checked, bad, skipped = store.verify()
-        tail = ", %d skipped" % skipped if skipped else ""
+        checked, bad, skipped, corrupt = store.verify()
+        tail = "".join(", %d %s" % (count, what) for count, what in
+                       ((skipped, "skipped"), (corrupt, "corrupt")) if count)
         if bad:
             for kind, key, stored, fresh in bad:
                 print("FAIL cache %s %r" % (kind, list(key)))

@@ -9,6 +9,10 @@ polytopes (r strictly between the face's min and max), and faces lying
 in the cut hyperplane itself, which form a product of two
 hypersimplices.  Ambient faces whose minimum already reaches r
 contribute nothing new.
+
+The face cd-indices go to ``ncpoly.chain_sum`` summed by codimension:
+c1 + c2 + d1 + d2 for an ambient face pinned by c1 + c2 elements to 1
+and d1 + d2 to 0, and n - 1 - dm for a cut-plane face of dimension dm.
 """
 
 from math import comb
@@ -16,8 +20,8 @@ from typing import NamedTuple
 
 from .errors import InvalidParams
 from .memo import Memo
-from .ncpoly import emve_mixed, g_cd, normalize_mixed
-from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product, face_type_counts
+from .ncpoly import add_scaled, chain_sum
+from .hypersimplex import factor_faces, cd_hypersimplex, cd_hypersimplex_product
 from .product import cd_product  # noqa: F401  see ROADMAP item 6
 
 
@@ -61,53 +65,41 @@ def cd_cuspidal(k, n, r, h):
 
 
 def _compute(k, n, r, h):
-    acc = emve_mixed(n - 1, vertex_count(k, n, r, h))
-    # ambient faces, grouped by how the pinned sets meet F and its complement
+    groups = {}
+    # ambient faces, by how the pinned sets meet F and its complement
     for c1 in range(0, min(k, h + 1)):
         for c2 in range(0, min(k - c1, n - h + 1)):
             for d1 in range(0, min(n - k, h - c1 + 1)):
                 for d2 in range(0, min(n - k - d1, n - h - c2 + 1)):
-                    if c1 + c2 + d1 + d2 == 0:
+                    codim = c1 + c2 + d1 + d2
+                    if codim == 0:
                         continue
-                    count = (comb(h, c1) * comb(n - h, c2)
-                             * comb(h - c1, d1) * comb(n - h - c2, d2))
                     kk = k - c1 - c2
-                    nn = n - c1 - c2 - d1 - d2
+                    nn = n - codim
                     free_f = h - c1 - d1
                     free_out = (n - h) - c2 - d2
                     lo = c1 + max(0, kk - free_out)
                     hi = c1 + min(free_f, kk)
                     if lo >= r:
                         continue  # meets the polytope only inside the cut plane
-                    w = g_cd(c1 + c2 + d1 + d2 - 1)
                     if hi <= r:
-                        acc = acc + count * (cd_hypersimplex(kk, nn) * w)
+                        face = cd_hypersimplex(kk, nn)
                     else:
-                        acc = acc + count * (cd_cuspidal(kk, nn, r - c1, free_f) * w)
-    # faces inside the cut plane: product of two hypersimplices
-    left = _factor_faces(r, h)
-    right = _factor_faces(k - r, n - h)
-    for k1, n1, ct1 in left:
-        for k2, n2, ct2 in right:
+                        face = cd_cuspidal(kk, nn, r - c1, free_f)
+                    count = (comb(h, c1) * comb(n - h, c2)
+                             * comb(h - c1, d1) * comb(n - h - c2, d2))
+                    add_scaled(groups.setdefault(codim, {}), face, count)
+    # faces inside the cut plane: products of two hypersimplices
+    for k1, n1, ct1 in factor_faces(r, h):
+        for k2, n2, ct2 in factor_faces(k - r, n - h):
             dm = (n1 - 1) + (n2 - 1)
             if dm < 1:
                 continue
-            piece = cd_hypersimplex_product(k1, n1, k2, n2)
-            acc = acc + (ct1 * ct2) * (piece * g_cd((n - 2) - dm))
-    p = normalize_mixed(acc)
+            add_scaled(groups.setdefault(n - 1 - dm, {}),
+                       cd_hypersimplex_product(k1, n1, k2, n2), ct1 * ct2)
+    p = chain_sum(n - 1, vertex_count(k, n, r, h), groups)
     MEMO.put(dual_key(k, n, r, h), p)  # the dual's polytope is its image under 1 - x
     return p
-
-
-def _factor_faces(k, h):
-    """Faces of the (k, h) hypersimplex as (k', h', count) triples, each
-    face a (k', h') hypersimplex; the polytope itself and its vertices
-    (the point (0, 1)) included."""
-    out = [(k, h, 1)]
-    for (i, j), ct in face_type_counts(k, h).items():
-        out.append((k - i, h - i - j, ct))
-    out.append((0, 1, comb(h, k)))
-    return out
 
 
 def cuspidal_matroid(k, n, r, h):

@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedMatroid,
 )
 from .memo import Memo
-from .ncpoly import NcPoly, D as _D
+from .ncpoly import NcPoly, D as _D, add_product, add_scaled, from_terms
 from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product
 from .cuspidal import cd_cuspidal
 from .product import cd_product, cd_product_all  # noqa: F401  cd_product: see ROADMAP item 6
@@ -54,19 +54,22 @@ def w_term(alpha, beta, a, b, n):
 
 
 def _w_compute(alpha, beta, a, b, n):
-    out = NcPoly.zero()
+    # the pieces summed by s = i + j, each sum times D * simplex(n - s) once
+    by_size = {}
     for p in range(1, alpha + 1):
         for q in range(1, beta + 1):
             for i in range(p + 1, a - alpha + p + 1):
                 for j in range(q + 1, b - beta + q + 1):
                     if n - i - j == 0:
                         continue  # the paired face is the whole cut plane
-                    piece = cd_hypersimplex_product(p, i, q, j)
-                    out = out + (
-                        comb(a, i) * comb(b, j)
-                        * comb(a - i, alpha - p) * comb(b - j, beta - q)
-                    ) * (piece * _D * cd_hypersimplex(1, n - i - j))
-    return out
+                    coef = (comb(a, i) * comb(b, j)
+                            * comb(a - i, alpha - p) * comb(b - j, beta - q))
+                    add_scaled(by_size.setdefault(i + j, {}),
+                               cd_hypersimplex_product(p, i, q, j), coef)
+    out = {}
+    for s, group in by_size.items():
+        add_product(out, group, _D * cd_hypersimplex(1, n - s))
+    return from_terms(out)
 
 
 W_MEMO = Memo(check_w_key, _w_compute)
@@ -88,13 +91,13 @@ def _split_formula(M):
     """The closed formula, for M already known to be connected and split."""
     prof = split_profile(M)
     k, n = M.rank, M.n
-    base = cd_hypersimplex(k, n)
-    out = base
-    for (r, h), cnt in sorted(prof.lam.items()):
-        out = out + cnt * (cd_cuspidal(k, n, r, h) - base)
-    for (alpha, beta, a, b), cnt in sorted(prof.mu.items()):
-        out = out - cnt * w_term(alpha, beta, a, b, n)
-    return out
+    out = {}
+    add_scaled(out, cd_hypersimplex(k, n), 1 - sum(prof.lam.values()))
+    for (r, h), cnt in prof.lam.items():
+        add_scaled(out, cd_cuspidal(k, n, r, h), cnt)
+    for (alpha, beta, a, b), cnt in prof.mu.items():
+        add_scaled(out, w_term(alpha, beta, a, b, n), -cnt)
+    return from_terms(out)
 
 
 def cd_sparse_paving(M):

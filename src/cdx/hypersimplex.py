@@ -1,47 +1,34 @@
-"""cd-index of hypersimplices via the stratified chain-count recursion.
+"""cd-index of hypersimplices and of their products, by the stratified
+chain count ``ncpoly.chain_sum``: a polytope's cd-index from those of
+its faces, summed per codimension.
 
 The faces of dimension at least one of the (k, n) hypersimplex are cut
 out by disjoint pairs (C, D): coordinates pinned to 1 on C and 0 on D,
 with |C| < k and |D| < n - k, leaving the (k - |C|, n - |C u D|)
-hypersimplex on the remaining ground set.  Each face contributes its
-cd-index times the trailing chain weight g_cd(|C u D| - 1); with the
-empty-chain and vertex terms this gives a mixed expression whose cd
-part is the cd-index.
+hypersimplex on the remaining ground set.  The codimension is the face
+size m = |C u D|.
 
-The weight depends only on the face size m = |C u D|, so the recursion
-works one m at a time: it sums count * cd_hypersimplex(k - i, n - m)
-over the face types (i, m - i) into one coefficient dict, with no
-product, then multiplies that sum once by g_cd(m - 1), adding the terms
-into a single accumulator in place.  Only one group is held at a time.
-``normalize_mixed`` then extracts the cd part and checks that no
-trailing-b residue is left.
-
-The cuspidal and modular-pair terms take products of two
-hypersimplices; ``cd_hypersimplex_product`` memoizes those beside the
-recursion's own table, and ``memo_clear`` empties both.
+The faces of a product of two hypersimplices are the products F1 x F2
+of their faces, vertices and the factors themselves included, with
+dim(F1 x F2) = dim F1 + dim F2; ``factor_faces`` lists them with their
+counts.  The product recursion runs on these smaller products, so it
+never builds a flag vector.  The cuspidal and modular-pair terms take
+products of two hypersimplices; ``cd_hypersimplex_product`` memoizes
+them beside the recursion's own table, and ``memo_clear`` empties both.
 """
 
 from math import comb
 
 from .errors import InvalidParams
-from . import ncpoly
 from .memo import Memo
-from .ncpoly import NcPoly, emve_mixed, g_cd, normalize_mixed
-from .product import cd_product
-
-
-def face_index_set(k, n):
-    """Index pairs (i, j) = (|C|, |D|) for the faces of dimension >= 1."""
-    return [
-        (i, j)
-        for i in range(0, k)
-        for j in range(max(0, 1 - i), n - k)
-    ]
+from .ncpoly import C, NcPoly, add_scaled, chain_sum
 
 
 def face_type_counts(k, n):
-    """Map (i, j) -> number of faces with |C| = i, |D| = j."""
-    return {(i, j): comb(n, i) * comb(n - i, j) for i, j in face_index_set(k, n)}
+    """Map (i, j) = (|C|, |D|) -> the number of faces of dimension >= 1
+    pinned by such a pair."""
+    return {(i, j): comb(n, i) * comb(n - i, j)
+            for i in range(k) for j in range(max(0, 1 - i), n - k)}
 
 
 def _check_params(k, n):
@@ -55,7 +42,7 @@ def cd_hypersimplex(k, n):
     if k == 0 or k == n:
         return NcPoly.one()  # a single vertex
     if n == 2:
-        return ncpoly.C
+        return C
     return MEMO.lookup((min(k, n - k), n))
 
 
@@ -88,30 +75,35 @@ def _check_pair(k1, n1, k2, n2):
     return n1 + n2 - 2
 
 
-def _product(k1, n1, k2, n2):
-    return cd_product(cd_hypersimplex(k1, n1), cd_hypersimplex(k2, n2))
+def factor_faces(k, h):
+    """Faces of the (k, h) hypersimplex as (k', h', count) triples, each
+    face a (k', h') hypersimplex; the polytope itself and its vertices
+    (the point (0, 1)) included."""
+    out = [(k, h, 1)]
+    for (i, j), ct in face_type_counts(k, h).items():
+        out.append((k - i, h - i - j, ct))
+    out.append((0, 1, comb(h, k)))
+    return out
 
 
 def _compute(k, n):
     # recursion run for the given k as-is; duality tests call both sides
-    by_size = {}
+    groups = {}
     for (i, j), count in face_type_counts(k, n).items():
-        by_size.setdefault(i + j, []).append((k - i, count))
-    acc = dict(emve_mixed(n - 1, comb(n, k))._t)
-    get = acc.get
-    for m, faces in by_size.items():
-        group = {}
-        for face_k, count in faces:
-            for w, c in cd_hypersimplex(face_k, n - m)._t.items():
-                group[w] = group.get(w, 0) + count * c
-        weight = g_cd(m - 1)._t.items()
-        for w1, c1 in group.items():
-            for w2, c2 in weight:
-                w = w1 + w2
-                acc[w] = get(w, 0) + c1 * c2
-    mixed = NcPoly.__new__(NcPoly)
-    mixed._t = {w: c for w, c in acc.items() if c}
-    return normalize_mixed(mixed)
+        add_scaled(groups.setdefault(i + j, {}), cd_hypersimplex(k - i, n - i - j), count)
+    return chain_sum(n - 1, comb(n, k), groups)
+
+
+def _product(k1, n1, k2, n2):
+    dim = n1 + n2 - 2
+    groups = {}
+    for a, m1, ct1 in factor_faces(k1, n1):
+        for b, m2, ct2 in factor_faces(k2, n2):
+            c = dim - (m1 - 1) - (m2 - 1)
+            if 0 < c < dim:  # not the product itself, not a vertex
+                add_scaled(groups.setdefault(c, {}),
+                           cd_hypersimplex_product(a, m1, b, m2), ct1 * ct2)
+    return chain_sum(dim, comb(n1, k1) * comb(n2, k2), groups)
 
 
 MEMO = Memo(_check_key, _compute)

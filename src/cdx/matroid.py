@@ -264,7 +264,10 @@ class Matroid:
         return Matroid(self.n, self.n - self.rank, {full ^ b for b in self._bases})
 
     def component_sets(self):
-        """Ground set partition induced by basis-exchange moves."""
+        """Ground set partition into connected components: those of the
+        fundamental graph of one basis B, joining x in B to y outside B
+        when B - x + y is a basis (Krogdahl).  Loops and coloops stay
+        singletons."""
         parent = list(range(self.n))
 
         def find(x):
@@ -279,13 +282,13 @@ class Matroid:
                 parent[rx] = ry
 
         bs = self._bases
-        for b in self._bases:
-            comp = ((1 << self.n) - 1) ^ b
-            for x in _bits(b):
-                stripped = b & ~(1 << x)
-                for y in _bits(comp):
-                    if stripped | (1 << y) in bs:
-                        union(x, y)
+        b = min(bs)
+        outside = _bits(((1 << self.n) - 1) ^ b)
+        for x in _bits(b):
+            stripped = b & ~(1 << x)
+            for y in outside:
+                if stripped | (1 << y) in bs:
+                    union(x, y)
         groups = {}
         for e in range(self.n):
             groups.setdefault(find(e), []).append(e)

@@ -59,12 +59,8 @@ class NcPoly:
             for ch in w:
                 if ch not in LETTERS:
                     raise InvalidAlphabet("letter %r in word %r" % (ch, w))
-            k = t.get(w, 0) + k
-            if k:
-                t[w] = k
-            else:
-                del t[w]
-        self._t = t
+            t[w] = t.get(w, 0) + k
+        self._t = {w: k for w, k in t.items() if k}
 
     @classmethod
     def zero(cls):
@@ -122,27 +118,16 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         t = dict(self._t)
-        for w, k in other._t.items():
-            k = t.get(w, 0) + k
-            if k:
-                t[w] = k
-            else:
-                del t[w]
-        out = NcPoly.__new__(NcPoly)
-        out._t = t
-        return out
+        add_scaled(t, other, 1)
+        return from_terms(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = NcPoly.__new__(NcPoly)
-        out._t = {w: -k for w, k in self._t.items()}
-        return out
+        return from_terms({w: -k for w, k in self._t.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = NcPoly({"": other})
-        if not isinstance(other, NcPoly):
+        if not isinstance(other, (int, NcPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -151,25 +136,12 @@ class NcPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return NcPoly()
-            out = NcPoly.__new__(NcPoly)
-            out._t = {w: k * other for w, k in self._t.items()}
-            return out
+            return from_terms({w: k * other for w, k in self._t.items()})
         if not isinstance(other, NcPoly):
             return NotImplemented
         t = {}
-        for w1, k1 in self._t.items():
-            for w2, k2 in other._t.items():
-                w = w1 + w2
-                k = t.get(w, 0) + k1 * k2
-                if k:
-                    t[w] = k
-                else:
-                    del t[w]
-        out = NcPoly.__new__(NcPoly)
-        out._t = t
-        return out
+        add_product(t, self._t, other)
+        return from_terms(t)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -270,14 +242,8 @@ def expand_ab(p):
                     nxt[v] = nxt.get(v, 0) + kk
             cur = nxt
         for u, kk in cur.items():
-            k2 = t.get(u, 0) + kk
-            if k2:
-                t[u] = k2
-            else:
-                del t[u]
-    out = NcPoly.__new__(NcPoly)
-    out._t = t
-    return out
+            t[u] = t.get(u, 0) + kk
+    return from_terms(t)
 
 
 def cd_to_ab(p):
@@ -286,6 +252,14 @@ def cd_to_ab(p):
     if bad:
         raise InvalidAlphabet("cd polynomial contains %s" % ", ".join(sorted(bad)))
     return expand_ab(p)
+
+
+_B_AS_ONE = str.maketrans("ab", "01")
+
+
+def _b_mask(w):
+    """Mask of the positions of b in a word over a, b."""
+    return int("0" + w[::-1].translate(_B_AS_ONE), 2)
 
 
 def _wht(vec):
@@ -355,11 +329,7 @@ def ab_to_cd(p):
         size = 1 << m
         vec = [0] * size
         for w, k in block.items():
-            idx = 0
-            for i, ch in enumerate(w):
-                if ch == "b":
-                    idx |= 1 << i
-            vec[idx] = k
+            vec[_b_mask(w)] = k
         _wht(vec)
         acc = {}
         for u in range(size):
@@ -370,12 +340,7 @@ def ab_to_cd(p):
             if q is None:
                 witness = "".join("e" if (u >> i) & 1 else "c" for i in range(m))
                 raise NoCdForm("odd e-run survives at %s" % witness)
-            for w, kk in q._t.items():
-                k2 = acc.get(w, 0) + k * kk
-                if k2:
-                    acc[w] = k2
-                else:
-                    del acc[w]
+            add_scaled(acc, q, k)
         out = {}
         for w, k in acc.items():
             if k % size:
@@ -427,6 +392,46 @@ def emve_mixed(dim, num_vertices):
     return head + num_vertices * g_cd(dim - 1)
 
 
+def add_scaled(acc, p, k):
+    """acc += k * p in place, acc a term dict."""
+    get = acc.get
+    for w, c in p._t.items():
+        acc[w] = get(w, 0) + k * c
+
+
+def add_product(acc, left, right):
+    """acc += left * right in place; acc and left are term dicts, right
+    an NcPoly."""
+    get = acc.get
+    right = right._t.items()
+    for w1, c1 in left.items():
+        for w2, c2 in right:
+            w = w1 + w2
+            acc[w] = get(w, 0) + c1 * c2
+
+
+def from_terms(t):
+    """NcPoly of a term dict over valid words, zero terms dropped."""
+    out = NcPoly.__new__(NcPoly)
+    out._t = {w: c for w, c in t.items() if c}
+    return out
+
+
+def chain_sum(dim, f0, groups):
+    """cd-index of a polytope P of dimension dim with f0 vertices.
+
+    Psi(P) is the cd part of emve_mixed(dim, f0) plus, over the faces F
+    with 1 <= dim F < dim, Psi(F) times the chain weight g_cd(c - 1) of
+    its codimension c = dim - dim F.  groups maps each c to the term dict
+    of Psi(F) summed over the faces of codimension c, so each group is
+    multiplied once, into one accumulator in place.
+    """
+    acc = dict(emve_mixed(dim, f0)._t)
+    for c, group in groups.items():
+        add_product(acc, group, g_cd(c - 1))
+    return normalize_mixed(from_terms(acc))
+
+
 _TRAILING = re.compile(r"^[cd]*b?$")
 
 
@@ -451,7 +456,7 @@ def normalize_mixed(p, debug=False):
         if p1:
             w = sorted(p1, key=word_key)[0]
             raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (p1[w], w))
-        out = NcPoly(p0)
+        out = from_terms(p0)  # _TRAILING has checked every word
         if debug and cd_to_ab(out) != expand_ab(p):
             raise NotCdEquivalent("ab expansion differs from extracted cd part")
         return out
@@ -527,11 +532,7 @@ def cd_to_flag_f(p, dim):
     size = 1 << dim
     vec = [0] * size
     for w, k in ab._t.items():
-        idx = 0
-        for i, ch in enumerate(w):
-            if ch == "b":
-                idx |= 1 << i
-        vec[idx] = k
+        vec[_b_mask(w)] = k
     for i in range(dim):
         bit = 1 << i
         for mask in range(size):
@@ -549,10 +550,7 @@ def flag_to_ab(fv):
     size = 1 << dim
     vec = [0] * size
     for S, v in fv.entries().items():
-        mask = 0
-        for i in S:
-            mask |= 1 << i
-        vec[mask] = v
+        vec[sum(1 << i for i in S)] = v
     # Moebius transform: coefficient of the pure word with b at T is
     # sum over S within T of (-1)^{|T|-|S|} f_S.
     for i in range(dim):

@@ -1,4 +1,8 @@
-"""cd-index of a cartesian product of polytopes.
+"""cd-index of a cartesian product of polytopes, from their flag f-vectors.
+
+It serves only ``cd_product_all``, the product over the connected
+components of a matroid (at most 12 elements in all).  Products of two
+hypersimplices have their own face recursion in ``hypersimplex``.
 
 Faces of V x W are the products F x G of nonempty faces, the improper
 faces V and W included, and dim(F x G) = dim F + dim G.  A chain of

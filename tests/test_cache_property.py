@@ -47,16 +47,31 @@ coefficients = (st.integers(-5, 10**6) | st.text("0123456789-.e", max_size=5)
 
 
 @st.composite
+def cd_words(draw, degree):
+    """A word over c, d of the given degree."""
+    letters = []
+    while degree > 0:
+        letter = draw(st.sampled_from("cd" if degree > 1 else "c"))
+        letters.append(letter)
+        degree -= 2 if letter == "d" else 1
+    return "".join(letters)
+
+
+@st.composite
 def damaged_records(draw):
     """A record of a fano run with at most one field damaged, so that many
     lines pass the parse and reach the key check, the degree check or the
     formula itself.  Key entries stay below 13, the largest ground set
     the command line computes, so a record that passes its check is
-    cheap to recompute."""
+    cheap to recompute; only "key-and-cd" goes further.  It moves the
+    ground set size n of the key up to 40, a key its table still stores,
+    and writes a cd of the new degree, so the record passes every check
+    and reaches the degree bound of --cache-verify."""
     rec = json.loads(draw(st.sampled_from(fano_records())))
     words = sorted(rec["cd"])
     what = draw(st.sampled_from(["none", "v", "kind", "key", "key-entry",
-                                 "coefficient", "new-word", "lost-word"]))
+                                 "coefficient", "new-word", "lost-word",
+                                 "key-and-cd"]))
     if what == "v":
         rec["v"] = draw(json_values)
     elif what == "kind":
@@ -72,6 +87,12 @@ def damaged_records(draw):
         rec["cd"][draw(st.text("cdx", max_size=8))] = draw(st.integers(-5, 5))
     elif what == "lost-word":
         del rec["cd"][draw(st.sampled_from(words))]
+    elif what == "key-and-cd":
+        at = -1 if rec["kind"] == "w" else 1  # where the key holds n
+        n = draw(st.integers(13, 40) | st.integers(rec["key"][at], 12))
+        rec["key"][at] = n
+        rec["cd"] = draw(st.dictionaries(cd_words(n - 1), st.integers(1, 10**6),
+                                         min_size=1, max_size=3))
     return rec
 
 

@@ -276,7 +276,7 @@ def test_cache_record_with_a_key_unfit_for_its_kind_is_skipped(capsys, tmp_path,
     cache.write_text(json.dumps(record) + "\n")
     clear_memos()
     rc, out, err = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
-    assert (rc, out) == (0, "cache verify: 0 records OK\n")
+    assert (rc, out) == (0, "cache verify: 0 records OK, 1 corrupt\n")
     assert "record 1 is corrupt, skipping it" in err
     rc, out, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
     assert rc == 0
@@ -298,6 +298,27 @@ def test_cache_record_with_a_corrupt_cd_is_skipped(capsys, tmp_path, cd):
     assert rc == 0
     assert out.strip() == cli.PAPER_VALUES["fano"]
     assert "record 1 is corrupt, skipping it" in err
+
+
+def test_cache_verify_counts_corrupt_records(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
+    good = len(cache.read_text().splitlines())
+    with cache.open("a") as fh:
+        fh.write("{this is not json\n")
+    clear_memos()
+    rc, out, err = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    assert (rc, out) == (0, "cache verify: %d records OK, 1 corrupt\n" % good)
+    assert "record %d is corrupt, skipping it" % (good + 1) in err
+    # a wrong record still fails, and the corrupt one is still counted
+    rec = json.loads(cache.read_text().splitlines()[0])
+    word = next(iter(rec["cd"]))
+    rec["cd"][word] = str(int(rec["cd"][word]) + 1)
+    with cache.open("a") as fh:
+        fh.write(json.dumps(rec) + "\n")
+    rc, out, _ = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    assert rc == 1
+    assert out.endswith("cache verify: 1 bad of %d records, 1 corrupt\n" % (good + 1))
 
 
 def test_cache_verify_needs_a_cache(capsys, monkeypatch):

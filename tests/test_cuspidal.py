@@ -1,3 +1,6 @@
+from functools import cache
+from math import comb
+
 import pytest
 
 from cdx.cuspidal import (
@@ -11,9 +14,11 @@ from cdx.cuspidal import (
     vertex_count,
 )
 from cdx.errors import InvalidParams
+from cdx.hypersimplex import cd_hypersimplex, factor_faces
 from cdx.matroid import is_connected_split, split_profile
-from cdx.ncpoly import NcPoly
+from cdx.ncpoly import NcPoly, emve_mixed, g_cd, normalize_mixed
 from cdx.oracle import oracle_cd_index
+from cdx.product import cd_product
 
 
 def valid_keys(max_n):
@@ -28,6 +33,48 @@ def valid_keys(max_n):
                         continue
                     out.append((k, n, r, h))
     return out
+
+
+@cache
+def reference_cuspidal(k, n, r, h):
+    """The recursion one face type at a time, each with its own product
+    and a copying sum, on its own results all the way down; the
+    cut-plane products come from the flag-vector kernel."""
+    acc = emve_mixed(n - 1, vertex_count(k, n, r, h))
+    for c1 in range(0, min(k, h + 1)):
+        for c2 in range(0, min(k - c1, n - h + 1)):
+            for d1 in range(0, min(n - k, h - c1 + 1)):
+                for d2 in range(0, min(n - k - d1, n - h - c2 + 1)):
+                    if c1 + c2 + d1 + d2 == 0:
+                        continue
+                    count = (comb(h, c1) * comb(n - h, c2)
+                             * comb(h - c1, d1) * comb(n - h - c2, d2))
+                    kk = k - c1 - c2
+                    nn = n - c1 - c2 - d1 - d2
+                    free_f = h - c1 - d1
+                    free_out = (n - h) - c2 - d2
+                    lo = c1 + max(0, kk - free_out)
+                    hi = c1 + min(free_f, kk)
+                    if lo >= r:
+                        continue
+                    w = g_cd(c1 + c2 + d1 + d2 - 1)
+                    if hi <= r:
+                        acc = acc + count * (cd_hypersimplex(kk, nn) * w)
+                    else:
+                        acc = acc + count * (reference_cuspidal(kk, nn, r - c1, free_f) * w)
+    for k1, n1, ct1 in factor_faces(r, h):
+        for k2, n2, ct2 in factor_faces(k - r, n - h):
+            dm = (n1 - 1) + (n2 - 1)
+            if dm < 1:
+                continue
+            piece = cd_product(cd_hypersimplex(k1, n1), cd_hypersimplex(k2, n2))
+            acc = acc + (ct1 * ct2) * (piece * g_cd((n - 2) - dm))
+    return normalize_mixed(acc)
+
+
+def test_grouped_recursion_matches_the_per_face_type_sum():
+    for key in valid_keys(10):
+        assert _compute(*key) == reference_cuspidal(*key), key
 
 
 def test_key_validation():

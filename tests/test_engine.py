@@ -1,9 +1,14 @@
+from math import comb
+
 import pytest
 
+from cdx.cli import corpus
 from cdx.engine import (
+    _w_compute,
     cd_index,
     cd_sparse_paving,
     cd_split_matroid,
+    check_w_key,
     w_key,
     w_term,
 )
@@ -24,11 +29,49 @@ from cdx.matroid import (
     fano,
     is_connected_split,
     mk4,
+    split_profile,
     vamos,
 )
 from cdx.ncpoly import NcPoly
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product
+
+
+def reference_w(alpha, beta, a, b, n):
+    """The modular-pair term one piece at a time, each with its own two
+    products and a copying sum; the products of hypersimplices come from
+    the flag-vector kernel."""
+    out = NcPoly.zero()
+    for p in range(1, alpha + 1):
+        for q in range(1, beta + 1):
+            for i in range(p + 1, a - alpha + p + 1):
+                for j in range(q + 1, b - beta + q + 1):
+                    if n - i - j == 0:
+                        continue
+                    piece = cd_product(cd_hypersimplex(p, i), cd_hypersimplex(q, j))
+                    out = out + (
+                        comb(a, i) * comb(b, j)
+                        * comb(a - i, alpha - p) * comb(b - j, beta - q)
+                    ) * (piece * NcPoly.word("d") * cd_hypersimplex(1, n - i - j))
+    return out
+
+
+def test_grouped_w_term_matches_the_per_piece_sum():
+    keys = {w_key(*shape, M.n) for _, M in corpus(9)
+            for shape in split_profile(M).mu}
+    assert len(keys) == 22
+    # and every shape of two flats of rank below their size, up to n = 10
+    for n in range(4, 11):
+        for a in range(2, n - 1):
+            for b in range(2, n - a + 1):
+                for alpha in range(1, a):
+                    for beta in range(1, b):
+                        key = (alpha, beta, a, b, n)
+                        if w_key(*key) == key:
+                            check_w_key(*key)
+                            keys.add(key)
+    for key in sorted(keys):
+        assert _w_compute(*key) == reference_w(*key), key
 
 
 def test_w_term_minimal_overlap_closed_form():

@@ -12,7 +12,6 @@ from cdx.hypersimplex import (
     _compute,
     cd_hypersimplex,
     cd_hypersimplex_product,
-    face_index_set,
     face_type_counts,
     memo_clear,
     memo_snapshot,
@@ -41,7 +40,7 @@ def faces_of_hypersimplex(k, n):
     _check_params(k, n)
     ground = range(n)
     out = []
-    for i, j in face_index_set(k, n):
+    for i, j in face_type_counts(k, n):
         for C in combinations(ground, i):
             rest = [e for e in ground if e not in C]
             for D in combinations(rest, j):
@@ -109,9 +108,9 @@ def test_face_counts_match_explicit_enumeration():
 
 
 def test_index_set_excludes_empty_pair():
-    assert (0, 0) not in face_index_set(2, 5)
+    assert (0, 0) not in face_type_counts(2, 5)
     # all faces keep at least a segment
-    assert all(n_removed <= 5 - 2 for i, j in face_index_set(2, 5)
+    assert all(n_removed <= 5 - 2 for i, j in face_type_counts(2, 5)
                for n_removed in [i + j])
 
 
@@ -168,7 +167,12 @@ def test_hypersimplex_product_memo_is_emptied_by_memo_clear():
     a = cd_hypersimplex_product(2, 5, 1, 4)
     # the unordered pair of canonical keys is one entry
     assert cd_hypersimplex_product(3, 4, 3, 5) is a
-    assert hypersimplex.PRODUCTS.snapshot() == {(1, 4, 2, 5): a}
+    # the recursion also stores the products of faces, each under its
+    # canonical key
+    snap = hypersimplex.PRODUCTS.snapshot()
+    assert snap[1, 4, 2, 5] is a
+    for key in snap:
+        hypersimplex.PRODUCTS.check(*key)
     memo_clear()
     assert hypersimplex.PRODUCTS.snapshot() == {}
     assert memo_snapshot() == {}

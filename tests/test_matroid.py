@@ -236,3 +236,42 @@ def test_restriction_relabels():
     assert comps == [frozenset({0, 1}), frozenset({2, 3}), frozenset({4})]
     sub = M.restriction_to_component(frozenset({2, 3}))
     assert sub.n == 2 and sub.rank == 1
+
+
+def reference_component_sets(M):
+    """The partition from every basis-exchange move of every basis."""
+    parent = list(range(M.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    bs = set(M.basis_masks())
+    for b in bs:
+        for x in range(M.n):
+            if not b >> x & 1:
+                continue
+            for y in range(M.n):
+                if not b >> y & 1 and b & ~(1 << x) | (1 << y) in bs:
+                    parent[find(x)] = find(y)
+    groups = {}
+    for e in range(M.n):
+        groups.setdefault(find(e), set()).add(e)
+    return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+def test_component_sets_match_the_all_bases_sweep():
+    from cdx.cli import _FIXED_BUILTINS, corpus
+    from cdx.cuspidal import cuspidal_matroid
+
+    # fano (elements 0-6) next to a triangle (7-9), a loop (10), a coloop (11)
+    fano_bases = fano().bases()
+    disconnected = Matroid.from_bases(
+        12, 5, [b + (t, 11) for b in fano_bases for t in (7, 8, 9)], validate=False)
+    matroids = ([M for _, M in corpus(8)] + [f() for f in _FIXED_BUILTINS.values()]
+                + [cuspidal_matroid(5, 12, 3, 6), disconnected])
+    for M in matroids:
+        assert M.component_sets() == reference_component_sets(M), M
+    assert disconnected.component_sets() == [
+        frozenset(range(7)), frozenset({7, 8, 9}), frozenset({10}), frozenset({11})]

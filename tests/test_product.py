@@ -10,7 +10,7 @@ frozenset, the improper top dimension of a factor dropped from its set.
 import pytest
 
 from cdx.errors import InvalidParams
-from cdx.hypersimplex import cd_hypersimplex
+from cdx.hypersimplex import cd_hypersimplex, cd_hypersimplex_product
 from cdx.matroid import Matroid
 from cdx.ncpoly import FlagFVector, NcPoly, cd_to_flag_f, flag_to_cd
 from cdx.oracle import oracle_cd_index
@@ -147,3 +147,18 @@ def test_kernel_matches_reference_on_other_factors():
             if p.degree() + q.degree() <= 9:
                 assert cd_product(p, q) == reference_product(p, q), (p.text(), q.text())
                 assert cd_product(q, p) == cd_product(p, q)
+
+
+def test_stratified_hypersimplex_products_match_the_chain_walk():
+    # every pair of hypersimplices of dimension >= 1 up to duality, with
+    # the product of degree <= 9
+    shapes = [(k, n) for n in range(2, 11) for k in range(1, n // 2 + 1)]
+    checked = 0
+    for k1, n1 in shapes:
+        for k2, n2 in shapes:
+            if n1 + n2 - 2 <= 9:
+                want = cd_product(cd_hypersimplex(k1, n1), cd_hypersimplex(k2, n2))
+                assert cd_hypersimplex_product(k1, n1, k2, n2) == want, (k1, n1, k2, n2)
+                assert cd_hypersimplex_product(n2 - k2, n2, k1, n1) == want
+                checked += 1
+    assert checked == 120
