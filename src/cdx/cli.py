@@ -425,8 +425,9 @@ def _verify_paper_values():
 
 
 def cmd_verify(args):
-    if args.max_n > 8:
-        raise InvalidParams("verify is oracle-bound; --max-n must be <= 8")
+    if args.max_n > oracle.DEFAULT_MAX_N:
+        raise InvalidParams("verify is oracle-bound; --max-n must be <= %d"
+                            % oracle.DEFAULT_MAX_N)
     if args.cache_only and not args.cache:
         raise InvalidParams("--cache-verify needs --cache FILE or CDX_CACHE")
     if args.cache:
@@ -521,7 +522,7 @@ def build_parser():
 
     pv = sub.add_parser("verify", help="check the formulas against the brute-force oracle")
     pv.add_argument("--max-n", type=int, default=6,
-                    help="corpus ground-set bound, at most 8 (default 6)")
+                    help="corpus ground-set bound, at most 9 (default 6)")
     pv.add_argument("--only", default=None,
                     help="name prefix filter, or the literal 'paper-values'")
     pv.add_argument("--threads", type=int, default=1)

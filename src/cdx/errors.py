@@ -69,5 +69,9 @@ class ScaleExceeded(CdxError):
     code = "SCALE_EXCEEDED"
 
 
+class InternalError(CdxError):
+    code = "INTERNAL_ERROR"
+
+
 class CacheVersionMismatch(CdxError):
     code = "CACHE_VERSION_MISMATCH"

@@ -54,11 +54,11 @@ class NcPoly:
         items = terms.items() if isinstance(terms, dict) else terms
         t = {}
         for w, k in items:
-            if k == 0:
-                continue
             for ch in w:
                 if ch not in LETTERS:
                     raise InvalidAlphabet("letter %r in word %r" % (ch, w))
+            if k == 0:
+                continue
             t[w] = t.get(w, 0) + k
         self._t = {w: k for w, k in t.items() if k}
 

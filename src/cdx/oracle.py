@@ -1,93 +1,68 @@
 """Brute-force face lattice of a matroid base polytope.
 
-Deliberately independent of the recursion modules: faces are found by
-maximizing every integer weight vector with distinct level structure
-over the vertex set (0/1 indicator vectors of the bases), dimensions by
-exact integer Gaussian elimination, and the flag vector by counting
-chains through dimension-graded incidence matrices.  Only the ab-to-cd
+Deliberately independent of the recursion modules and of the matroid
+rank table.  Faces come from Edmonds' description of the base polytope,
+P(M) = {x >= 0 : x(S) <= r(S) for all S, x(E) = r(E)}: with r(S) taken
+as the largest |B & S| over the bases, every proper face is an
+intersection of the faces F_S = {B : |B & S| = r(S)}, so the faces are
+the closure of the facets under intersection, plus the polytope and the
+empty face.  Each face is the base polytope of a direct sum of minors
+(Feichtner-Sturmfels, 2005), so its dimension is n minus the number of
+connected components of the matroid whose bases are its vertices, read
+from the fundamental graph of one vertex.  The flag vector counts chains
+through dimension-graded containment matrices.  Only the ab-to-cd
 conversion and the bitmask-to-element-list helper are shared.
 """
 
-from itertools import permutations
-
 import numpy as np
 
-from .errors import InvalidParams, ScaleExceeded
+from .errors import InternalError, ScaleExceeded
 from .matroid import _bits
-from .ncpoly import FlagFVector, NcPoly, ab_to_cd, flag_to_ab
+from .ncpoly import FlagFVector, ab_to_cd, flag_to_ab
 
-DEFAULT_MAX_N = 8
+DEFAULT_MAX_N = 9
 
-_weight_memo = {}
+# float64 sums of nonnegative integers are exact below this
+_EXACT = float(1 << 53)
+# faces per column block of a containment matrix in oracle_flag_f
+_BLOCK = 512
 
 
-def _weight_vectors(n):
-    """All surjections from n coordinates onto {0..m-1}, m = 1..n.
+def _indicator(masks, width):
+    """0/1 float64 matrix with one row per bitmask; column j is bit j."""
+    nbytes = (width + 7) // 8 or 1
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :width].astype(np.float64)
 
-    Each one's argmax face is a face of the polytope, and every face
-    arises this way: take the chain of ever-larger level sets.
+
+def _containment(A, B):
+    """C[i, j] == 1.0 iff face A[i] lies inside face B[j], given the faces'
+    vertex indicator rows (see _indicator).
+
+    One float64 matmul counts the vertices of A[i] outside B[j]; it is
+    exact, since no count exceeds the vertex count.
     """
-    got = _weight_memo.get(n)
-    if got is not None:
-        return got
-    parts = []
-
-    def rec(i, blocks):
-        if i == n:
-            parts.append([tuple(b) for b in blocks])
-            return
-        for b in blocks:
-            b.append(i)
-            rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        rec(i + 1, blocks)
-        blocks.pop()
-
-    rec(0, [])
-    rows = []
-    for blocks in parts:
-        m = len(blocks)
-        for perm in permutations(range(m)):
-            w = [0] * n
-            for bi in range(m):
-                for e in blocks[bi]:
-                    w[e] = perm[bi]
-            rows.append(w)
-    arr = np.array(rows, dtype=np.int16)
-    _weight_memo[n] = arr
-    return arr
+    return (A @ (1.0 - B).T == 0).astype(np.float64)
 
 
-def _row_rank(rows):
-    """Exact rank of a small integer matrix, division-free elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        pv = prow[c]
-        for i in range(rank + 1, len(mat)):
-            v = mat[i][c]
-            if v:
-                mat[i] = [a * pv - v * b for a, b in zip(mat[i], prow)]
-        rank += 1
-    return rank
+def _component_count(n, edges):
+    """Connected components of a graph on 0..n-1, by union-find."""
+    parent = list(range(n))
 
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-def _affine_dim(vectors):
-    if not vectors:
-        return -1
-    base = vectors[0]
-    rows = [[x - y for x, y in zip(v, base)] for v in vectors[1:]]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    return _row_rank(rows)
+    count = n
+    for x, y in edges:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+            count -= 1
+    return count
 
 
 class FaceLattice:
@@ -117,64 +92,68 @@ class FaceLattice:
 
 def face_lattice(M, max_n=DEFAULT_MAX_N):
     """Enumerate every face of the base polytope of M, empty face included."""
-    if M.n > max_n:
+    n = M.n
+    if n > max_n:
         raise ScaleExceeded(
-            "oracle face enumeration is %d! weight classes; refusing n=%d > %d"
-            % (M.n, M.n, max_n)
+            "oracle face enumeration closes the faces of all 2^n subsets; "
+            "refusing n=%d > %d" % (n, max_n)
         )
     verts = M.basis_masks()
-    n = M.n
-    V = np.array([[(b >> i) & 1 for i in range(n)] for b in verts], dtype=np.int16)
-    W = _weight_vectors(n)
-    seen = set()
-    chunk = 200_000
-    for lo in range(0, len(W), chunk):
-        S = W[lo:lo + chunk].astype(np.int32) @ V.T.astype(np.int32)
-        mask = S == S.max(axis=1, keepdims=True)
-        packed = np.packbits(mask, axis=1)
-        seen.update(map(bytes, packed))
-    nfv = len(verts)
-    face_masks = []
-    for row in seen:
-        bits = np.unpackbits(np.frombuffer(row, dtype=np.uint8))[:nfv]
-        fm = 0
-        for j in np.nonzero(bits)[0]:
-            fm |= 1 << int(j)
-        face_masks.append(fm)
-    face_masks.append(0)  # empty face
-    vert_vectors = [[(b >> i) & 1 for i in range(n)] for b in verts]
+    m = len(verts)
+    V = _indicator(verts, n)
+    # meet[S, j] = |S & B_j| for every subset S; F_S is where a row peaks
+    meet = _indicator(range(1 << n), n) @ V.T
+    tight = np.packbits(meet == meet.max(axis=1, keepdims=True), axis=1, bitorder="little")
+    full = (1 << m) - 1
+    gens = list({int.from_bytes(row.tobytes(), "little") for row in tight} - {full})
+    # the facets: generators inside no other generator
+    G = _indicator(gens, m)
+    inside = _containment(G, G).sum(axis=1)
+    facets = [g for g, c in zip(gens, inside) if c == 1]
+    faces = set(facets)
+    new = faces
+    while new:
+        new = {f & g for f in new for g in facets} - faces
+        faces |= new
+    faces = list(faces | {full, 0})
+    # adj[i]: (bit of j, x, y) for each vertex B_j = B_i - x + y
+    adj = [[] for _ in verts]
+    for i, j in zip(*np.nonzero(V @ V.T == M.rank - 1)):
+        bi, bj = verts[i], verts[j]
+        adj[i].append((1 << int(j), (bi & ~bj).bit_length() - 1, (bj & ~bi).bit_length() - 1))
+    # dim F = n - (components of the matroid whose bases are F's vertices)
     dims = []
-    for fm in face_masks:
-        pts = [vert_vectors[j] for j in range(nfv) if fm >> j & 1]
-        dims.append(_affine_dim(pts))
-    return FaceLattice(verts, face_masks, dims)
+    for f in faces:
+        edges = [(x, y) for bit, x, y in adj[(f & -f).bit_length() - 1] if f & bit]
+        dims.append(n - _component_count(n, edges) if f else -1)
+    return FaceLattice(verts, faces, dims)
 
 
 def oracle_flag_f(L):
     """Flag f-vector of the boundary, from chains of proper faces."""
     D = L.dim
-    layers = {d: [L.faces[i] for i in L.by_dim.get(d, ())] for d in range(D)}
-    inc = {}
-    for d1 in range(D):
-        for d2 in range(d1 + 1, D):
-            A = layers[d1]
-            B = layers[d2]
-            Z = np.zeros((len(A), len(B)), dtype=np.int64)
-            for i, fa in enumerate(A):
-                for j, fb in enumerate(B):
-                    if fa & fb == fa:
-                        Z[i, j] = 1
-            inc[(d1, d2)] = Z
-    entries = {}
-    for smask in range(1 << D):
-        S = [d for d in range(D) if smask >> d & 1]
-        if not S:
-            entries[frozenset()] = 1
-            continue
-        vec = np.ones(len(layers[S[0]]), dtype=np.int64)
-        for d1, d2 in zip(S, S[1:]):
-            vec = vec @ inc[(d1, d2)]
-        entries[frozenset(S)] = int(vec.sum())
+    nverts = len(L.vertex_masks)
+    layers = [_indicator([L.faces[i] for i in L.by_dim.get(d, ())], nverts)
+              for d in range(D)]
+    # tops[d]: the dimension sets S with max(S) == d, and one row per S
+    # whose entry j counts the chains of type S ending in face j of layer d
+    tops = [([(d,)], [np.ones((1, len(layers[d])))]) for d in range(D)]
+    entries = {frozenset(): 1}
+    for t in range(D):
+        sets, rows = tops[t]
+        vecs = np.vstack(rows)
+        totals = vecs.sum(axis=1)
+        if totals.max() >= _EXACT:
+            raise InternalError("flag counts with top dimension %d reach 2^53, "
+                                "past exact float64" % t)
+        entries.update(zip(map(frozenset, sets), map(int, totals)))
+        for d in range(t + 1, D):
+            # one column block of the containment matrix at a time bounds memory
+            up = layers[d]
+            tops[d][1].append(np.hstack([
+                vecs @ _containment(layers[t], up[lo:lo + _BLOCK])
+                for lo in range(0, len(up), _BLOCK)]))
+            tops[d][0].extend(S + (d,) for S in sets)
     return FlagFVector(D, entries)
 
 
@@ -187,20 +166,12 @@ def eulerian_check(L):
     the polytope itself included) must have equally many elements of
     each parity.  Returns (True, None) or (False, witness_interval)."""
     faces = L.faces
-    dims = np.array(L.dims, dtype=np.int64)
-    m = len(faces)
-    nfv = len(L.vertex_masks)
-    V = np.zeros((m, nfv), dtype=np.int64)
-    for i, fm in enumerate(faces):
-        for j in range(nfv):
-            if fm >> j & 1:
-                V[i, j] = 1
-    # contain[i, j] == 1 iff face i's vertex set is inside face j's
-    stray = V @ (1 - V).T
-    contain = (stray == 0).astype(np.int64)
-    sign = np.where(dims % 2 == 0, 1, -1)
-    total = (contain * sign[np.newaxis, :]) @ contain
+    dims = np.array(L.dims)
+    V = _indicator(faces, len(L.vertex_masks))
+    contain = _containment(V, V)
+    sign = np.where(dims % 2 == 0, 1.0, -1.0)
     # total[b, t] = signed count of faces in the interval [b, t]
+    total = (contain * sign[np.newaxis, :]) @ contain
     span = dims[np.newaxis, :] - dims[:, np.newaxis]
     bad = (total != 0) & (span >= 2) & (contain == 1)
     if bad.any():

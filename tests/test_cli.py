@@ -121,8 +121,14 @@ def test_verify_paper_values(capsys):
 
 
 def test_verify_rejects_big_max_n(capsys):
-    rc, _, err = run(capsys, "verify", "--max-n", "9")
+    rc, _, err = run(capsys, "verify", "--max-n", "10")
     assert rc == 2
+
+
+def test_verify_gate_at_n8(capsys):
+    rc, out, _ = run(capsys, "verify", "--max-n", "8")
+    assert rc == 0
+    assert out.splitlines()[-1] == "verify: 186 checked, 0 failed (max n = 8)"
 
 
 def test_verify_threads_deterministic(capsys):

@@ -71,6 +71,16 @@ def test_invalid_alphabet():
         ab_to_cd(C)
 
 
+def test_invalid_alphabet_with_zero_coefficient():
+    # a foreign letter is refused whatever its coefficient
+    with pytest.raises(InvalidAlphabet):
+        NcPoly.from_text("0*x + c")
+    with pytest.raises(InvalidAlphabet):
+        NcPoly({"cx": 0})
+    with pytest.raises(InvalidAlphabet):
+        NcPoly.from_text("x - x")
+
+
 def test_cd_to_ab_basics():
     assert cd_to_ab(C) == A + B
     assert cd_to_ab(D) == A * B + B * A

@@ -1,9 +1,13 @@
+from functools import lru_cache
+from itertools import permutations
 from math import comb
 
+import numpy as np
 import pytest
 
-from cdx.errors import ScaleExceeded
-from cdx.hypersimplex import face_type_counts
+from cdx import cli, oracle
+from cdx.errors import InternalError, ScaleExceeded
+from cdx.hypersimplex import cd_hypersimplex, face_type_counts
 from cdx.matroid import Matroid, _bits, example_535, fano
 from cdx.ncpoly import NcPoly, flag_to_ab
 from cdx.oracle import (
@@ -13,6 +17,97 @@ from cdx.oracle import (
     oracle_cd_index,
     oracle_flag_f,
 )
+
+
+@lru_cache(maxsize=None)
+def _weight_vectors(n):
+    """All surjections from n coordinates onto {0..m-1}, m = 1..n.
+
+    Each one's argmax face is a face of the polytope, and every face
+    arises this way: take the chain of ever-larger level sets.
+    """
+    parts = []
+
+    def rec(i, blocks):
+        if i == n:
+            parts.append([tuple(b) for b in blocks])
+            return
+        for b in blocks:
+            b.append(i)
+            rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        rec(i + 1, blocks)
+        blocks.pop()
+
+    rec(0, [])
+    rows = []
+    for blocks in parts:
+        m = len(blocks)
+        for perm in permutations(range(m)):
+            w = [0] * n
+            for bi in range(m):
+                for e in blocks[bi]:
+                    w[e] = perm[bi]
+            rows.append(w)
+    return np.array(rows, dtype=np.int32)
+
+
+def reference_face_lattice(M):
+    """Face masks of the base polytope by maximizing every weight vector
+    with distinct level structure over the vertices; empty face included."""
+    verts = M.basis_masks()
+    V = np.array([[(b >> i) & 1 for i in range(M.n)] for b in verts], dtype=np.int32)
+    S = _weight_vectors(M.n) @ V.T
+    packed = np.packbits(S == S.max(axis=1, keepdims=True), axis=1, bitorder="little")
+    return {0} | {int.from_bytes(row, "little") for row in set(map(bytes, packed))}
+
+
+def _row_rank(rows):
+    """Exact rank of a small integer matrix, division-free elimination."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        pv = prow[c]
+        for i in range(rank + 1, len(mat)):
+            v = mat[i][c]
+            if v:
+                mat[i] = [a * pv - v * b for a, b in zip(mat[i], prow)]
+        rank += 1
+    return rank
+
+
+def _affine_dim(vectors):
+    if not vectors:
+        return -1
+    base = vectors[0]
+    rows = [[x - y for x, y in zip(v, base)] for v in vectors[1:]]
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return 0
+    return _row_rank(rows)
+
+
+CORPUS7 = cli.corpus(7)
+
+
+@pytest.mark.parametrize("name,M", CORPUS7, ids=[name for name, _ in CORPUS7])
+def test_facet_closure_matches_the_weight_vector_scan(name, M):
+    assert set(face_lattice(M).faces) == reference_face_lattice(M)
+
+
+def test_component_count_dimensions_match_affine_rank():
+    for name, M in CORPUS7:
+        L = face_lattice(M)
+        verts = [[(b >> i) & 1 for i in range(M.n)] for b in L.vertex_masks]
+        for fm, d in zip(L.faces, L.dims):
+            assert _affine_dim([verts[j] for j in _bits(fm)]) == d, (name, _bits(fm))
 
 
 def test_triangle_faces():
@@ -118,8 +213,21 @@ def test_fano_oracle_runs_at_n7():
     assert all(c > 0 for c in p.terms().values())
 
 
+def test_oracle_reaches_n9():
+    assert oracle_cd_index(Matroid.uniform(4, 9)) == cd_hypersimplex(4, 9)
+
+
+def test_flag_counts_refuse_inexact_float_sums(monkeypatch):
+    monkeypatch.setattr(oracle, "_EXACT", 48.0)
+    L = face_lattice(Matroid.uniform(2, 4))
+    with pytest.raises(InternalError):
+        oracle_flag_f(L)  # the octahedron has 48 full flags
+    monkeypatch.setattr(oracle, "_EXACT", 49.0)
+    assert oracle_flag_f(L).f(frozenset({0, 1, 2})) == 48
+
+
 def test_scale_guard():
     with pytest.raises(ScaleExceeded):
-        face_lattice(Matroid.uniform(2, 9))
+        face_lattice(Matroid.uniform(2, 10))
     # explicit override allows it in principle; cap check only
     face_lattice(Matroid.uniform(1, 2), max_n=2)
