@@ -6,6 +6,7 @@ internal is 0-based.
 """
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ from math import comb
 from . import cuspidal, engine, hypersimplex, matroid, oracle
 from .errors import CacheVersionMismatch, CdxError, InvalidParams
 from .matroid import Matroid
-from .ncpoly import NcPoly, cd_to_flag_f, word_degree
+from .ncpoly import NcPoly, cd_to_flag_f, from_terms, word_degree
 
 EXIT_CODES = {
     "NOT_A_MATROID": 2,
@@ -126,7 +127,7 @@ def poly_from_json(obj, degree):
                 and (_is_int(c) or isinstance(c, str))):
             raise ValueError("%r: %r is not a cd term of degree %d" % (w, c, degree))
         terms[w] = int(c)
-    return NcPoly(terms)
+    return from_terms(terms)  # every word checked above
 
 
 class CacheStore:
@@ -195,7 +196,10 @@ class CacheStore:
         if recs:
             text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs)
             with open(self.path, "a+b") as fh:
-                if fh.tell():
+                # held until close, so processes sharing the file append
+                # whole batches, one after another
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                if fh.seek(0, os.SEEK_END):
                     fh.seek(-1, os.SEEK_END)
                     if fh.read(1) != b"\n":
                         # end a truncated last record, so the first new one

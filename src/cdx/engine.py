@@ -10,6 +10,7 @@ polytope of a direct sum is the product of the summands' polytopes.
 from math import comb
 
 from .errors import (
+    InternalError,
     InvalidParams,
     NotConnected,
     NotSparsePaving,
@@ -146,4 +147,25 @@ def cd_index(M, oracle_fallback=False, oracle_max_n=None):
                 "component on %d elements is not split; "
                 "rerun with the oracle fallback enabled" % sub.n
             )
-    return cd_product_all(parts)
+    out = cd_product_all(parts)
+    check_result(M, out)
+    return out
+
+
+def check_result(M, p):
+    """Raise InternalError unless the cd-index p of M's base polytope has
+    as many vertices as M has bases and no negative coefficient (Stanley,
+    Flag f-vectors and the cd-index, 1994).
+
+    The vertex count is f_{0}: of the per-letter factors of cd_to_flag_f
+    at S = {0}, only c^D, giving 2, and d c^(D-2), giving 1, have none
+    that is zero.
+    """
+    D = p.degree()
+    f0 = 2 * p.coeff("c" * D) + p.coeff("d" + "c" * (D - 2)) if D > 0 else p.coeff("")
+    bases = len(M.basis_masks())
+    if f0 != bases:
+        raise InternalError("cd-index has %d vertices, the matroid has %d bases" % (f0, bases))
+    for w, k in p.terms().items():
+        if k < 0:
+            raise InternalError("cd-index has the negative coefficient %d*%s" % (k, w))

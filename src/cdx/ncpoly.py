@@ -12,11 +12,15 @@ the same face-count data:
 * the inverse rewriting of a symmetric ab polynomial into c and d,
 * flag count vectors f_S, S a set of dimensions, and their ab-index.
 
-The ab -> cd direction works in the basis c = a+b, e = a-b.  A word over
-{a,b} of length m expands into words over {c,e} with denominator 2^m and
-signs given by the positions where b meets e, which is a Walsh-Hadamard
-transform of the coefficient vector.  Words of c and d are exactly the
-{c,e} words whose maximal e-runs all have even length, via ee = cc - 2d.
+A flag vector is one list indexed by the mask of S.  It is read straight
+off the cd words: f_S sums the coefficients of the ab words with b only
+on S, and each letter of a cd word counts its own choices, so a word's
+share of f_S is a product of per-position factors, 1 + [i in S] for a c
+at position i and [i in S] + [i+1 in S] for a d at positions i, i+1.
+
+The way back peels the same factors off the flag sums, first letter
+first, so ab -> cd is a subset-sum pass over the ab coefficients and
+then that peel.
 """
 
 import re
@@ -262,92 +266,66 @@ def _b_mask(w):
     return int("0" + w[::-1].translate(_B_AS_ONE), 2)
 
 
-def _wht(vec):
-    # in-place unnormalized Walsh-Hadamard transform
-    n = len(vec)
-    h = 1
-    while h < n:
-        for start in range(0, n, h * 2):
-            for i in range(start, start + h):
-                x = vec[i]
-                y = vec[i + h]
-                vec[i] = x + y
-                vec[i + h] = x - y
-        h *= 2
-
-
 @cache
 def _csq_minus_2d_pow(m):
     return (C * C - 2 * D) ** m
 
 
-def _ce_bits_to_cd(bits, m):
-    """cd expansion of a {c,e} word, e marked by set bits; None if an e-run is odd."""
-    factors = []
-    i = 0
-    while i < m:
-        if not (bits >> i) & 1:
-            j = i
-            while j < m and not (bits >> j) & 1:
-                j += 1
-            factors.append(NcPoly.word("c" * (j - i)))
-            i = j
-        else:
-            j = i
-            while j < m and (bits >> j) & 1:
-                j += 1
-            run = j - i
-            if run % 2:
-                return None
-            factors.append(_csq_minus_2d_pow(run // 2))
-            i = j
-    out = NcPoly.one()
-    for f in factors:
-        out = out * f
-    return out
-
-
 def ab_to_cd(p):
     """Rewrite a polynomial in a and b as one in c and d.
 
-    Raises NoCdForm when no integer cd form exists, reporting a witness:
-    either a surviving {c,e} word with an odd e-run (the input was not
-    symmetric enough) or a coefficient that fails to clear the power of
-    two coming from a = (c+e)/2, b = (c-e)/2.
+    The words of each length m are one block: their coefficients by mask
+    of the b positions, summed over subsets, are the flag sums f_S, which
+    _cd_words peels into cd words.  It raises NoCdForm when there is no cd
+    form; an integer input has an integer one whenever it has one at all.
     """
     bad = p.letters() - set("ab")
     if bad:
         raise InvalidAlphabet("ab polynomial contains %s" % ", ".join(sorted(bad)))
     blocks = {}
     for w, k in p._t.items():
-        blocks.setdefault(len(w), {})[w] = k
-    total = NcPoly()
-    for m, block in sorted(blocks.items()):
-        if m == 0:
-            total = total + block[""]
-            continue
-        size = 1 << m
-        vec = [0] * size
-        for w, k in block.items():
-            vec[_b_mask(w)] = k
-        _wht(vec)
-        acc = {}
-        for u in range(size):
-            k = vec[u]
-            if k == 0:
-                continue
-            q = _ce_bits_to_cd(u, m)
-            if q is None:
-                witness = "".join("e" if (u >> i) & 1 else "c" for i in range(m))
-                raise NoCdForm("odd e-run survives at %s" % witness)
-            add_scaled(acc, q, k)
-        out = {}
-        for w, k in acc.items():
-            if k % size:
-                raise NoCdForm("coefficient %d/%d at %s is not an integer" % (k, size, w))
-            out[w] = k // size
-        total = total + NcPoly(out)
-    return total
+        blocks.setdefault(len(w), {})[_b_mask(w)] = k
+    out = {}
+    for m, block in blocks.items():
+        vec = [block.get(mask, 0) for mask in range(1 << m)]
+        _subset_sums(vec, m, 1)
+        _cd_words(vec, m, "", out)
+    return from_terms(out)
+
+
+def _subset_sums(vec, dim, sign):
+    """vec[S] += sign * vec[S - {i}] for each i in S, dimension by
+    dimension, in place: summed over subsets, or with sign -1 undone."""
+    for i in range(dim):
+        bit = 1 << i
+        for mask in range(len(vec)):
+            if mask & bit:
+                vec[mask] += sign * vec[mask ^ bit]
+
+
+def _cd_words(f, dim, prefix, out):
+    """Add to the term dict out, each word after prefix, the cd polynomial
+    of degree dim whose flag sums by mask (see _flag_vector) are f.
+
+    With u and v the flag sums of the words after a first c and after a
+    first d, f[4m] = u[2m], f[4m+1] = 2u[2m] + v[m], f[4m+2] = u[2m+1] +
+    v[m] and f[4m+3] = 2f[4m+2], so u and v follow and recurse.  It raises
+    NoCdForm when the last identity fails, or when v is not zero at dim 1.
+    """
+    if not any(f):
+        return
+    if dim == 0:
+        out[prefix] = f[0]
+        return
+    v = [y - 2 * x for x, y in zip(f[0::4], f[1::4])]
+    if f[3::4] != [2 * x for x in f[2::4]] or (dim == 1 and v[0]):
+        raise NoCdForm("the flag sums after %r fit no cd word" % prefix)
+    u = [0] * (1 << (dim - 1))
+    u[0::2] = f[0::4]
+    u[1::2] = [x - y for x, y in zip(f[2::4], v)]
+    _cd_words(u, dim - 1, prefix + "c", out)
+    if dim > 1:
+        _cd_words(v, dim - 2, prefix + "d", out)
 
 
 @cache
@@ -470,101 +448,126 @@ class FlagFVector:
     """Flag counts f_S of a polytope of dimension dim, S within {0..dim-1}.
 
     f_S counts chains of distinct nonempty proper faces using each
-    dimension in S exactly once.  f of the empty set is 1.
+    dimension in S exactly once.  f of the empty set is 1.  The counts
+    are one list indexed by the mask of S, bit i standing for dimension i.
     """
 
-    __slots__ = ("dim", "_f")
+    __slots__ = ("dim", "_v")
 
     def __init__(self, dim, entries):
-        if dim < 0:
-            raise InvalidParams("dimension must be >= 0")
-        f = {}
-        for S, v in entries.items():
+        v = [0] * (1 << max(dim, 0))
+        for S, x in entries.items():
             S = frozenset(S)
             if not S <= set(range(dim)):
                 raise InvalidParams("flag set %s outside 0..%d" % (sorted(S), dim - 1))
-            if v < 0:
-                raise NegativeFlag("f_%s = %d" % (sorted(S), v))
-            f[S] = v
-        if f.get(frozenset(), 0) != 1:
+            v[sum(1 << i for i in S)] = x
+        self._fill(dim, v)
+
+    @classmethod
+    def from_vector(cls, dim, v):
+        """The flag vector whose f_S is v[mask of S]."""
+        out = cls.__new__(cls)
+        out._fill(dim, v)
+        return out
+
+    def _fill(self, dim, v):
+        if dim < 0 or len(v) != 1 << dim:
+            raise InvalidParams("%d flag entries for dimension %d" % (len(v), dim))
+        if min(v) < 0:
+            mask = next(m for m, x in enumerate(v) if x < 0)
+            raise NegativeFlag("f_%s = %d" % (_dims(mask), v[mask]))
+        if v[0] != 1:
             raise InvalidParams("f of the empty set must be 1")
         self.dim = dim
-        self._f = f
+        self._v = v
 
     def f(self, S):
-        return self._f.get(frozenset(S), 0)
+        S = set(S)
+        return self._v[sum(1 << i for i in S)] if S <= set(range(self.dim)) else 0
+
+    def vector(self):
+        """f_S by mask of S, as a new list."""
+        return list(self._v)
 
     def entries(self):
-        return dict(self._f)
+        """f_S by frozenset S, every S within {0..dim-1}."""
+        return {frozenset(_dims(mask)): x for mask, x in enumerate(self._v)}
 
     def f_vector(self):
         """Face counts by dimension (f_0, ..., f_{dim-1})."""
-        return tuple(self.f({i}) for i in range(self.dim))
+        return tuple(self._v[1 << i] for i in range(self.dim))
 
     def __eq__(self, other):
         if not isinstance(other, FlagFVector):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        keys = set(self._f) | set(other._f)
-        return all(self.f(S) == other.f(S) for S in keys)
+        return self.dim == other.dim and self._v == other._v
 
     def __repr__(self):
-        return "FlagFVector(dim=%d, f=%r)" % (
-            self.dim,
-            {tuple(sorted(S)): v for S, v in sorted(self._f.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},
-        )
+        return "FlagFVector(dim=%d, by_mask=%r)" % (self.dim, self._v)
+
+
+def _dims(mask):
+    """The dimensions in a mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _flag_vector(terms, dim):
+    """The flag sums by mask of a term dict of cd words of degree dim: the
+    first letter's factor reads the low bits of the mask, and the rest of
+    each word is a smaller instance on the mask shifted down."""
+    if dim == 0:
+        return [terms.get("", 0)]
+    rest = {"c": {}, "d": {}}
+    for w, k in terms.items():
+        rest[w[0]][w[1:]] = k
+    out = [0] * (1 << dim)
+    if rest["c"]:
+        v = _flag_vector(rest["c"], dim - 1)
+        out[0::2] = v
+        out[1::2] = [2 * x for x in v]
+    if rest["d"]:
+        v = _flag_vector(rest["d"], dim - 2)
+        out[1::4] = [x + y for x, y in zip(out[1::4], v)]
+        out[2::4] = [x + y for x, y in zip(out[2::4], v)]
+        out[3::4] = [x + 2 * y for x, y in zip(out[3::4], v)]
+    return out
 
 
 def cd_to_flag_f(p, dim):
     """Flag f-vector encoded by a cd polynomial of degree dim.
 
-    Inverts the ab-index: the word with b exactly at the positions of T
-    has coefficient sum over S within T of (-1)^|T-S| f_S, so f_S is the
-    subset sum of the pure-word coefficients.
+    f_S sums the coefficients of the ab words with b only on S.  A cd
+    word expands letter by letter, so its share of f_S is a product of
+    per-position factors: a c at position i gives 1 + [i in S] (a, or b
+    when i is in S), a d at positions i, i+1 gives [i in S] + [i+1 in S]
+    (ba, ab).  The flag vector over all masks follows by recursion on
+    the first letter, with no ab expansion.
     """
     bad = p.letters() - set("cd")
     if bad:
         raise InvalidAlphabet("cd polynomial contains %s" % ", ".join(sorted(bad)))
     if not p.is_homogeneous() or p.degree() != dim:
         raise DegreeMismatch("expected homogeneous of degree %d, got degree %s" % (dim, p.degree()))
-    ab = expand_ab(p)
-    size = 1 << dim
-    vec = [0] * size
-    for w, k in ab._t.items():
-        vec[_b_mask(w)] = k
-    for i in range(dim):
-        bit = 1 << i
-        for mask in range(size):
-            if mask & bit:
-                vec[mask] += vec[mask ^ bit]
-    entries = {}
-    for mask in range(size):
-        entries[frozenset(i for i in range(dim) if (mask >> i) & 1)] = vec[mask]
-    return FlagFVector(dim, entries)
+    return FlagFVector.from_vector(dim, _flag_vector(p._t, dim))
 
 
 def flag_to_ab(fv):
-    """The ab-index: sum over S of f_S times the word with b on S, a-b off S."""
-    dim = fv.dim
-    size = 1 << dim
-    vec = [0] * size
-    for S, v in fv.entries().items():
-        vec[sum(1 << i for i in S)] = v
-    # Moebius transform: coefficient of the pure word with b at T is
-    # sum over S within T of (-1)^{|T|-|S|} f_S.
-    for i in range(dim):
-        bit = 1 << i
-        for mask in range(size):
-            if mask & bit:
-                vec[mask] -= vec[mask ^ bit]
+    """The ab-index: sum over S of f_S times the word with b on S, a-b off S.
+
+    The word with b exactly on T has coefficient sum over S within T of
+    (-1)^|T-S| f_S, the subset sums undone.
+    """
+    vec = fv.vector()
+    _subset_sums(vec, fv.dim, -1)
     t = {}
-    for mask in range(size):
-        if vec[mask]:
-            w = "".join("b" if (mask >> i) & 1 else "a" for i in range(dim))
-            t[w] = vec[mask]
-    return NcPoly(t)
+    for mask, k in enumerate(vec):
+        if k:
+            t["".join("b" if mask >> i & 1 else "a" for i in range(fv.dim))] = k
+    return from_terms(t)
 
 
 def flag_to_cd(fv):
-    return ab_to_cd(flag_to_ab(fv))
+    """The cd-index with flag vector fv; NoCdForm when there is none."""
+    out = {}
+    _cd_words(fv._v, fv.dim, "", out)
+    return from_terms(out)

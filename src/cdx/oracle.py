@@ -135,10 +135,10 @@ def oracle_flag_f(L):
     nverts = len(L.vertex_masks)
     layers = [_indicator([L.faces[i] for i in L.by_dim.get(d, ())], nverts)
               for d in range(D)]
-    # tops[d]: the dimension sets S with max(S) == d, and one row per S
-    # whose entry j counts the chains of type S ending in face j of layer d
-    tops = [([(d,)], [np.ones((1, len(layers[d])))]) for d in range(D)]
-    entries = {frozenset(): 1}
+    # tops[d]: the masks S with max(S) == d, and one row per S whose
+    # entry j counts the chains of type S ending in face j of layer d
+    tops = [([1 << d], [np.ones((1, len(layers[d])))]) for d in range(D)]
+    flags = [1] + [0] * ((1 << D) - 1)
     for t in range(D):
         sets, rows = tops[t]
         vecs = np.vstack(rows)
@@ -146,15 +146,16 @@ def oracle_flag_f(L):
         if totals.max() >= _EXACT:
             raise InternalError("flag counts with top dimension %d reach 2^53, "
                                 "past exact float64" % t)
-        entries.update(zip(map(frozenset, sets), map(int, totals)))
+        for S, total in zip(sets, totals):
+            flags[S] = int(total)
         for d in range(t + 1, D):
             # one column block of the containment matrix at a time bounds memory
             up = layers[d]
             tops[d][1].append(np.hstack([
                 vecs @ _containment(layers[t], up[lo:lo + _BLOCK])
                 for lo in range(0, len(up), _BLOCK)]))
-            tops[d][0].extend(S + (d,) for S in sets)
-    return FlagFVector(D, entries)
+            tops[d][0].extend(S | 1 << d for S in sets)
+    return FlagFVector.from_vector(D, flags)
 
 
 def oracle_cd_index(M, max_n=DEFAULT_MAX_N):

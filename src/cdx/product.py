@@ -25,14 +25,6 @@ from .errors import InvalidParams
 from .ncpoly import NcPoly, cd_to_flag_f, flag_to_cd, FlagFVector
 
 
-def _flag_list(p, dim):
-    """Flag entries of p by mask, with bit dim folded onto the mask without it."""
-    vec = [0] * (1 << dim)
-    for S, v in cd_to_flag_f(p, dim).entries().items():
-        vec[sum(1 << d for d in S)] = v
-    return vec + vec
-
-
 def cd_product(p, q):
     """cd-index of the product of two polytopes given their cd-indices."""
     for x in (p, q):
@@ -45,8 +37,9 @@ def cd_product(p, q):
         return q  # V is a point
     if dq == 0:
         return p
-    fp = _flag_list(p, dp)
-    fq = _flag_list(q, dq)
+    # bit dim of a factor, its improper top face, reads the mask without it
+    fp = cd_to_flag_f(p, dp).vector() * 2
+    fq = cd_to_flag_f(q, dq).vector() * 2
     D = dp + dq
     # the pairs that may follow (e0, g0) in a chain, as entries
     # (bit of e, bit of g, bit of e + g, the pairs that may follow (e, g))
@@ -72,9 +65,7 @@ def cd_product(p, q):
                 walk(more, S2, T2, U2)
 
     walk(first, 0, 0, 0)
-    entries = {frozenset(d for d in range(D) if S >> d & 1): v
-               for S, v in enumerate(out)}
-    return flag_to_cd(FlagFVector(D, entries))
+    return flag_to_cd(FlagFVector.from_vector(D, out))
 
 
 def cd_product_all(polys):

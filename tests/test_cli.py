@@ -1,3 +1,4 @@
+import fcntl
 import json
 import os
 import subprocess
@@ -435,3 +436,83 @@ def test_vamos_cache_kinds_and_keys(capsys, tmp_path):
     assert rc == 0
     records = [json.loads(line) for line in cache.read_text().splitlines()]
     assert sorted((r["kind"], r["key"]) for r in records) == VAMOS_CACHE_KEYS
+
+
+
+def wrong_vertex_count(right, M):
+    return hypersimplex.cd_hypersimplex(M.rank, M.n)  # 35 vertices; fano has 28 bases
+
+
+def negative_coefficient(right, M):
+    return right(M) - 100 * NcPoly.word("ccccd")  # the vertex count stays right
+
+
+@pytest.mark.parametrize("wrong", [wrong_vertex_count, negative_coefficient])
+def test_a_result_that_breaks_an_invariant_is_an_internal_error(capsys, monkeypatch, wrong):
+    right = engine._split_formula
+    monkeypatch.setattr(engine, "_split_formula", lambda M: wrong(right, M))
+    rc, out, err = run(capsys, "compute", "--builtin", "fano", "--f-vector")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error[INTERNAL_ERROR]: cd-index has ")
+    assert "Traceback" not in err
+
+
+APPEND_SCRIPT = """
+import sys
+from cdx import cli, hypersimplex
+for n in range(3, 13):
+    for k in range(1, n // 2 + 1):
+        hypersimplex.cd_hypersimplex(k, n)
+print("ready", flush=True)
+store = cli.CacheStore(sys.argv[1])
+for _ in range(int(sys.argv[2])):
+    store.known = set()  # append every record again
+    store.append_new()
+"""
+# the hypersimplex records the script holds: keys (k, n), 1 <= k <= n/2
+APPEND_BATCH = sum(n // 2 for n in range(3, 13))
+
+
+def start_appender(cache, batches):
+    return subprocess.Popen([sys.executable, "-c", APPEND_SCRIPT, str(cache), str(batches)],
+                            env=cdx_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_concurrent_appends_keep_every_record_whole(tmp_path):
+    # more appenders than the two cores a small machine has
+    cache = tmp_path / "cache.jsonl"
+    procs = [start_appender(cache, 20) for _ in range(3)]
+    try:
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert (proc.returncode, err) == (0, b"")
+    finally:
+        for proc in procs:
+            proc.kill()
+    lines = cache.read_text().splitlines()
+    for line in lines:
+        json.loads(line)
+    store = cli.CacheStore(str(cache))
+    assert len(store.load(install=False)) == len(lines) == 3 * 20 * APPEND_BATCH
+    assert store.corrupt == 0
+
+
+def test_append_waits_for_the_lock(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("")
+    with open(cache, "rb") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        proc = start_appender(cache, 1)
+        try:
+            assert proc.stdout.readline() == b"ready\n"
+            with pytest.raises(subprocess.TimeoutExpired):
+                proc.wait(timeout=1)
+            assert cache.read_text() == ""
+        finally:
+            fcntl.flock(held, fcntl.LOCK_UN)
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, b"")
+    assert len(cache.read_text().splitlines()) == APPEND_BATCH

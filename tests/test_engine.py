@@ -8,11 +8,13 @@ from cdx.engine import (
     cd_index,
     cd_sparse_paving,
     cd_split_matroid,
+    check_result,
     check_w_key,
     w_key,
     w_term,
 )
 from cdx.errors import (
+    InternalError,
     InvalidParams,
     NotConnected,
     NotSparsePaving,
@@ -202,3 +204,16 @@ def test_cd_index_runs_the_split_test_once_per_component(monkeypatch):
     got = cd_index(M)
     assert sorted(seen) == [3, 7]
     assert got == cd_product(cd_split_matroid(fano()), cd_hypersimplex(1, 3))
+
+
+def test_result_check_reads_the_vertex_count_off_the_index():
+    # a point has one basis; the segment and the triangle 2 and 3 vertices
+    assert cd_index(Matroid.uniform(0, 3)) == 1
+    assert cd_index(Matroid.from_bases(3, 1, [[0], [1]])) == NcPoly.word("c")
+    check_result(Matroid.uniform(1, 3), cd_hypersimplex(1, 3))
+    for wrong in (NcPoly.one(), NcPoly.word("c"), NcPoly.zero()):
+        with pytest.raises(InternalError):
+            check_result(Matroid.uniform(1, 3), wrong)
+    # the tetrahedron's 4 vertices, but a negative coefficient
+    with pytest.raises(InternalError, match="negative"):
+        check_result(Matroid.uniform(1, 4), NcPoly.from_text("ccc - 5*cd + 2*dc"))

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -28,6 +29,8 @@ from cdx.ncpoly import (
     normalize_mixed,
     word_degree,
 )
+from cdx import ncpoly
+from cdx.hypersimplex import cd_hypersimplex, face_type_counts
 
 # (a-b)^2 = c^2 - 2d, b(a-b) = d - cb, a - b = c - 2b as ab expansions
 E = A - B
@@ -282,3 +285,82 @@ def test_flag_fvector_api():
     fv = FlagFVector(2, {frozenset(): 1, frozenset({0}): 3, frozenset({1}): 3, frozenset({0, 1}): 6})
     assert fv.f({0}) == 3
     assert fv == cd_to_flag_f(C * C + D, 2)
+
+
+def test_flag_fvector_from_a_sparse_dict_keeps_its_checks():
+    with pytest.raises(InvalidParams):
+        FlagFVector(2, {frozenset({0}): 3})  # no empty set: f of it would be 0
+    with pytest.raises(InvalidParams):
+        FlagFVector(2, {frozenset(): 1, frozenset({2}): 1})
+    with pytest.raises(NegativeFlag):
+        FlagFVector(2, {frozenset(): 1, frozenset({0, 1}): -6})
+    with pytest.raises(InvalidParams):
+        FlagFVector(-1, {})
+    fv = FlagFVector(2, {(): 1, (1,): 3})
+    assert fv.f({1}) == 3 and fv.f({0}) == 0 and fv.f({5}) == 0
+    assert fv.entries() == {frozenset(): 1, frozenset({0}): 0, frozenset({1}): 3,
+                            frozenset({0, 1}): 0}
+    assert fv == FlagFVector.from_vector(2, [1, 0, 3, 0])
+
+
+def test_flag_fvector_from_vector_checks():
+    with pytest.raises(NegativeFlag, match=r"f_\[0, 1\] = -1"):
+        FlagFVector.from_vector(2, [1, 2, 2, -1])
+    with pytest.raises(InvalidParams):
+        FlagFVector.from_vector(2, [2, 2, 2, 4])
+    with pytest.raises(InvalidParams):
+        FlagFVector.from_vector(2, [1, 2])
+    assert FlagFVector.from_vector(0, [1]).f_vector() == ()
+
+
+def reference_flag_f(p, dim):
+    """The former cd_to_flag_f, as a list by mask: expand p into ab words;
+    f_S is the sum of the coefficients of the words with b only on S,
+    found by a subset-sum pass over the masks."""
+    size = 1 << dim
+    vec = [0] * size
+    for w, k in expand_ab(p).terms().items():
+        vec[sum(1 << i for i, ch in enumerate(w) if ch == "b")] = k
+    for i in range(dim):
+        bit = 1 << i
+        for mask in range(size):
+            if mask & bit:
+                vec[mask] += vec[mask ^ bit]
+    return vec
+
+
+def cd_words(max_degree):
+    words = {0: [""], 1: ["c"]}
+    for deg in range(2, max_degree + 1):
+        words[deg] = ["c" + w for w in words[deg - 1]] + ["d" + w for w in words[deg - 2]]
+    return words
+
+
+def test_flag_kernel_matches_the_ab_expansion_on_every_cd_word():
+    for deg, ws in cd_words(10).items():
+        for w in ws:
+            assert ncpoly._flag_vector({w: 1}, deg) == reference_flag_f(NcPoly.word(w), deg), w
+
+
+def test_flag_kernel_matches_the_ab_expansion_on_random_combinations():
+    rng = random.Random(5)
+    words = cd_words(10)
+    for _ in range(100):
+        deg = rng.randint(0, 10)
+        ws = words[deg]
+        p = NcPoly({w: rng.randint(-9, 9) for w in rng.sample(ws, min(len(ws), 6))})
+        assert ncpoly._flag_vector(p.terms(), deg) == reference_flag_f(p, deg)
+        # a polytope-like index: one c^deg, the rest nonnegative
+        q = NcPoly({w: 1 if w == "c" * deg else rng.randint(0, 9) for w in ws})
+        assert cd_to_flag_f(q, deg).vector() == reference_flag_f(q, deg)
+
+
+@pytest.mark.parametrize("k, n", [(8, 16), (10, 20)])
+def test_flag_kernel_face_counts_of_large_hypersimplices(k, n):
+    # the face counts by dimension, summed apart from the recursion: a face
+    # pinned by (i, j) is the (k - i, n - i - j) hypersimplex
+    want = [0] * (n - 1)
+    want[0] = comb(n, k)
+    for (i, j), count in face_type_counts(k, n).items():
+        want[n - i - j - 1] += count
+    assert list(cd_to_flag_f(cd_hypersimplex(k, n), n - 1).f_vector()) == want
