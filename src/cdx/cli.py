@@ -10,7 +10,6 @@ import fcntl
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from math import comb
 
@@ -48,11 +47,11 @@ def _file_elements(path, what, elems, n):
 
 def load_matroid_file(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidParams("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidParams("%s is not valid JSON: %s" % (path, exc))
     if not isinstance(data, dict) or "n" not in data or "rank" not in data:
         raise InvalidParams("%s: expected an object with n, rank" % path)
@@ -142,15 +141,18 @@ class CacheStore:
         skipped with a warning; with install the rest go into the tables."""
         out = []
         self.corrupt = 0
-        if not os.path.exists(self.path):
+        try:
+            with open(self.path, "rb") as fh:
+                lines = fh.read().splitlines()
+        except FileNotFoundError:
             return out
-        with open(self.path) as fh:
-            lines = fh.readlines()
-        for idx, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
+        except OSError as exc:
+            raise InvalidParams("cannot read cache %s: %s" % (self.path, exc))
+        for idx, raw in enumerate(lines):
             try:
+                line = raw.decode("utf-8").strip()  # UnicodeDecodeError is a ValueError
+                if not line:
+                    continue
                 rec = json.loads(line)
                 if rec["v"] != CACHE_VERSION:
                     raise CacheVersionMismatch(
@@ -195,7 +197,11 @@ class CacheStore:
                     self.known.add((kind, kt))
         if recs:
             text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs)
-            with open(self.path, "a+b") as fh:
+            try:
+                fh = open(self.path, "a+b")
+            except OSError as exc:
+                raise InvalidParams("cannot write cache %s: %s" % (self.path, exc))
+            with fh:
                 # held until close, so processes sharing the file append
                 # whole batches, one after another
                 fcntl.flock(fh, fcntl.LOCK_EX)
@@ -467,19 +473,10 @@ def cmd_verify(args):
     if args.only:
         items = [(name, M) for name, M in items if name.startswith(args.only)]
 
-    def one(item):
-        name, M = item
+    failures = 0
+    for name, M in items:
         got = engine.cd_index(M)
         want = oracle.oracle_cd_index(M, max_n=args.max_n)
-        return name, got, want
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(it) for it in items]
-    failures = 0
-    for name, got, want in results:
         if got == want:
             print("PASS %s" % name)
         else:
@@ -488,7 +485,7 @@ def cmd_verify(args):
             print("  formula: %s" % got.text())
             print("  oracle:  %s" % want.text())
     print("verify: %d checked, %d failed (max n = %d)"
-          % (len(results), failures, args.max_n))
+          % (len(items), failures, args.max_n))
     return 1 if failures else 0
 
 
@@ -529,7 +526,8 @@ def build_parser():
                     help="corpus ground-set bound, at most 9 (default 6)")
     pv.add_argument("--only", default=None,
                     help="name prefix filter, or the literal 'paper-values'")
-    pv.add_argument("--threads", type=int, default=1)
+    pv.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility; has no effect")
     pv.add_argument("--cache", default=os.environ.get("CDX_CACHE") or None)
     pv.add_argument("--cache-verify", dest="cache_only", action="store_true",
                     help="only spot-check the cache against recomputation")

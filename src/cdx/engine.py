@@ -140,7 +140,8 @@ def cd_index(M, oracle_fallback=False, oracle_max_n=None):
         if is_connected_split(sub):
             parts.append(_split_formula(sub))
         elif oracle_fallback:
-            cap = oracle.DEFAULT_MAX_N if oracle_max_n is None else oracle_max_n
+            cap = (oracle.DEFAULT_MAX_N if oracle_max_n is None
+                   else min(oracle.DEFAULT_MAX_N, oracle_max_n))
             parts.append(oracle.oracle_cd_index(sub, max_n=cap))
         else:
             raise UnsupportedMatroid(

@@ -6,12 +6,9 @@ hypersimplex (k, n), a product of two hypersimplices, the cuspidal
 table is a ``Memo``; the cache reads and fills three of them.
 """
 
-import threading
-
 
 class Memo:
-    """Results of ``compute(*key)`` by key, behind one lock so that
-    ``verify --threads`` can share the table.
+    """Results of ``compute(*key)`` by key.
 
     ``check(*key)`` raises InvalidParams unless the table's function
     stores ``key``, and returns the degree of the cd-index stored there;
@@ -22,25 +19,20 @@ class Memo:
         self.check = check
         self.compute = compute
         self._table = {}
-        self._lock = threading.Lock()
 
     def lookup(self, key):
         """The result for key, computed and stored on a miss."""
-        with self._lock:
-            got = self._table.get(key)
+        got = self._table.get(key)
         if got is None:
             got = self.put(key, self.compute(*key))
         return got
 
     def put(self, key, value):
         """Store value unless key is present; returns what is stored."""
-        with self._lock:
-            return self._table.setdefault(key, value)
+        return self._table.setdefault(key, value)
 
     def snapshot(self):
-        with self._lock:
-            return dict(self._table)
+        return dict(self._table)
 
     def clear(self):
-        with self._lock:
-            self._table.clear()
+        self._table.clear()

@@ -34,6 +34,7 @@ from .errors import (
     NoCdForm,
     NotCdEquivalent,
 )
+from .matroid import _bits
 
 LETTERS = "abcd"
 
@@ -475,7 +476,7 @@ class FlagFVector:
             raise InvalidParams("%d flag entries for dimension %d" % (len(v), dim))
         if min(v) < 0:
             mask = next(m for m, x in enumerate(v) if x < 0)
-            raise NegativeFlag("f_%s = %d" % (_dims(mask), v[mask]))
+            raise NegativeFlag("f_%s = %d" % (_bits(mask), v[mask]))
         if v[0] != 1:
             raise InvalidParams("f of the empty set must be 1")
         self.dim = dim
@@ -491,7 +492,7 @@ class FlagFVector:
 
     def entries(self):
         """f_S by frozenset S, every S within {0..dim-1}."""
-        return {frozenset(_dims(mask)): x for mask, x in enumerate(self._v)}
+        return {frozenset(_bits(mask)): x for mask, x in enumerate(self._v)}
 
     def f_vector(self):
         """Face counts by dimension (f_0, ..., f_{dim-1})."""
@@ -504,11 +505,6 @@ class FlagFVector:
 
     def __repr__(self):
         return "FlagFVector(dim=%d, by_mask=%r)" % (self.dim, self._v)
-
-
-def _dims(mask):
-    """The dimensions in a mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _flag_vector(terms, dim):

@@ -98,21 +98,27 @@ def damaged_records(draw):
 
 @st.composite
 def cache_lines(draw):
-    line = json.dumps(draw(damaged_records() | json_values))
-    if draw(st.booleans()):
-        return line
-    # a record cut short, as by an interrupted write
-    return line[:draw(st.integers(0, max(0, len(line) - 1)))]
+    """One cache line as bytes: a record whole, cut short as by an
+    interrupted write, or with one byte overwritten as by a damaged disk
+    (any byte from 0x80 up leaves the line no longer UTF-8)."""
+    line = json.dumps(draw(damaged_records() | json_values)).encode()
+    how = draw(st.sampled_from(["whole", "cut", "byte"]))
+    at = draw(st.integers(0, max(0, len(line) - 1)))
+    if how == "cut":
+        return line[:at]
+    if how == "byte":
+        return line[:at] + bytes([draw(st.integers(0, 255))]) + line[at + 1:]
+    return line
 
 
-@settings(max_examples=100, deadline=None, derandomize=True,
+@settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cache_lines())
 def test_any_cache_line_gives_a_documented_exit_code(line):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cache.jsonl")
-        with open(path, "w") as fh:
-            fh.write(line + "\n")
+        with open(path, "wb") as fh:
+            fh.write(line + b"\n")
         verify_rc, _ = run_cli("verify", "--cache", path, "--cache-verify")
         assert verify_rc in DOCUMENTED_EXIT_CODES
         rc, out = run_cli("compute", "--builtin", "fano", "--cache", path)

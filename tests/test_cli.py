@@ -234,6 +234,32 @@ def test_file_out_of_range_reports_one_based(capsys, tmp_path):
     assert "basis [1, 5] out of range for n=4" in err
 
 
+@pytest.mark.parametrize("data", [b"[" * 200000 + b"]" * 200000,  # nested too deep
+                                  b'\xff{"n": 4, "rank": 2, "bases": [[1, 2]]}'])
+def test_file_that_does_not_parse_is_invalid(capsys, tmp_path, data):
+    p = tmp_path / "m.json"
+    p.write_bytes(data)
+    rc, _, err = run(capsys, "compute", "--file", str(p))
+    assert rc == 2
+    assert "INVALID_PARAMS" in err and "is not valid JSON" in err
+
+
+def test_oracle_fallback_stays_within_the_oracle_cap(capsys, tmp_path):
+    # a chain of two cyclic flats: connected and not split, so only the
+    # oracle reaches it, and --max-n cannot lift the oracle's own cap
+    path = write_json(tmp_path, {
+        "n": 10, "rank": 4,
+        "cyclic_flats": [{"set": [1, 2, 3], "rank": 2},
+                         {"set": [1, 2, 3, 4, 5, 6], "rank": 3}],
+    })
+    rc, _, err = run(capsys, "compute", "--file", path)
+    assert rc == 3
+    rc, out, err = run(capsys, "compute", "--file", path, "--oracle-fallback",
+                       "--max-n", "10")
+    assert (rc, out) == (4, "")
+    assert "SCALE_EXCEEDED" in err
+
+
 def clear_memos():
     for clear in (hypersimplex.memo_clear, cuspidal.memo_clear, engine.w_memo_clear):
         clear()
@@ -326,6 +352,35 @@ def test_cache_verify_counts_corrupt_records(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
     assert rc == 1
     assert out.endswith("cache verify: 1 bad of %d records, 1 corrupt\n" % (good + 1))
+
+
+def test_cache_line_that_is_not_utf8_is_skipped(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
+    good = len(cache.read_text().splitlines())
+    with cache.open("ab") as fh:
+        fh.write(b'{"v": 1, "kind": "w\xff"}\n')
+    clear_memos()
+    rc, out, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
+    assert (rc, out.strip()) == (0, cli.PAPER_VALUES["fano"])
+    assert "record %d is corrupt, skipping it" % (good + 1) in err
+    rc, out, _ = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    assert (rc, out) == (0, "cache verify: %d records OK, 1 corrupt\n" % good)
+
+
+@pytest.mark.parametrize("argv", [("compute", "--builtin", "fano"),
+                                  ("verify", "--cache-verify")])
+def test_cache_that_is_a_directory_is_invalid(capsys, tmp_path, argv):
+    rc, out, err = run(capsys, *argv, "--cache", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert "INVALID_PARAMS" in err and "cannot read cache" in err
+
+
+def test_cache_that_cannot_be_written_is_invalid(capsys, tmp_path):
+    cache = tmp_path / "missing" / "cache.jsonl"
+    rc, out, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
+    assert (rc, out) == (2, "")
+    assert "INVALID_PARAMS" in err and "cannot write cache" in err
 
 
 def test_cache_verify_needs_a_cache(capsys, monkeypatch):

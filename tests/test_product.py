@@ -11,7 +11,7 @@ import pytest
 
 from cdx.errors import InvalidParams
 from cdx.hypersimplex import cd_hypersimplex, cd_hypersimplex_product
-from cdx.matroid import Matroid
+from cdx.matroid import Matroid, _bits
 from cdx.ncpoly import FlagFVector, NcPoly, cd_to_flag_f, flag_to_cd
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product, cd_product_all
@@ -28,7 +28,7 @@ def reference_product(p, q):
     D = dp + dq
     entries = {}
     for smask in range(1 << D):
-        S = [d for d in range(D) if smask >> d & 1]
+        S = _bits(smask)
         total = 0
         # split each chain dimension s into e + g, both weakly nondecreasing
         stack = [(0, 0, 0, ())]  # index into S, min e, min g, e-sequence
