@@ -51,7 +51,7 @@ def load_matroid_file(path):
             data = json.load(fh)
     except OSError as exc:
         raise InvalidParams("cannot read %s: %s" % (path, exc))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8 and int-digit errors
         raise InvalidParams("%s is not valid JSON: %s" % (path, exc))
     if not isinstance(data, dict) or "n" not in data or "rank" not in data:
         raise InvalidParams("%s: expected an object with n, rank" % path)
@@ -256,8 +256,7 @@ def cmd_compute(args):
     if args.cache:
         cache = CacheStore(args.cache)
         cache.load()
-    p = engine.cd_index(M, oracle_fallback=args.oracle_fallback,
-                        oracle_max_n=args.max_n)
+    p = engine.cd_index(M, oracle_fallback=args.oracle_fallback)
     if cache:
         cache.append_new()
     dim = p.degree()

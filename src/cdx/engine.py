@@ -128,7 +128,7 @@ def cd_sparse_paving(M):
     return out
 
 
-def cd_index(M, oracle_fallback=False, oracle_max_n=None):
+def cd_index(M, oracle_fallback=False):
     """cd-index of any matroid base polytope this package can reach.
 
     Split components go through the closed formula; other components
@@ -140,9 +140,7 @@ def cd_index(M, oracle_fallback=False, oracle_max_n=None):
         if is_connected_split(sub):
             parts.append(_split_formula(sub))
         elif oracle_fallback:
-            cap = (oracle.DEFAULT_MAX_N if oracle_max_n is None
-                   else min(oracle.DEFAULT_MAX_N, oracle_max_n))
-            parts.append(oracle.oracle_cd_index(sub, max_n=cap))
+            parts.append(oracle.oracle_cd_index(sub))
         else:
             raise UnsupportedMatroid(
                 "component on %d elements is not split; "

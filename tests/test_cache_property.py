@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cdx import cli, cuspidal, engine, hypersimplex
+from fuzz_inputs import damaged_bytes, json_values
 
 DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4}
 
@@ -36,12 +37,6 @@ def fano_records():
             return [line.strip() for line in fh]
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=12,
-)
 coefficients = (st.integers(-5, 10**6) | st.text("0123456789-.e", max_size=5)
                 | st.floats() | st.booleans() | json_values)
 
@@ -99,16 +94,8 @@ def damaged_records(draw):
 @st.composite
 def cache_lines(draw):
     """One cache line as bytes: a record whole, cut short as by an
-    interrupted write, or with one byte overwritten as by a damaged disk
-    (any byte from 0x80 up leaves the line no longer UTF-8)."""
-    line = json.dumps(draw(damaged_records() | json_values)).encode()
-    how = draw(st.sampled_from(["whole", "cut", "byte"]))
-    at = draw(st.integers(0, max(0, len(line) - 1)))
-    if how == "cut":
-        return line[:at]
-    if how == "byte":
-        return line[:at] + bytes([draw(st.integers(0, 255))]) + line[at + 1:]
-    return line
+    interrupted write, or with one byte overwritten as by a damaged disk."""
+    return damaged_bytes(draw, json.dumps(draw(damaged_records() | json_values)).encode())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,

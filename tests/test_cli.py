@@ -235,7 +235,8 @@ def test_file_out_of_range_reports_one_based(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("data", [b"[" * 200000 + b"]" * 200000,  # nested too deep
-                                  b'\xff{"n": 4, "rank": 2, "bases": [[1, 2]]}'])
+                                  b'\xff{"n": 4, "rank": 2, "bases": [[1, 2]]}',
+                                  b'{"n": ' + b"1" * 5000 + b', "rank": 2}'])  # int too long
 def test_file_that_does_not_parse_is_invalid(capsys, tmp_path, data):
     p = tmp_path / "m.json"
     p.write_bytes(data)

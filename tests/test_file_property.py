@@ -12,14 +12,8 @@ from hypothesis import strategies as st
 from cdx import cli
 from cdx.errors import CdxError
 from cdx.matroid import Matroid
+from fuzz_inputs import damaged_bytes, json_values
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=12,
-)
-# n stays at most 8, so that a file the loader accepts is cheap to build
 not_an_int = json_values.filter(lambda v: not isinstance(v, int) or isinstance(v, bool))
 
 
@@ -27,7 +21,7 @@ not_an_int = json_values.filter(lambda v: not isinstance(v, int) or isinstance(v
 def matroid_objects(draw):
     """A bases or cyclic flats object on n <= 8 elements, near enough to a
     matroid that many load, with at most one field or element damaged."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))  # so that a file that loads is cheap to build
     rank = draw(st.integers(0, n))
     obj = {"n": n, "rank": rank}
     if draw(st.booleans()):
@@ -63,14 +57,7 @@ def matroid_files(draw):
     one byte overwritten, or any bytes at all."""
     if draw(st.integers(0, 4)) == 0:
         return draw(st.binary(max_size=64))
-    text = json.dumps(draw(matroid_objects() | json_values)).encode()
-    how = draw(st.sampled_from(["whole", "whole", "cut", "byte"]))
-    at = draw(st.integers(0, max(0, len(text) - 1)))
-    if how == "cut":
-        return text[:at]
-    if how == "byte":
-        return text[:at] + bytes([draw(st.integers(0, 255))]) + text[at + 1:]
-    return text
+    return damaged_bytes(draw, json.dumps(draw(matroid_objects() | json_values)).encode())
 
 
 @settings(max_examples=400, deadline=None, derandomize=True,
