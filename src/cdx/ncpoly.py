@@ -211,11 +211,13 @@ class NcPoly:
             if not expect_term:
                 raise InvalidParams("missing operator before %r in %r" % (tok, s))
             tm = re.fullmatch(r"(?:(\d+)\s*\*\s*)?([a-zA-Z]+)|(\d+)", tok)
-            if tm.group(3) is not None:
-                terms.append(("", sign * int(tm.group(3))))
-            else:
-                k = int(tm.group(1)) if tm.group(1) is not None else 1
-                terms.append((tm.group(2), sign * k))
+            digits = tm.group(1) or tm.group(3)
+            try:
+                k = int(digits) if digits else 1
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise InvalidParams("coefficient of %d digits is too long to read"
+                                    % len(digits)) from None
+            terms.append((tm.group(2) or "", sign * k))
             sign = 1
             expect_term = False
         if expect_term:
@@ -414,35 +416,23 @@ def chain_sum(dim, f0, groups):
 _TRAILING = re.compile(r"^[cd]*b?$")
 
 
-def normalize_mixed(p, debug=False):
-    """Extract the cd polynomial from a mixed chain-count expression.
+def normalize_mixed(p):
+    """The cd polynomial of a stratified chain count, p itself.
 
-    When every word is a cd word with at most one trailing b, the input
-    splits as p0(c,d) + p1(c,d) b; a genuinely cd-equivalent expression
-    has p1 = 0 identically (words ending in b cannot contribute to a
-    symmetric ab expansion), so p0 is returned and a nonzero p1 raises
-    NotCdEquivalent.  Any other shape is settled by full ab expansion.
-    With debug=True the cheap path is double checked by round trip.
+    Every recursion's chain count has the shape p0(c,d) + p1(c,d) b, and
+    it is cd-equivalent exactly when p1 = 0 (Stanley, 1994): words ending
+    in b cannot contribute to a symmetric ab expansion.  So p is returned
+    unchanged when every word is a cd word, and otherwise NotCdEquivalent
+    names the first other word by word_key: a residue when it is a cd word
+    and a trailing b, any other shape when not.
     """
-    if all(_TRAILING.fullmatch(w) for w in p._t):
-        p0 = {}
-        p1 = {}
-        for w, k in p._t.items():
-            if w.endswith("b"):
-                p1[w[:-1]] = k
-            else:
-                p0[w] = k
-        if p1:
-            w = sorted(p1, key=word_key)[0]
-            raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (p1[w], w))
-        out = from_terms(p0)  # _TRAILING has checked every word
-        if debug and cd_to_ab(out) != expand_ab(p):
-            raise NotCdEquivalent("ab expansion differs from extracted cd part")
-        return out
-    try:
-        return ab_to_cd(expand_ab(p))
-    except NoCdForm as err:
-        raise NotCdEquivalent(str(err)) from err
+    if p.letters() <= {"c", "d"}:
+        return p
+    w = min((w for w in p._t if w.strip("cd")), key=word_key)
+    if _TRAILING.fullmatch(w):
+        raise NotCdEquivalent("residue %d*%s after collecting trailing b" % (p._t[w], w))
+    raise NotCdEquivalent("%d*%s is neither a cd word nor one with a trailing b"
+                          % (p._t[w], w))
 
 
 class FlagFVector:

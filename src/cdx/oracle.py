@@ -10,15 +10,15 @@ empty face.  Each face is the base polytope of a direct sum of minors
 (Feichtner-Sturmfels, 2005), so its dimension is n minus the number of
 connected components of the matroid whose bases are its vertices, read
 from the fundamental graph of one vertex.  The flag vector counts chains
-through dimension-graded containment matrices.  Only the ab-to-cd
-conversion and the bitmask-to-element-list helper are shared.
+through dimension-graded containment matrices.  Only the flag-to-cd peel
+(ncpoly.flag_to_cd) and the bitmask-to-element-list helper are shared.
 """
 
 import numpy as np
 
 from .errors import InternalError, ScaleExceeded
 from .matroid import _bits
-from .ncpoly import FlagFVector, ab_to_cd, flag_to_ab
+from .ncpoly import FlagFVector, flag_to_cd
 
 DEFAULT_MAX_N = 9
 
@@ -90,13 +90,13 @@ class FaceLattice:
         return len(self.faces)
 
 
-def face_lattice(M, max_n=DEFAULT_MAX_N):
+def face_lattice(M):
     """Enumerate every face of the base polytope of M, empty face included."""
     n = M.n
-    if n > max_n:
+    if n > DEFAULT_MAX_N:
         raise ScaleExceeded(
             "oracle face enumeration closes the faces of all 2^n subsets; "
-            "refusing n=%d > %d" % (n, max_n)
+            "refusing n=%d > %d" % (n, DEFAULT_MAX_N)
         )
     verts = M.basis_masks()
     m = len(verts)
@@ -158,8 +158,8 @@ def oracle_flag_f(L):
     return FlagFVector.from_vector(D, flags)
 
 
-def oracle_cd_index(M, max_n=DEFAULT_MAX_N):
-    return ab_to_cd(flag_to_ab(oracle_flag_f(face_lattice(M, max_n=max_n))))
+def oracle_cd_index(M):
+    return flag_to_cd(oracle_flag_f(face_lattice(M)))
 
 
 def eulerian_check(L):

@@ -377,11 +377,26 @@ def test_cache_that_is_a_directory_is_invalid(capsys, tmp_path, argv):
     assert "INVALID_PARAMS" in err and "cannot read cache" in err
 
 
-def test_cache_that_cannot_be_written_is_invalid(capsys, tmp_path):
+def test_cache_that_cannot_be_written_is_invalid(capsys, monkeypatch, tmp_path):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before checking the cache")
+
     cache = tmp_path / "missing" / "cache.jsonl"
-    rc, out, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
+    with monkeypatch.context() as m:
+        m.setattr(engine, "cd_index", no_compute)
+        rc, out, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
     assert (rc, out) == (2, "")
     assert "INVALID_PARAMS" in err and "cannot write cache" in err
+    # checking a cache only reads it, so one that cannot be written still verifies
+    good = tmp_path / "good.jsonl"
+    assert run(capsys, "compute", "--builtin", "fano", "--cache", str(good))[0] == 0
+
+    def unwritable(self):
+        raise AssertionError("opened the cache for appending")
+
+    monkeypatch.setattr(cli.CacheStore, "open_append", unwritable)
+    rc, out, _ = run(capsys, "verify", "--cache-verify", "--cache", str(good))
+    assert rc == 0 and "records OK" in out
 
 
 def test_cache_verify_needs_a_cache(capsys, monkeypatch):

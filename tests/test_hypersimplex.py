@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import pytest
 
-from cdx.errors import InvalidParams
+from cdx.errors import InvalidParams, NotCdEquivalent
 from cdx import hypersimplex
 from cdx.hypersimplex import (
     _check_params,
@@ -17,7 +17,16 @@ from cdx.hypersimplex import (
     memo_snapshot,
 )
 from cdx.matroid import Matroid
-from cdx.ncpoly import NcPoly, cd_to_ab, emve_mixed, g_cd, normalize_mixed
+from cdx.ncpoly import (
+    A,
+    B,
+    NcPoly,
+    cd_to_ab,
+    emve_mixed,
+    expand_ab,
+    g_cd,
+    normalize_mixed,
+)
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product
 
@@ -48,16 +57,39 @@ def faces_of_hypersimplex(k, n):
     return out
 
 
-@cache
-def reference_hypersimplex(k, n):
-    """The recursion one face type (i, j) at a time, each with its own
-    product and a copying sum, on its own results all the way down."""
-    if k == 0 or k == n:
-        return NcPoly.one()
+def reference_chain_count(k, n):
+    """The stratified chain count of the (k, n) hypersimplex, one face type
+    (i, j) at a time, each with its own product and a copying sum."""
     acc = emve_mixed(n - 1, comb(n, k))
     for (i, j), count in face_type_counts(k, n).items():
         acc = acc + count * (reference_hypersimplex(k - i, n - i - j) * g_cd(i + j - 1))
-    return normalize_mixed(acc)
+    return acc
+
+
+@cache
+def reference_hypersimplex(k, n):
+    """The recursion on its own results all the way down."""
+    if k == 0 or k == n:
+        return NcPoly.one()
+    return normalize_mixed(reference_chain_count(k, n))
+
+
+def test_chain_counts_are_cd_polynomials_with_their_ab_expansion():
+    E = A - B
+    for n in range(2, 10):
+        for k in range(1, n):
+            acc = reference_chain_count(k, n)
+            assert cd_to_ab(normalize_mixed(acc)) == expand_ab(acc), (k, n)
+            # the same count in the letters a and b: each chain of faces
+            # adds a b for its last face and a - b for each dimension above
+            ab = E ** (n - 1) + comb(n, k) * (B * E ** (n - 2))
+            for (i, j), count in face_type_counts(k, n).items():
+                face = cd_to_ab(reference_hypersimplex(k - i, n - i - j))
+                ab = ab + count * (face * B * E ** (i + j - 1))
+            assert expand_ab(acc) == ab, (k, n)
+            for word in ("a" * (n - 1), "cbc"):
+                with pytest.raises(NotCdEquivalent):
+                    normalize_mixed(acc + NcPoly.word(word))
 
 
 def test_grouped_recursion_matches_the_per_face_type_sum():

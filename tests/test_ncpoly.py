@@ -198,13 +198,14 @@ def test_normalize_mixed():
         normalize_mixed(B)
     with pytest.raises(NotCdEquivalent):
         normalize_mixed(C * B * C)  # b stuck in the middle
-    # a-letter input falls back to full expansion
-    assert normalize_mixed(A + B) == C
-    assert normalize_mixed(emve(1, 2), debug=True) == C
-
-
-def test_normalize_mixed_debug_path():
-    assert normalize_mixed(D - C * B + C * B, debug=True) == D
+    # an a is never read as part of a c: a + b is not a chain count
+    with pytest.raises(NotCdEquivalent):
+        normalize_mixed(A + B)
+    # the error names the first word that is not a cd word by word_key
+    with pytest.raises(NotCdEquivalent, match=r"residue 3\*cb "):
+        normalize_mixed(D * C + 3 * C * B + 2 * D * B)
+    with pytest.raises(NotCdEquivalent, match=r"-2\*a is neither"):
+        normalize_mixed(C * B * C - 2 * A)
 
 
 def test_text_form():
@@ -235,6 +236,10 @@ def test_from_text():
         NcPoly.from_text("2*")
     with pytest.raises(InvalidAlphabet):
         NcPoly.from_text("cxc")
+    # CPython converts at most 4300 digits to an int by default
+    for text in ("1" * 5000, "c + %s*d" % ("7" * 5000)):
+        with pytest.raises(InvalidParams, match="5000 digits"):
+            NcPoly.from_text(text)
 
 
 def test_flag_segment():

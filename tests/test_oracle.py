@@ -229,5 +229,3 @@ def test_flag_counts_refuse_inexact_float_sums(monkeypatch):
 def test_scale_guard():
     with pytest.raises(ScaleExceeded):
         face_lattice(Matroid.uniform(2, 10))
-    # explicit override allows it in principle; cap check only
-    face_lattice(Matroid.uniform(1, 2), max_n=2)
