@@ -2,18 +2,18 @@
 
 Ground set is 0-based internally; the CLI layer does the 1-based file
 translation, and diagnostics print elements 1-based.  Everything here
-is desk scale: subset enumeration caps at n = 12 and basis-exchange
-validation at a few thousand bases.
+is desk scale: subset enumeration caps at n = 12, and the matroid axiom
+check reads one rank table per connected component.
 
 Up to that cap each matroid computes the rank of every subset once, on
 first use, into a table of 2^n bytes (4 KB at n = 12).  A downward pass
 from the basis masks marks the independent sets; an upward pass gives
 an independent set its size and any other set the largest rank among
 its one-smaller subsets.  That is O(2^n n) work, and for any basis
-family it equals max |B & S| over the bases B.  Rank
-queries, closures and the cyclic flat sweep all read this table.  Above
-the cap no table is built: ``rank_of`` scans the bases per query and
-cyclic flat enumeration raises ScaleExceeded.
+family it equals max |B & S| over the bases B.  Rank queries, closures,
+the axiom check and the cyclic flat sweep read this table.  Above the
+cap ``rank_of`` scans the bases per query, and asking for the table or
+the cyclic flats raises ScaleExceeded.
 """
 
 from itertools import combinations
@@ -88,7 +88,7 @@ class Matroid:
             raise EmptyMatroid("no bases given")
         M = cls(n, rank, masks)
         if validate:
-            M._validate_exchange()
+            M._check_axioms()
         return M
 
     @classmethod
@@ -106,8 +106,8 @@ class Matroid:
         """Build from (elements, rank) pairs by cutting the uniform bases.
 
         Keeps every k-subset B with |B & F| <= rank(F) for each given
-        flat, then re-derives the cyclic flats and checks they match the
-        input family.
+        flat, checks the matroid axioms, then re-derives the cyclic flats
+        and checks they match the input family.
         """
         if n < 1 or n > 64 or rank < 0 or rank > n:
             raise InvalidParams("need 1 <= n <= 64 and 0 <= rank <= n")
@@ -119,25 +119,16 @@ class Matroid:
             if fm == 0 or fm == (1 << n) - 1:
                 raise InvalidParams("cyclic flat presentations list proper nonempty flats only")
             fam.append((fm, r))
-        if comb(n, rank) > _BASIS_CAP:
-            raise ScaleExceeded(
-                "binom(%d,%d) candidate bases is past desk scale (cap %d)"
-                % (n, rank, _BASIS_CAP)
-            )
-        masks = set()
-        for c in combinations(range(n), rank):
-            bm = _mask(c)
-            if all((bm & fm).bit_count() <= r for fm, r in fam):
-                masks.add(bm)
+        masks = {bm for bm in cls.uniform(rank, n)._bases
+                 if all((bm & fm).bit_count() <= r for fm, r in fam)}
         if not masks:
             raise EmptyMatroid("the given cyclic flats cut out no bases")
         M = cls(n, rank, masks)
-        derived = {(f.elements, f.rank) for f in M.cyclic_flats()}
-        given = {(frozenset(_bits(fm)), r) for fm, r in fam}
+        M._check_axioms()
         # the improper cyclic flats (empty set, full ground set) need not be listed
-        derived_proper = {(s, r) for s, r in derived if 0 < len(s) < n}
-        missing = given - derived
-        extra = derived_proper - given
+        derived = {(f.elements, f.rank) for f in M.proper_cyclic_flats()}
+        given = {(frozenset(_bits(fm)), r) for fm, r in fam}
+        missing, extra = given - derived, derived - given
         if missing or extra:
             raise PresentationMismatch(
                 "cyclic flats re-derived from the cut bases differ from the input: "
@@ -167,24 +158,43 @@ class Matroid:
     def __repr__(self):
         return "Matroid(n=%d, rank=%d, %d bases)" % (self.n, self.rank, len(self._bases))
 
-    def _validate_exchange(self):
-        bl = sorted(self._bases)
-        bs = self._bases
-        for i, b1 in enumerate(bl):
-            for b2 in bl[i + 1:]:
-                for x in _bits(b1 & ~b2):
-                    stripped = b1 & ~(1 << x)
-                    if not any(stripped | (1 << y) in bs for y in _bits(b2 & ~b1)):
-                        raise NotAMatroid(
-                            "exchange fails for bases %r, %r at element %d"
-                            % (_shown(_bits(b1)), _shown(_bits(b2)), x + 1)
-                        )
+    def _check_axioms(self):
+        """Raise NotAMatroid unless the bases are a matroid's.  Built from
+        equal-size sets, a rank table r(S) = max |B & S| is a matroid's rank
+        function, with exactly those sets as bases, iff r(S+x) + r(S+y) >=
+        r(S+x+y) + r(S) for all S and x, y outside S; each component's table
+        is checked.  The component ranks must add up to self.rank, so each
+        basis meets each component in its rank, and the bases must be all
+        combinations of the components' bases."""
+        import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
+
+        comps = self.component_sets()
+        count, rank = 1, 0
+        for comp in comps:
+            sub, labels = self.restriction_to_component(comp), sorted(comp)
+            r = np.frombuffer(sub._rank_table(), dtype=np.uint8)  # ranks <= 12: no uint8 wrap
+            masks = np.arange(1 << sub.n)
+            for x, y in combinations(range(sub.n), 2):
+                bx, by = 1 << x, 1 << y
+                s = masks[masks & (bx | by) == 0]
+                bad = s[r[s | bx] + r[s | by] < r[s | bx | by] + r[s]]
+                if bad.size:
+                    S = _shown(labels[e] for e in _bits(int(bad[0])))
+                    raise NotAMatroid("rank not submodular: r(S+x) + r(S+y) < r(S+x+y) + r(S) at "
+                                      "S=%r, x=%d, y=%d" % (S, labels[x] + 1, labels[y] + 1))
+            count *= len(sub._bases)
+            rank += sub.rank
+        if (count, rank) != (len(self._bases), self.rank):
+            raise NotAMatroid("the bases are not those of a direct sum of matroids on "
+                              "the components %s" % [_shown(c) for c in comps])
 
     # -- rank machinery -----------------------------------------------
 
     def _rank_table(self):
         """Rank of every subset mask, as 2^n bytes; see the module docstring."""
         if self._ranks is None:
+            if self.n > _ENUM_CAP:
+                raise ScaleExceeded("rank tables capped at n=%d" % _ENUM_CAP)
             full = 1 << self.n
             indep = bytearray(full)
             for b in self._bases:
@@ -236,8 +246,6 @@ class Matroid:
         its rank when any one element is removed.
         """
         if self._cyclic is None:
-            if self.n > _ENUM_CAP:
-                raise ScaleExceeded("cyclic flat enumeration capped at n=%d" % _ENUM_CAP)
             ranks = self._rank_table()
             full = (1 << self.n) - 1
             out = []
@@ -317,10 +325,8 @@ class Matroid:
         """Add every rank-size subset meeting elems in more than its rank."""
         fm = _mask(elems)
         r = self.rank_of(fm)
-        added = {
-            _mask(c) for c in combinations(range(self.n), self.rank)
-            if (_mask(c) & fm).bit_count() >= r + 1
-        }
+        added = {b for b in Matroid.uniform(self.rank, self.n)._bases
+                 if (b & fm).bit_count() > r}
         if not added:
             raise InvalidParams("relaxation of %r adds no bases" % (_shown(_bits(fm)),))
         return Matroid(self.n, self.rank, self._bases | added)
@@ -338,38 +344,27 @@ class SplitCheck(NamedTuple):
 
 
 def is_connected_split(M):
-    """Decide by actually relaxing: peel off cyclic flats that are
-    incomparable to every other proper cyclic flat until none remain,
-    then the result must be uniform."""
+    """M is connected and no proper cyclic flat contains another: split by
+    the criterion of Bérczi, Király, Schwarcz, Yamaguchi and Yokoi
+    (Hypergraph characterization of split matroids, JCTA 2023).  Its
+    inequality |F & G| <= r(F) + r(G) - k holds for incomparable proper
+    cyclic flats F, G when no pair is nested: a circuit in F & G would
+    close to a proper cyclic flat strictly inside F, and cl(F | G) would
+    be one strictly containing F unless it is the ground set, so F & G is
+    independent, r(F | G) = k, and submodularity gives the inequality.
+    That needs M to be a matroid, which from_bases and from_cyclic_flats
+    check.  With no proper cyclic flat M is uniform, since the cyclic
+    flats and their ranks determine a matroid."""
     comps = M.component_sets()
     if len(comps) > 1:
         return SplitCheck(False, "not connected: components %s"
                           % [_shown(c) for c in comps])
-    cur = M
-    while True:
-        proper = cur.proper_cyclic_flats()
-        if not proper:
-            if len(cur._bases) == comb(cur.n, cur.rank):
-                return SplitCheck(True, "")
-            return SplitCheck(False, "no proper cyclic flats left but not uniform")
-        masks = [_mask(f.elements) for f in proper]
-        pick = None
-        for i, fm in enumerate(masks):
-            if all(j == i or not (fm & gm == fm or fm & gm == gm)
-                   for j, gm in enumerate(masks)):
-                pick = i
-                break
-        if pick is None:
-            # every flat is comparable to some other; exhibit one pair
-            for i, fm in enumerate(masks):
-                for j, gm in enumerate(masks):
-                    if i != j and fm & gm == fm:
-                        return SplitCheck(
-                            False,
-                            "nested proper cyclic flats %s < %s"
-                            % (_shown(proper[i].elements), _shown(proper[j].elements)),
-                        )
-        cur = cur.relax(proper[pick].elements)
+    # sorted by size, so a nested pair comes smaller first
+    for fa, fb in combinations(M.proper_cyclic_flats(), 2):
+        if fa.elements < fb.elements:
+            return SplitCheck(False, "nested proper cyclic flats %s < %s"
+                              % (_shown(fa.elements), _shown(fb.elements)))
+    return SplitCheck(True, "")
 
 
 class SplitProfile(NamedTuple):
@@ -377,7 +372,6 @@ class SplitProfile(NamedTuple):
     k: int
     lam: dict  # (r, h) -> number of proper cyclic flats of that shape
     mu: dict  # (alpha, beta, a, b) -> number of modular pairs of that shape
-    flats: tuple  # the proper cyclic flats themselves
 
 
 def split_profile(M):
@@ -408,7 +402,7 @@ def split_profile(M):
         (alpha, a), (beta, b) = sorted([pa, pb])
         key = (alpha, beta, a, b)
         mu[key] = mu.get(key, 0) + 1
-    return SplitProfile(M.n, k, lam, mu, tuple(flats))
+    return SplitProfile(M.n, k, lam, mu)
 
 
 def is_sparse_paving(M):

@@ -166,20 +166,23 @@ class NcPoly:
         if not self._t:
             return "0"
         parts = []
-        for i, w in enumerate(self.words()):
-            k = self._t[w]
-            sign = "-" if k < 0 else "+"
-            mag = abs(k)
-            if w == "":
-                body = str(mag)
-            elif mag == 1:
-                body = w
-            else:
-                body = "%d*%s" % (mag, w)
-            if i == 0:
-                parts.append(body if k > 0 else "-" + body)
-            else:
-                parts.append("%s %s" % (sign, body))
+        try:
+            for i, w in enumerate(self.words()):
+                k = self._t[w]
+                sign = "-" if k < 0 else "+"
+                mag = abs(k)
+                if w == "":
+                    body = str(mag)
+                elif mag == 1:
+                    body = w
+                else:
+                    body = "%d*%s" % (mag, w)
+                if i == 0:
+                    parts.append(body if k > 0 else "-" + body)
+                else:
+                    parts.append("%s %s" % (sign, body))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise InvalidParams("a coefficient is too long to print") from None
         return " ".join(parts)
 
     @classmethod
@@ -225,7 +228,10 @@ class NcPoly:
         return cls(terms)
 
     def __repr__(self):
-        return "NcPoly(%r)" % self.text()
+        try:
+            return "NcPoly(%r)" % self.text()
+        except InvalidParams:
+            return "NcPoly(<%d terms, a coefficient too long to print>)" % len(self._t)
 
 
 A = NcPoly.word("a")

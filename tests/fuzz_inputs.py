@@ -1,5 +1,8 @@
-"""Hypothesis inputs shared by the property tests: any JSON value, and
-bytes damaged as by an interrupted write or a bad disk."""
+"""Hypothesis inputs shared by the property tests: any JSON value, bytes
+damaged as by an interrupted write or a bad disk, and random k-set
+families and cyclic flat lists, some of them matroids and some not."""
+
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -21,3 +24,28 @@ def damaged_bytes(draw, data):
     if how == "byte":
         return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
     return data
+
+
+@st.composite
+def matroid_candidates(draw):
+    """A bases or cyclic flats object on n <= 8 elements, 1-based as in a
+    matroid file: all k-sets but some dropped, or the uniform bases cut by
+    one to four random flats.  Each flat, of size h and rank r, has
+    1 <= r < min(k, h) and k - (n - h) < r, so a cut by one flat is a
+    connected matroid; a cut by more often is not a matroid, and dropped
+    k-sets seldom leave one."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 8))
+        k = draw(st.integers(1, n - 1))
+        every = [[e + 1 for e in c] for c in combinations(range(n), k)]
+        dropped = draw(st.sets(st.integers(0, len(every) - 1)))
+        return {"n": n, "rank": k, "bases": [b for i, b in enumerate(every) if i not in dropped]}
+    n = draw(st.integers(4, 8))
+    k = draw(st.integers(2, n - 2))
+    flats = []
+    for _ in range(draw(st.integers(1, 4))):
+        elems = draw(st.lists(st.integers(1, n), min_size=2, max_size=n - 2, unique=True))
+        h = len(elems)
+        rank = draw(st.integers(max(1, k - (n - h) + 1), min(k, h) - 1))
+        flats.append({"set": sorted(elems), "rank": rank})
+    return {"n": n, "rank": k, "cyclic_flats": flats}

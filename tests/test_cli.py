@@ -474,11 +474,22 @@ def test_file_basis_of_wrong_size_reports_one_based(capsys, tmp_path):
     assert "basis [1, 2, 3] does not have size 2" in err
 
 
-def test_file_exchange_failure_reports_one_based(capsys, tmp_path):
-    path = write_json(tmp_path, {"n": 4, "rank": 2, "bases": [[1, 2], [3, 4]]})
-    rc, _, err = run(capsys, "compute", "--file", path)
-    assert rc == 2
-    assert "exchange fails for bases [1, 2], [3, 4] at element 1" in err
+def test_file_axiom_failure_reports_one_based(capsys, tmp_path):
+    # connected, but {2, 4} and {3, 4} are missing
+    path = write_json(tmp_path, {"n": 4, "rank": 2, "bases": [[1, 2], [1, 3], [2, 3], [1, 4]]})
+    rc, out, err = run(capsys, "compute", "--file", path)
+    assert (rc, out) == (2, "")
+    assert "NOT_A_MATROID" in err
+    assert "r(S+x) + r(S+y) < r(S+x+y) + r(S) at S=[4], x=2, y=3" in err
+
+
+def test_file_cyclic_flats_that_cut_out_no_matroid(capsys, tmp_path):
+    # the two flats meet in 3 > r(F) + r(G) - k = 2 elements
+    path = write_json(tmp_path, {"n": 6, "rank": 4, "cyclic_flats": [
+        {"set": [1, 2, 3, 6], "rank": 3}, {"set": [1, 2, 4, 6], "rank": 3}]})
+    rc, out, err = run(capsys, "compute", "--file", path)
+    assert (rc, out) == (2, "")
+    assert "NOT_A_MATROID" in err and "at S=[1, 2, 6], x=3, y=4" in err
 
 
 def test_file_presentation_mismatch_reports_one_based(capsys, tmp_path):

@@ -42,11 +42,39 @@ def test_from_bases_roundtrip():
 
 
 def test_not_a_matroid():
-    with pytest.raises(NotAMatroid) as ei:
+    # connected, but without {2,4} and {3,4} the rank is not submodular
+    with pytest.raises(NotAMatroid, match=r"not submodular: .* at S=\[4\], x=2, y=3"):
+        Matroid.from_bases(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    # four singleton components, whose ranks add up to 4, not 2
+    with pytest.raises(NotAMatroid, match="direct sum"):
         Matroid.from_bases(4, 2, [(0, 1), (2, 3)])
-    assert "exchange" in str(ei.value)
     with pytest.raises(NotAMatroid):
         Matroid.from_bases(4, 2, [(0, 1), (0, 1, 2)])
+    # two flats meeting in more than r(F) + r(G) - k cut out no matroid
+    with pytest.raises(NotAMatroid, match=r"at S=\[1, 2, 6\], x=3, y=4"):
+        Matroid.from_cyclic_flats(6, 4, [((0, 1, 2, 5), 3), ((0, 1, 3, 5), 3)])
+
+
+def test_axioms_above_the_cap_are_checked_per_component():
+    # U(1,9) on elements 0-8 beside a family on 9-12, so n = 13
+    def family(tail):
+        return [(u,) + t for u in range(9) for t in tail]
+
+    good = [(9, 10), (9, 11), (9, 12), (10, 11), (10, 12), (11, 12)]
+    M = Matroid.from_bases(13, 3, family(good))
+    assert M.component_sets() == [frozenset(range(9)), frozenset(range(9, 13))]
+    # and it still computes, componentwise
+    from cdx.engine import cd_index
+    from cdx.hypersimplex import cd_hypersimplex
+    from cdx.product import cd_product
+
+    assert cd_index(M) == cd_product(cd_hypersimplex(1, 9), cd_hypersimplex(2, 4))
+    with pytest.raises(NotAMatroid, match=r"at S=\[13\], x=11, y=12"):
+        Matroid.from_bases(13, 3, family([(9, 10), (9, 11), (10, 11), (9, 12)]))
+    with pytest.raises(NotAMatroid, match="direct sum"):
+        Matroid.from_bases(13, 3, family(good)[1:])
+    with pytest.raises(ScaleExceeded):
+        Matroid.from_bases(13, 1, [(e,) for e in range(13)])
 
 
 def test_coloop_family_is_a_matroid():
@@ -146,6 +174,47 @@ def test_relaxation_monotonicity():
     remaining = {f.elements for f in R.proper_cyclic_flats()}
     assert line not in remaining
     assert len(remaining) == 6
+
+
+def reference_is_connected_split(M):
+    """The relaxation loop is_connected_split replaced: relax a proper
+    cyclic flat incomparable to every other one until none is left; M is
+    split when the last matroid is uniform."""
+    if not M.is_connected():
+        return False
+    cur = M
+    while True:
+        proper = [f.elements for f in cur.proper_cyclic_flats()]
+        if not proper:
+            return len(cur.basis_masks()) == comb(cur.n, cur.rank)
+        free = [f for f in proper if all(f == g or not (f <= g or g <= f) for g in proper)]
+        if not free:
+            return False
+        cur = cur.relax(free[0])
+
+
+def non_split_fixtures():
+    """The matroids outside the split class that the tests build."""
+    fano_bases = fano().bases()
+    return [
+        Matroid.from_cyclic_flats(6, 3, [((0, 1), 1), ((0, 1, 2, 3), 2)]),
+        Matroid.from_cyclic_flats(10, 4, [((0, 1, 2), 2), ((0, 1, 2, 3, 4, 5), 3)]),
+        Matroid.from_bases(4, 2, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+        Matroid.from_bases(3, 2, [(0, 1), (0, 2)]),
+        Matroid.from_bases(5, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+        Matroid.from_bases(8, 4, [b + (7,) for b in fano_bases]),
+        Matroid.from_bases(10, 4, [b + (e,) for b in fano_bases for e in (7, 8, 9)]),
+        Matroid.from_bases(5, 3, [(0, 2, 4), (0, 3, 4), (1, 2, 4), (1, 3, 4)]),
+    ]
+
+
+def test_split_test_matches_the_relaxation_loop():
+    from cdx.cli import corpus
+
+    for name, M in corpus(9):
+        assert is_connected_split(M) and reference_is_connected_split(M), name
+    for M in non_split_fixtures():
+        assert not is_connected_split(M) and not reference_is_connected_split(M), M
 
 
 def test_is_connected_split_uniform_and_sparse():

@@ -1,0 +1,63 @@
+"""Properties of the matroid axiom check and the split test, on random
+k-set families and cyclic flat lists (fuzz_inputs.matroid_candidates)
+judged by a basis exchange scan in both directions."""
+
+import json
+import os
+import tempfile
+from itertools import combinations
+
+from hypothesis import HealthCheck, given, settings
+
+from cdx import cli
+from cdx.matroid import Matroid, is_connected_split
+from fuzz_inputs import matroid_candidates
+from test_matroid import reference_is_connected_split
+
+
+def candidate_family(obj):
+    """The k-sets of a matroid_candidates object, 0-based: its bases, or
+    the uniform k-sets that meet each flat in at most its rank."""
+    n, k = obj["n"], obj["rank"]
+    if "bases" in obj:
+        return [tuple(e - 1 for e in b) for b in obj["bases"]]
+    flats = [({e - 1 for e in f["set"]}, f["rank"]) for f in obj["cyclic_flats"]]
+    return [c for c in combinations(range(n), k)
+            if all(len(s.intersection(c)) <= r for s, r in flats)]
+
+
+def exchange_holds(family):
+    """The basis exchange axiom, scanned over every ordered pair: for each
+    x in B1 - B2 some y in B2 - B1 has B1 - x + y in the family."""
+    fam = {frozenset(b) for b in family}
+    return all(any(b1 - {x} | {y} in fam for y in b2 - b1)
+               for b1 in fam for b2 in fam for x in b1 - b2)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(matroid_candidates())
+def test_compute_refuses_what_is_not_a_matroid(obj):
+    family = candidate_family(obj)
+    if family and exchange_holds(family):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        assert cli.main(["compute", "--file", path]) == 2, obj
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(matroid_candidates())
+def test_split_test_matches_the_relaxation_loop_on_matroids(obj):
+    family = candidate_family(obj)
+    if not (family and exchange_holds(family)):
+        return
+    M = Matroid.from_bases(obj["n"], obj["rank"], family)
+    split = bool(is_connected_split(M))
+    assert split == reference_is_connected_split(M), obj
+    if split:
+        for fa, fb in combinations(M.proper_cyclic_flats(), 2):
+            assert len(fa.elements & fb.elements) <= fa.rank + fb.rank - M.rank, obj
