@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 from .errors import InvalidParams
 from .memo import Memo
-from .ncpoly import add_scaled, chain_sum
+from .ncpoly import chain_sum
 from .hypersimplex import factor_faces, cd_hypersimplex, cd_hypersimplex_product
-from .product import cd_product  # noqa: F401  see ROADMAP item 6
+from .product import cd_product  # noqa: F401  see ROADMAP item 7
 
 
 class CuspidalKey(NamedTuple):
@@ -65,8 +65,9 @@ def cd_cuspidal(k, n, r, h):
 
 
 def _compute(k, n, r, h):
-    groups = {}
-    # ambient faces, by how the pinned sets meet F and its complement
+    # ambient faces, by how the pinned sets meet F and its complement;
+    # many pinnings give the same face, so counts are summed per face first
+    ambient = {}  # (codimension, cd function, its arguments) -> count
     for c1 in range(0, min(k, h + 1)):
         for c2 in range(0, min(k - c1, n - h + 1)):
             for d1 in range(0, min(n - k, h - c1 + 1)):
@@ -83,21 +84,21 @@ def _compute(k, n, r, h):
                     if lo >= r:
                         continue  # meets the polytope only inside the cut plane
                     if hi <= r:
-                        face = cd_hypersimplex(kk, nn)
+                        face = (codim, cd_hypersimplex, (kk, nn))
                     else:
-                        face = cd_cuspidal(kk, nn, r - c1, free_f)
+                        face = (codim, cd_cuspidal, (kk, nn, r - c1, free_f))
                     count = (comb(h, c1) * comb(n - h, c2)
                              * comb(h - c1, d1) * comb(n - h - c2, d2))
-                    add_scaled(groups.setdefault(codim, {}), face, count)
+                    ambient[face] = ambient.get(face, 0) + count
+    faces = [(c, fn(*args), count) for (c, fn, args), count in ambient.items()]
     # faces inside the cut plane: products of two hypersimplices
     for k1, n1, ct1 in factor_faces(r, h):
         for k2, n2, ct2 in factor_faces(k - r, n - h):
             dm = (n1 - 1) + (n2 - 1)
             if dm < 1:
                 continue
-            add_scaled(groups.setdefault(n - 1 - dm, {}),
-                       cd_hypersimplex_product(k1, n1, k2, n2), ct1 * ct2)
-    p = chain_sum(n - 1, vertex_count(k, n, r, h), groups)
+            faces.append((n - 1 - dm, cd_hypersimplex_product(k1, n1, k2, n2), ct1 * ct2))
+    p = chain_sum(n - 1, vertex_count(k, n, r, h), faces)
     MEMO.put(dual_key(k, n, r, h), p)  # the dual's polytope is its image under 1 - x
     return p
 

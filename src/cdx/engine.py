@@ -21,7 +21,7 @@ from .memo import Memo
 from .ncpoly import NcPoly, D as _D, add_product, add_scaled, from_terms
 from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product
 from .cuspidal import cd_cuspidal
-from .product import cd_product, cd_product_all  # noqa: F401  cd_product: see ROADMAP item 6
+from .product import cd_product, cd_product_all  # noqa: F401  cd_product: see ROADMAP item 7
 from .matroid import (
     Matroid,
     is_connected_split,

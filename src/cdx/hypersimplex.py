@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import InvalidParams
 from .memo import Memo
-from .ncpoly import C, NcPoly, add_scaled, chain_sum
+from .ncpoly import C, NcPoly, chain_sum
 
 
 def face_type_counts(k, n):
@@ -88,22 +88,20 @@ def factor_faces(k, h):
 
 def _compute(k, n):
     # recursion run for the given k as-is; duality tests call both sides
-    groups = {}
-    for (i, j), count in face_type_counts(k, n).items():
-        add_scaled(groups.setdefault(i + j, {}), cd_hypersimplex(k - i, n - i - j), count)
-    return chain_sum(n - 1, comb(n, k), groups)
+    faces = [(i + j, cd_hypersimplex(k - i, n - i - j), count)
+             for (i, j), count in face_type_counts(k, n).items()]
+    return chain_sum(n - 1, comb(n, k), faces)
 
 
 def _product(k1, n1, k2, n2):
     dim = n1 + n2 - 2
-    groups = {}
+    faces = []
     for a, m1, ct1 in factor_faces(k1, n1):
         for b, m2, ct2 in factor_faces(k2, n2):
             c = dim - (m1 - 1) - (m2 - 1)
             if 0 < c < dim:  # not the product itself, not a vertex
-                add_scaled(groups.setdefault(c, {}),
-                           cd_hypersimplex_product(a, m1, b, m2), ct1 * ct2)
-    return chain_sum(dim, comb(n1, k1) * comb(n2, k2), groups)
+                faces.append((c, cd_hypersimplex_product(a, m1, b, m2), ct1 * ct2))
+    return chain_sum(dim, comb(n1, k1) * comb(n2, k2), faces)
 
 
 MEMO = Memo(_check_key, _compute)

@@ -21,6 +21,16 @@ at position i and [i in S] + [i+1 in S] for a d at positions i, i+1.
 The way back peels the same factors off the flag sums, first letter
 first, so ab -> cd is a subset-sum pass over the ab coefficients and
 then that peel.
+
+The recursions' kernel, chain_sum, works on coefficient lists instead
+of word dicts.  cd_order(d) lists the cd words of degree d with the
+last letter most significant, so the words ending in a cd word u form
+one block whose prefixes follow cd_order(d - degree of u).  A face's
+cd-index times a chain weight g_cd(t) is then one pass over the face's
+list per nonzero word of the sparse weight, at that word's block; the
+weight's words with a trailing b go to a second, residue list, which
+must end up zero.  Coefficients stay exact Python ints: they reach 56
+bits at dimension 19 and grow with the dimension.
 """
 
 import re
@@ -53,7 +63,7 @@ def word_key(w):
 class NcPoly:
     """Integer combination of words over the alphabet abcd."""
 
-    __slots__ = ("_t",)
+    __slots__ = ("_t", "_vec")
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -373,10 +383,13 @@ def emve_mixed(dim, num_vertices):
         raise InvalidParams("a polytope has at least one vertex")
     if dim == 0:
         return NcPoly.one()
+    return _e_mixed(dim) + num_vertices * g_cd(dim - 1)
+
+
+def _e_mixed(dim):
+    """(a-b)^dim with every b a trailing letter."""
     head = _csq_minus_2d_pow(dim // 2)
-    if dim % 2:
-        head = _csq_minus_2d_pow(dim // 2) * (C - 2 * B)
-    return head + num_vertices * g_cd(dim - 1)
+    return head * (C - 2 * B) if dim % 2 else head
 
 
 def add_scaled(acc, p, k):
@@ -404,19 +417,145 @@ def from_terms(t):
     return out
 
 
-def chain_sum(dim, f0, groups):
+@cache
+def cd_order(d):
+    """The cd words of degree d, the last letter most significant.
+
+    The words ending in c come first, then those ending in d, each part
+    in the order of its prefixes.  So the words ending in a given cd word
+    u form one block, whose prefixes follow cd_order(d - degree of u).
+    """
+    if d < 0:
+        return ()
+    if d <= 1:
+        return ("c" * d,)
+    return tuple([w + "c" for w in cd_order(d - 1)] + [w + "d" for w in cd_order(d - 2)])
+
+
+def _block(u, d):
+    """Index in cd_order(d) of the block of words ending in the cd word u."""
+    off = 0
+    for ch in reversed(u):
+        if ch == "d":
+            off += len(cd_order(d - 1))
+        d -= 1 if ch == "c" else 2
+    return off
+
+
+def _placed(p, dim):
+    """The words of p, each a cd word or a cd word and a trailing b, as
+    (block offset, coefficient) pairs: the cd words by their block in
+    cd_order(dim), the others by the block of their cd part in
+    cd_order(dim - 1)."""
+    cd, trailing_b = [], []
+    for w, y in p._t.items():
+        if w.endswith("b"):
+            trailing_b.append((_block(w[:-1], dim - 1), y))
+        else:
+            cd.append((_block(w, dim), y))
+    return tuple(sorted(cd)), tuple(sorted(trailing_b))
+
+
+@cache
+def _weights(t, dim):
+    """The nonzero words of the chain weight g_cd(t) placed in dimension dim."""
+    return _placed(g_cd(t), dim)
+
+
+@cache
+def _head(dim):
+    """(a-b)^dim, the empty chain's term, placed in dimension dim."""
+    return _placed(_e_mixed(dim), dim)
+
+
+_SHORT = 16  # groups shorter than this take the scalar loop
+
+
+def _add_weighted(out, residue, group, placed):
+    """out, residue += group times the placed words of a weight, group a
+    coefficient list over the prefixes of their blocks."""
+    size = len(group)
+    if size < _SHORT:
+        nonzero = [(i, x) for i, x in enumerate(group) if x]
+        for acc, pairs in zip((out, residue), placed):
+            for off, y in pairs:
+                for i, x in nonzero:
+                    acc[off + i] += y * x
+        return
+    for acc, pairs in zip((out, residue), placed):
+        for off, y in pairs:
+            end = off + size
+            acc[off:end] = [a + y * x for a, x in zip(acc[off:end], group)]
+
+
+def _vector(p, deg):
+    """The coefficients of p over cd_order(deg), cached on p."""
+    got = getattr(p, "_vec", None)
+    if got is None or got[0] != deg:
+        t = p._t
+        vec = tuple([t.get(w, 0) for w in cd_order(deg)])
+        if len(vec) - vec.count(0) != len(t):
+            raise InvalidParams("a face cd-index is not a cd polynomial of degree %d" % deg)
+        got = p._vec = (deg, vec)
+    return got[1]
+
+
+def chain_sum(dim, f0, faces):
     """cd-index of a polytope P of dimension dim with f0 vertices.
 
     Psi(P) is the cd part of emve_mixed(dim, f0) plus, over the faces F
     with 1 <= dim F < dim, Psi(F) times the chain weight g_cd(c - 1) of
-    its codimension c = dim - dim F.  groups maps each c to the term dict
-    of Psi(F) summed over the faces of codimension c, so each group is
-    multiplied once, into one accumulator in place.
+    its codimension c = dim - dim F.  faces lists (c, Psi(F), count)
+    triples.  The counts of the same face polynomial object (as a memo
+    table returns it) are summed per codimension first, and each
+    codimension's faces are summed into one coefficient list over
+    cd_order(dim - c).
+
+    Every sum works on coefficient lists.  A cd word u of g_cd(c - 1)
+    times the group lands on the block of the words ending in u, so
+    each nonzero u adds its coefficient times the group there in one
+    pass; the (offset, coefficient) pairs are cached per (c - 1, dim).
+    The empty chain is the group [1] times (a-b)^dim, and the vertices
+    the group [f0] at codimension dim.  The words
+    with a trailing b go to a second list over cd_order(dim - 1) by
+    their cd part; the result is a cd polynomial exactly when that list
+    ends up zero (Stanley, 1994), and otherwise NotCdEquivalent names
+    the first residue word by word_key.
     """
-    acc = dict(emve_mixed(dim, f0)._t)
+    if dim < 0:
+        raise InvalidParams("dimension must be >= 0")
+    if f0 < 1:
+        raise InvalidParams("a polytope has at least one vertex")
+    groups = {}  # codimension -> {id(face): [face, count]}
+    for c, face, count in faces:
+        if not 0 < c < dim:
+            raise InvalidParams("a face of codimension %d in dimension %d" % (c, dim))
+        group = groups.setdefault(c, {})
+        entry = group.get(id(face))
+        if entry is None:
+            group[id(face)] = [face, count]
+        else:
+            entry[1] += count
+    if dim == 0:
+        return NcPoly.one()
+    out = [0] * len(cd_order(dim))
+    residue = [0] * len(cd_order(dim - 1))
+    _add_weighted(out, residue, [1], _head(dim))
+    _add_weighted(out, residue, [f0], _weights(dim - 1, dim))
     for c, group in groups.items():
-        add_product(acc, group, g_cd(c - 1))
-    return normalize_mixed(from_terms(acc))
+        vec = None
+        for face, count in group.values():
+            v = _vector(face, dim - c)
+            vec = ([count * x for x in v] if vec is None
+                   else [a + count * x for a, x in zip(vec, v)])
+        _add_weighted(out, residue, vec, _weights(c - 1, dim))
+    if any(residue):
+        w, y = min((w, y) for w, y in zip(cd_order(dim - 1), residue) if y)
+        raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (y, w))
+    p = NcPoly.__new__(NcPoly)
+    p._t = {w: y for w, y in zip(cd_order(dim), out) if y}
+    p._vec = (dim, tuple(out))
+    return p
 
 
 _TRAILING = re.compile(r"^[cd]*b?$")

@@ -1,3 +1,4 @@
+import hashlib
 from functools import cache
 from math import comb
 
@@ -14,7 +15,7 @@ from cdx.cuspidal import (
     vertex_count,
 )
 from cdx.errors import InvalidParams
-from cdx.hypersimplex import cd_hypersimplex, factor_faces
+from cdx.hypersimplex import cd_hypersimplex, cd_hypersimplex_product, factor_faces
 from cdx.matroid import is_connected_split, split_profile
 from cdx.ncpoly import NcPoly, emve_mixed, g_cd, normalize_mixed
 from cdx.oracle import oracle_cd_index
@@ -75,6 +76,24 @@ def reference_cuspidal(k, n, r, h):
 def test_grouped_recursion_matches_the_per_face_type_sum():
     for key in valid_keys(10):
         assert _compute(*key) == reference_cuspidal(*key), key
+
+
+# sha256 of .text() for keys above the range of the reference recursions,
+# recorded with the chain sum on word dicts, an independent implementation
+PINNED = [
+    (cd_cuspidal, (7, 14, 3, 7), "4cc6ba3d831c6b79cf504f49bbf4965455f2dfe673442b0870ff3dfb0b752891"),
+    (cd_cuspidal, (8, 16, 7, 8), "90c4658bad85aac512f6b8fddd01098830c7f091d9b1b348238bbd600248bf99"),
+    (cd_cuspidal, (8, 16, 4, 8), "01073428763d6076adcd5709d90468b43e8a1382d9abba8b436d0dc9dcd1a9ca"),
+    (cd_hypersimplex_product, (3, 7, 4, 10),
+     "43a21feac6effd81f33931be25ec02033db52bc084fc39bd51bbf03dd2666c0d"),
+    (cd_hypersimplex_product, (4, 9, 4, 9),
+     "f00d0753edca7693cea3e517213e187c9434ad4e18b1fb4288c4212f95e6e221"),
+]
+
+
+def test_pinned_digests_above_the_reference_range():
+    for fn, key, digest in PINNED:
+        assert hashlib.sha256(fn(*key).text().encode()).hexdigest() == digest, key
 
 
 def test_key_validation():

@@ -20,12 +20,16 @@ from cdx.matroid import Matroid
 from cdx.ncpoly import (
     A,
     B,
+    C,
+    D,
     NcPoly,
     cd_to_ab,
+    chain_sum,
     emve_mixed,
     expand_ab,
     g_cd,
     normalize_mixed,
+    word_key,
 )
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product
@@ -97,6 +101,32 @@ def test_grouped_recursion_matches_the_per_face_type_sum():
     for n in range(2, 15):
         for k in range(1, n):
             assert _compute(k, n) == reference_hypersimplex(k, n), (k, n)
+
+
+def test_chain_sum_raises_on_a_residue_after_collecting_trailing_b():
+    # the (2, 5) hypersimplex with one vertex too many or too few: the
+    # residue is off times the trailing-b words of g_cd(3), and the kernel
+    # names the first by word_key, as normalize_mixed does on that count
+    faces = [(i + j, cd_hypersimplex(2 - i, 5 - i - j), count)
+             for (i, j), count in face_type_counts(2, 5).items()]
+    assert chain_sum(4, comb(5, 2), faces) == cd_hypersimplex(2, 5)
+    first = min((w for w in g_cd(3).words() if w.endswith("b")), key=word_key)
+    for off in (1, -1):
+        want = "residue %d*%s after collecting trailing b" % (off * g_cd(3).coeff(first), first)
+        with pytest.raises(NotCdEquivalent) as err:
+            chain_sum(4, comb(5, 2) + off, faces)
+        assert str(err.value) == want
+        with pytest.raises(NotCdEquivalent) as err:
+            normalize_mixed(reference_chain_count(2, 5) + off * g_cd(3))
+        assert str(err.value) == want
+
+
+def test_chain_sum_rejects_faces_outside_its_range():
+    for c, face in [(0, C), (4, C), (1, B), (1, cd_hypersimplex(1, 3)), (2, C + D)]:
+        with pytest.raises(InvalidParams):
+            chain_sum(4, 10, [(c, face, 1)])
+    with pytest.raises(InvalidParams):
+        chain_sum(4, 0, [])
 
 
 def test_small_values():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -20,6 +21,7 @@ from cdx.ncpoly import (
     NcPoly,
     ab_to_cd,
     cd_to_ab,
+    cd_order,
     cd_to_flag_f,
     emve_mixed,
     expand_ab,
@@ -206,6 +208,25 @@ def test_normalize_mixed():
         normalize_mixed(D * C + 3 * C * B + 2 * D * B)
     with pytest.raises(NotCdEquivalent, match=r"-2\*a is neither"):
         normalize_mixed(C * B * C - 2 * A)
+
+
+def cd_words_of_degree(d):
+    """Every cd word of degree d, from all strings over c and d."""
+    return {"".join(w) for m in range(d + 1) for w in product("cd", repeat=m)
+            if word_degree("".join(w)) == d}
+
+
+def test_cd_order_lists_each_cd_word_once_in_suffix_blocks():
+    for d in range(13):
+        order = cd_order(d)
+        assert len(order) == len(set(order)) and set(order) == cd_words_of_degree(d), d
+        for e in range(d + 1):
+            prefixes = cd_order(d - e)
+            for u in cd_words_of_degree(e):
+                at = [i for i, w in enumerate(order) if w.endswith(u)]
+                # one block, its prefixes in the order of cd_order(d - e)
+                assert at == list(range(at[0], at[0] + len(prefixes))), (d, u)
+                assert [order[i][:len(order[i]) - len(u)] for i in at] == list(prefixes)
 
 
 def test_text_form():
