@@ -24,13 +24,15 @@ then that peel.
 
 The recursions' kernel, chain_sum, works on coefficient lists instead
 of word dicts.  cd_order(d) lists the cd words of degree d with the
-last letter most significant, so the words ending in a cd word u form
-one block whose prefixes follow cd_order(d - degree of u).  A face's
-cd-index times a chain weight g_cd(t) is then one pass over the face's
-list per nonzero word of the sparse weight, at that word's block; the
-weight's words with a trailing b go to a second, residue list, which
-must end up zero.  Coefficients stay exact Python ints: they reach 56
-bits at dimension 19 and grow with the dimension.
+last letter most significant: those ending in c in the order of
+cd_order(d - 1), then those ending in d in the order of cd_order(d - 2).
+So a list over cd_order(d - 1) times c is the start of cd_order(d),
+and a list over cd_order(d - 2) times d the part from offset
+len(cd_order(d - 1)) on.  chain_sum runs Horner's rule in (a-b)^2 on
+a state p0 + p1 b, p0 and p1 such lists, two codimensions a step, and
+builds no chain weight; p1, the words with a trailing b, must end up
+zero.  Coefficients stay exact Python ints: they reach 56 bits at
+dimension 19 and grow with the dimension.
 """
 
 import re
@@ -432,62 +434,6 @@ def cd_order(d):
     return tuple([w + "c" for w in cd_order(d - 1)] + [w + "d" for w in cd_order(d - 2)])
 
 
-def _block(u, d):
-    """Index in cd_order(d) of the block of words ending in the cd word u."""
-    off = 0
-    for ch in reversed(u):
-        if ch == "d":
-            off += len(cd_order(d - 1))
-        d -= 1 if ch == "c" else 2
-    return off
-
-
-def _placed(p, dim):
-    """The words of p, each a cd word or a cd word and a trailing b, as
-    (block offset, coefficient) pairs: the cd words by their block in
-    cd_order(dim), the others by the block of their cd part in
-    cd_order(dim - 1)."""
-    cd, trailing_b = [], []
-    for w, y in p._t.items():
-        if w.endswith("b"):
-            trailing_b.append((_block(w[:-1], dim - 1), y))
-        else:
-            cd.append((_block(w, dim), y))
-    return tuple(sorted(cd)), tuple(sorted(trailing_b))
-
-
-@cache
-def _weights(t, dim):
-    """The nonzero words of the chain weight g_cd(t) placed in dimension dim."""
-    return _placed(g_cd(t), dim)
-
-
-@cache
-def _head(dim):
-    """(a-b)^dim, the empty chain's term, placed in dimension dim."""
-    return _placed(_e_mixed(dim), dim)
-
-
-_SHORT = 16  # groups shorter than this take the scalar loop
-
-
-def _add_weighted(out, residue, group, placed):
-    """out, residue += group times the placed words of a weight, group a
-    coefficient list over the prefixes of their blocks."""
-    size = len(group)
-    if size < _SHORT:
-        nonzero = [(i, x) for i, x in enumerate(group) if x]
-        for acc, pairs in zip((out, residue), placed):
-            for off, y in pairs:
-                for i, x in nonzero:
-                    acc[off + i] += y * x
-        return
-    for acc, pairs in zip((out, residue), placed):
-        for off, y in pairs:
-            end = off + size
-            acc[off:end] = [a + y * x for a, x in zip(acc[off:end], group)]
-
-
 def _vector(p, deg):
     """The coefficients of p over cd_order(deg), cached on p."""
     got = getattr(p, "_vec", None)
@@ -503,23 +449,31 @@ def _vector(p, deg):
 def chain_sum(dim, f0, faces):
     """cd-index of a polytope P of dimension dim with f0 vertices.
 
-    Psi(P) is the cd part of emve_mixed(dim, f0) plus, over the faces F
-    with 1 <= dim F < dim, Psi(F) times the chain weight g_cd(c - 1) of
-    its codimension c = dim - dim F.  faces lists (c, Psi(F), count)
-    triples.  The counts of the same face polynomial object (as a memo
-    table returns it) are summed per codimension first, and each
-    codimension's faces are summed into one coefficient list over
-    cd_order(dim - c).
+    Psi(P) is the cd part of the stratified chain count
 
-    Every sum works on coefficient lists.  A cd word u of g_cd(c - 1)
-    times the group lands on the block of the words ending in u, so
-    each nonzero u adds its coefficient times the group there in one
-    pass; the (offset, coefficient) pairs are cached per (c - 1, dim).
-    The empty chain is the group [1] times (a-b)^dim, and the vertices
-    the group [f0] at codimension dim.  The words
-    with a trailing b go to a second list over cd_order(dim - 1) by
-    their cd part; the result is a cd polynomial exactly when that list
-    ends up zero (Stanley, 1994), and otherwise NotCdEquivalent names
+        (a-b)^dim + sum over c of V_c b(a-b)^(c-1),
+
+    V_c the sum of the cd-indices of the faces of codimension c and
+    V_dim = f0.  faces lists (c, Psi(F), count) triples, 1 <= c < dim.
+    The counts of the same face polynomial object (as a memo table
+    returns it) are summed per codimension first, and each codimension's
+    faces are summed into one coefficient list over cd_order(dim - c).
+
+    The count is built by Horner's rule in (a-b)^2, two codimensions a
+    step, from X = 1 (dim even) or X = (c - 2b) + f0 b (dim odd).  The
+    state X = p0 + p1 b holds p0 over cd_order(e) and p1 over
+    cd_order(e - 1), and by b(a-b)^2 = (a-b)^2 b + dc - cd one step is
+
+        X (a-b)^2 + V b(a-b) + W b
+            = p0 (cc-2d) + p1 (dc-cd) + V d + (p1 (cc-2d) - V c + W) b
+
+    with V and W the face sums of degrees e and e + 1.  In
+    cd_order(e + 2), p0 cc fills the start, p1 dc follows at offset
+    len(cd_order(e)), and p0 d, p1 cd and V d land at offset
+    len(cd_order(e + 1)); the new p1 fills cd_order(e + 1) the same way.
+    So a step is a few list concatenations and comprehensions, and no
+    chain weight is built.  The result is a cd polynomial exactly when
+    p1 ends up zero (Stanley, 1994), and otherwise NotCdEquivalent names
     the first residue word by word_key.
     """
     if dim < 0:
@@ -538,23 +492,30 @@ def chain_sum(dim, f0, faces):
             entry[1] += count
     if dim == 0:
         return NcPoly.one()
-    out = [0] * len(cd_order(dim))
-    residue = [0] * len(cd_order(dim - 1))
-    _add_weighted(out, residue, [1], _head(dim))
-    _add_weighted(out, residue, [f0], _weights(dim - 1, dim))
+    sums = {dim: [f0]}
     for c, group in groups.items():
         vec = None
         for face, count in group.values():
             v = _vector(face, dim - c)
             vec = ([count * x for x in v] if vec is None
                    else [a + count * x for a, x in zip(vec, v)])
-        _add_weighted(out, residue, vec, _weights(c - 1, dim))
-    if any(residue):
-        w, y = min((w, y) for w, y in zip(cd_order(dim - 1), residue) if y)
+        sums[c] = vec
+    e, p0, p1 = (1, [1], [f0 - 2]) if dim % 2 else (0, [1], [])
+    while e < dim:
+        size, short = len(p0), len(p1)
+        v = sums.get(dim - e) or [0] * size
+        w = sums.get(dim - e - 1) or [0] * (size + short)
+        tail = p1 + [0] * (size - short)
+        p0, p1 = (p0 + p1 + [y - 2 * x - z for x, z, y in zip(p0, tail, v)],
+                  [a - y + z for a, y, z in zip(w, v, tail)]
+                  + [a - 2 * z for a, z in zip(w[size:], p1)])
+        e += 2
+    if any(p1):
+        w, y = min((w, y) for w, y in zip(cd_order(dim - 1), p1) if y)
         raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (y, w))
     p = NcPoly.__new__(NcPoly)
-    p._t = {w: y for w, y in zip(cd_order(dim), out) if y}
-    p._vec = (dim, tuple(out))
+    p._t = {w: y for w, y in zip(cd_order(dim), p0) if y}
+    p._vec = (dim, tuple(p0))
     return p
 
 

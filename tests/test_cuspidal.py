@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from cdx import cuspidal, hypersimplex, ncpoly
 from cdx.cuspidal import (
     CuspidalKey,
     _compute,
@@ -93,6 +94,24 @@ PINNED = [
 
 def test_pinned_digests_above_the_reference_range():
     for fn, key, digest in PINNED:
+        assert hashlib.sha256(fn(*key).text().encode()).hexdigest() == digest, key
+
+
+def test_the_recursions_build_no_chain_weight(monkeypatch):
+    # sha256 of .text(), each value equal to its reference recursion
+    want = [
+        (cd_hypersimplex, (5, 11), "2c3037a72157dcb1d7e71978ac5806230db7cc3ebd2122b5b10ab296ebe41fae"),
+        (cd_cuspidal, (5, 12, 3, 6), "0acd84f5fcae9cd2c8c7a125c9a13a9ad3b6d623b9f24d62036a53c12505dc3e"),
+    ] + [entry for entry in PINNED if entry[1] == (3, 7, 4, 10)]
+
+    def refuse(*args):
+        raise AssertionError("chain weight built for %r" % (args,))
+
+    monkeypatch.setattr(ncpoly, "g_cd", refuse)
+    monkeypatch.setattr(ncpoly, "_e_mixed", refuse)
+    hypersimplex.memo_clear()
+    cuspidal.memo_clear()
+    for fn, key, digest in want:
         assert hashlib.sha256(fn(*key).text().encode()).hexdigest() == digest, key
 
 

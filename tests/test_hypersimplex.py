@@ -4,6 +4,8 @@ from math import comb
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdx.errors import InvalidParams, NotCdEquivalent
 from cdx import hypersimplex
@@ -23,6 +25,7 @@ from cdx.ncpoly import (
     C,
     D,
     NcPoly,
+    cd_order,
     cd_to_ab,
     chain_sum,
     emve_mixed,
@@ -119,6 +122,68 @@ def test_chain_sum_raises_on_a_residue_after_collecting_trailing_b():
         with pytest.raises(NotCdEquivalent) as err:
             normalize_mixed(reference_chain_count(2, 5) + off * g_cd(3))
         assert str(err.value) == want
+
+
+@st.composite
+def chain_sum_inputs(draw):
+    """(dim, f0, faces) for chain_sum: either the faces of a hypersimplex
+    of dimension dim, its vertex count off by at most one, or random cd
+    faces, none to two per codimension.  Some triples are split in two
+    that list the same face object."""
+    dim = draw(st.integers(0, 12))
+    if dim and draw(st.booleans()):
+        n = dim + 1
+        k = draw(st.integers(1, dim))
+        f0 = max(1, comb(n, k) + draw(st.sampled_from([0, 0, 1, -1])))
+        faces = [(i + j, cd_hypersimplex(k - i, n - i - j), count)
+                 for (i, j), count in face_type_counts(k, n).items()]
+    else:
+        f0 = draw(st.integers(1, 60))
+        rnd = draw(st.randoms(use_true_random=False))
+        faces = []
+        for c in range(1, dim):
+            for _ in range(draw(st.integers(0, 2))):
+                face = NcPoly([(w, rnd.randint(-9, 40)) for w in cd_order(dim - c)
+                               if rnd.random() < 0.7])
+                if face:
+                    faces.append((c, face, draw(st.integers(1, 30))))
+    out = []
+    for c, face, count in faces:
+        if draw(st.booleans()):
+            part = draw(st.integers(0, count))
+            out += [(c, face, part), (c, face, count - part)]
+        else:
+            out.append((c, face, count))
+    return dim, f0, out
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(chain_sum_inputs())
+def test_chain_sum_equals_the_reference_chain_count(args):
+    dim, f0, faces = args
+    acc = emve_mixed(dim, f0)
+    for c, face, count in faces:
+        acc = acc + count * (face * g_cd(c - 1))
+    try:
+        want = normalize_mixed(acc)
+    except NotCdEquivalent as err:
+        with pytest.raises(NotCdEquivalent) as got:
+            chain_sum(dim, f0, faces)
+        assert str(got.value) == str(err)
+    else:
+        assert chain_sum(dim, f0, faces) == want
+
+
+def test_chain_sum_in_low_dimensions_of_both_parities():
+    assert chain_sum(0, 1, []) == NcPoly.one()
+    assert chain_sum(1, 2, []) == C  # a segment
+    for m in range(3, 9):  # an m-gon
+        assert chain_sum(2, m, [(1, C, m)]) == C * C + (m - 2) * D
+    assert chain_sum(3, 4, [(1, C * C + D, 4), (2, C, 6)]) == cd_hypersimplex(1, 4)
+    with pytest.raises(NotCdEquivalent, match=r"^residue 1\*b after"):
+        chain_sum(1, 3, [])
+    with pytest.raises(NotCdEquivalent, match=r"^residue -1\*cb after"):
+        chain_sum(2, 4, [(1, C, 3)])
 
 
 def test_chain_sum_rejects_faces_outside_its_range():
