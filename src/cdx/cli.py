@@ -293,23 +293,24 @@ def _sparse_paving_instances(n, k):
     with at most three circuit hyperplanes."""
     if k < 2 or n - k < 2:
         return
-    ground = range(n)
-    subsets = list(combinations(ground, k))
+    # k-sets in combinations order, which is the order their tuples sort in,
+    # so a later index is a larger tuple; each is met through its bitmask
+    subsets = list(combinations(range(n), k))
+    masks = [sum(1 << e for e in c) for c in subsets]
     seen = {}
 
-    def ok_pair(f, g):
-        return len(set(f) & set(g)) <= k - 2
+    def ok_pair(i, j):
+        return (masks[i] & masks[j]).bit_count() <= k - 2
 
-    def mu_of(chs):
-        return sum(
-            1 for i in range(len(chs)) for j in range(i + 1, len(chs))
-            if len(set(chs[i]) & set(chs[j])) == k - 2
-        )
+    def mu_of(chosen):
+        return sum(1 for i, j in combinations(chosen, 2)
+                   if (masks[i] & masks[j]).bit_count() == k - 2)
 
-    def emit(chs):
-        sig = (len(chs), mu_of(chs))
+    def emit(chosen):
+        sig = (len(chosen), mu_of(chosen))
         if sig in seen:
             return
+        chs = [subsets[i] for i in chosen]
         try:
             M = matroid.sparse_paving(n, k, chs)
         except CdxError:
@@ -319,18 +320,17 @@ def _sparse_paving_instances(n, k):
         seen[sig] = (chs, M)
 
     # the ground set is symmetric, so the first hyperplane can be fixed
-    first = subsets[0]
-    emit([first])
-    for g in subsets:
-        if g != first and ok_pair(first, g):
-            emit([first, g])
+    emit([0])
+    for g in range(1, len(subsets)):
+        if ok_pair(0, g):
+            emit([0, g])
     want3 = {(3, m) for m in range(4)}
-    for g in subsets:
-        if g == first or not ok_pair(first, g):
+    for g in range(1, len(subsets)):
+        if not ok_pair(0, g):
             continue
-        for h in subsets:
-            if h > g and h != first and ok_pair(first, h) and ok_pair(g, h):
-                emit([first, g, h])
+        for h in range(g + 1, len(subsets)):
+            if ok_pair(0, h) and ok_pair(g, h):
+                emit([0, g, h])
         if want3 <= set(seen):
             break
     for sig in sorted(seen):

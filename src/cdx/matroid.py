@@ -6,14 +6,18 @@ is desk scale: subset enumeration caps at n = 12, and the matroid axiom
 check reads one rank table per connected component.
 
 Up to that cap each matroid computes the rank of every subset once, on
-first use, into a table of 2^n bytes (4 KB at n = 12).  A downward pass
-from the basis masks marks the independent sets; an upward pass gives
-an independent set its size and any other set the largest rank among
-its one-smaller subsets.  That is O(2^n n) work, and for any basis
-family it equals max |B & S| over the bases B.  Rank queries, closures,
-the axiom check and the cyclic flat sweep read this table.  Above the
-cap ``rank_of`` scans the bases per query, and asking for the table or
-the cyclic flats raises ScaleExceeded.
+first use, into a table of 2^n bytes (4 KB at n = 12), indexed by mask.
+For each element e, the sets without e and the sets with e are two
+basic-slice views of such a numpy array (``_halves``).  n in-place ORs
+of the with-e view into the without-e view mark every subset of a basis
+independent; an independent set's rank is its size, and n in-place
+maxima of the without-e view into the with-e view give any other set the
+largest rank below it.  For any basis family that equals max |B & S|
+over the bases B.  Rank queries, closures, the axiom check and the
+cyclic flat sweep read this table, the last two by O(n) whole-array
+steps on the same views.  Above the cap ``rank_of`` scans the bases per
+query, and asking for the table or the cyclic flats, or building from
+cyclic flats, raises ScaleExceeded.
 """
 
 from itertools import combinations
@@ -52,6 +56,47 @@ def _bits(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _halves(a, e):
+    """The sets without e and the sets with e, as two views of an array
+    indexed by subset mask: reshaped to (2^(n-e-1), 2, 2^e) it has bit e
+    on the middle axis.  Indexing that axis keeps the other two, so even
+    at n = 1 both halves are views, not scalars."""
+    v = a.reshape(-1, 2, 1 << e)
+    return v[:, 0], v[:, 1]
+
+
+def _sizes(n):
+    """|S| for every subset mask S, as uint8."""
+    import numpy as np
+
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    for e in range(n):
+        _, with_e = _halves(sizes, e)
+        with_e += 1
+    return sizes
+
+
+def _not_submodular(grows, labels):
+    """NotAMatroid naming S, x, y where bit x of grows[S] (D_x(S)) is
+    clear and bit x of grows[S+y] is set, on the elements labels: the
+    first pair x < y, then the smallest mask S.  The inequality is
+    symmetric in x and y, so the pair is x in the violations along y."""
+    import numpy as np
+
+    n = len(labels)
+    along = []
+    for y in range(n):
+        without_y, with_y = _halves(grows, y)
+        along.append(int(np.bitwise_or.reduce(with_y & ~without_y, axis=None)))
+    x, y = min((x, y) for y in range(n) for x in _bits(along[y]) if x < y)
+    masks = np.arange(1 << n)
+    s = masks[masks & (1 << x | 1 << y) == 0]
+    bad = s[(grows[s | 1 << y] & ~grows[s]) >> x & 1 == 1]
+    S = _shown(labels[e] for e in _bits(int(bad[0])))
+    return NotAMatroid("rank not submodular: r(S+x) + r(S+y) < r(S+x+y) + r(S) at "
+                       "S=%r, x=%d, y=%d" % (S, labels[x] + 1, labels[y] + 1))
 
 
 class CyclicFlat(NamedTuple):
@@ -107,7 +152,9 @@ class Matroid:
 
         Keeps every k-subset B with |B & F| <= rank(F) for each given
         flat, checks the matroid axioms, then re-derives the cyclic flats
-        and checks they match the input family.
+        and checks they match the input family.  Above the subset cap the
+        re-derivation is out of reach, so that raises ScaleExceeded before
+        any set is enumerated.
         """
         if n < 1 or n > 64 or rank < 0 or rank > n:
             raise InvalidParams("need 1 <= n <= 64 and 0 <= rank <= n")
@@ -119,8 +166,16 @@ class Matroid:
             if fm == 0 or fm == (1 << n) - 1:
                 raise InvalidParams("cyclic flat presentations list proper nonempty flats only")
             fam.append((fm, r))
-        masks = {bm for bm in cls.uniform(rank, n)._bases
-                 if all((bm & fm).bit_count() <= r for fm, r in fam)}
+        if n > _ENUM_CAP:
+            raise ScaleExceeded("rank tables capped at n=%d" % _ENUM_CAP)
+        import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
+
+        sizes = _sizes(n)
+        subsets = np.arange(1 << n, dtype=np.uint16)
+        keep = sizes == rank
+        for fm, r in fam:
+            keep &= sizes[subsets & fm] <= r
+        masks = set(np.flatnonzero(keep).tolist())
         if not masks:
             raise EmptyMatroid("the given cyclic flats cut out no bases")
         M = cls(n, rank, masks)
@@ -163,25 +218,31 @@ class Matroid:
         equal-size sets, a rank table r(S) = max |B & S| is a matroid's rank
         function, with exactly those sets as bases, iff r(S+x) + r(S+y) >=
         r(S+x+y) + r(S) for all S and x, y outside S; each component's table
-        is checked.  The component ranks must add up to self.rank, so each
-        basis meets each component in its rank, and the bases must be all
-        combinations of the components' bases."""
+        is checked.  In such a table D_x(S) = r(S+x) - r(S) is 0 or 1, and
+        the inequality says D_x(S) >= D_x(S+y).  So with D_x(S) for all x
+        at once as the bits of one integer per S, no bit may appear when
+        any y is added, which is n array steps.  The component ranks must
+        add up to self.rank, so each basis meets each component in its
+        rank, and the bases must be all combinations of the components'
+        bases."""
         import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
 
         comps = self.component_sets()
         count, rank = 1, 0
         for comp in comps:
             sub, labels = self.restriction_to_component(comp), sorted(comp)
-            r = np.frombuffer(sub._rank_table(), dtype=np.uint8)  # ranks <= 12: no uint8 wrap
-            masks = np.arange(1 << sub.n)
-            for x, y in combinations(range(sub.n), 2):
-                bx, by = 1 << x, 1 << y
-                s = masks[masks & (bx | by) == 0]
-                bad = s[r[s | bx] + r[s | by] < r[s | bx | by] + r[s]]
-                if bad.size:
-                    S = _shown(labels[e] for e in _bits(int(bad[0])))
-                    raise NotAMatroid("rank not submodular: r(S+x) + r(S+y) < r(S+x+y) + r(S) at "
-                                      "S=%r, x=%d, y=%d" % (S, labels[x] + 1, labels[y] + 1))
+            n = sub.n
+            r = np.frombuffer(sub._rank_table(), dtype=np.uint8)
+            # bit x: D_x(S), clear for S with x; n <= 12, as _rank_table checks
+            grows = np.zeros(1 << n, dtype=np.uint16)
+            for x in range(n):
+                without_x, with_x = _halves(r, x)
+                grows_without_x, _ = _halves(grows, x)
+                grows_without_x |= np.left_shift(without_x < with_x, x, dtype=np.uint16)
+            for y in range(n):
+                without_y, with_y = _halves(grows, y)
+                if np.any(with_y & ~without_y):
+                    raise _not_submodular(grows, labels)
             count *= len(sub._bases)
             rank += sub.rank
         if (count, rank) != (len(self._bases), self.rank):
@@ -195,32 +256,19 @@ class Matroid:
         if self._ranks is None:
             if self.n > _ENUM_CAP:
                 raise ScaleExceeded("rank tables capped at n=%d" % _ENUM_CAP)
-            full = 1 << self.n
-            indep = bytearray(full)
-            for b in self._bases:
-                indep[b] = 1
-            for m in range(full - 1, 0, -1):
-                if indep[m]:
-                    t = m
-                    while t:
-                        low = t & -t
-                        indep[m ^ low] = 1
-                        t ^= low
-            ranks = bytearray(full)
-            for m in range(1, full):
-                if indep[m]:
-                    ranks[m] = m.bit_count()
-                    continue
-                best = 0
-                t = m
-                while t:
-                    low = t & -t
-                    r = ranks[m ^ low]
-                    if r > best:
-                        best = r
-                    t ^= low
-                ranks[m] = best
-            self._ranks = bytes(ranks)
+            import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
+
+            indep = np.zeros(1 << self.n, dtype=np.bool_)
+            indep[np.fromiter(self._bases, dtype=np.intp, count=len(self._bases))] = True
+            for e in range(self.n):
+                without_e, with_e = _halves(indep, e)
+                without_e |= with_e
+            ranks = _sizes(self.n)
+            ranks *= indep
+            for e in range(self.n):
+                without_e, with_e = _halves(ranks, e)
+                np.maximum(with_e, without_e, out=with_e)
+            self._ranks = ranks.tobytes()
         return self._ranks
 
     def rank_of(self, subset):
@@ -246,18 +294,18 @@ class Matroid:
         its rank when any one element is removed.
         """
         if self._cyclic is None:
+            import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
+
             ranks = self._rank_table()
-            full = (1 << self.n) - 1
-            out = []
-            for m in range(full + 1):
-                r = ranks[m]
-                if m and r == m.bit_count():
-                    continue  # nonempty and independent, so not cyclic
-                if any(ranks[m | (1 << e)] == r for e in _bits(full ^ m)):
-                    continue
-                if any(ranks[m ^ (1 << e)] != r for e in _bits(m)):
-                    continue
-                out.append(CyclicFlat(frozenset(_bits(m)), r))
+            r = np.frombuffer(ranks, dtype=np.uint8)
+            keep = np.ones(r.shape, dtype=np.bool_)
+            for e in range(self.n):
+                without_e, with_e = _halves(r, e)
+                keep_without, keep_with = _halves(keep, e)
+                keep_without &= without_e < with_e
+                keep_with &= without_e == with_e
+            out = [CyclicFlat(frozenset(_bits(m)), ranks[m])
+                   for m in np.flatnonzero(keep).tolist()]
             out.sort(key=lambda f: (len(f.elements), sorted(f.elements)))
             self._cyclic = out
         return list(self._cyclic)

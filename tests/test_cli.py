@@ -99,6 +99,17 @@ def test_exit_code_scale(capsys):
     assert "SCALE_EXCEEDED" in err
 
 
+def test_exit_code_scale_for_a_cyclic_flats_file_above_the_cap(capsys, tmp_path):
+    p = tmp_path / "n13.json"
+    p.write_text(json.dumps({
+        "n": 13, "rank": 6, "cyclic_flats": [{"set": [1, 2, 3, 4, 5, 6], "rank": 5}],
+    }))
+    rc, out, err = run(capsys, "compute", "--file", str(p))
+    assert rc == 4
+    assert out == ""
+    assert "SCALE_EXCEEDED" in err and "capped at n=12" in err
+
+
 def test_verify_small(capsys):
     rc, out, _ = run(capsys, "verify", "--max-n", "4")
     assert rc == 0

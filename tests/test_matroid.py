@@ -105,6 +105,23 @@ def test_from_cyclic_flats_wants_proper_nonempty():
         Matroid.from_cyclic_flats(4, 2, [((0, 1, 2, 3), 1)])
 
 
+def test_from_cyclic_flats_refuses_above_the_cap_before_enumerating(monkeypatch):
+    from cdx import matroid
+
+    def enumerates(*args):
+        raise AssertionError("enumerated subsets above the cap")
+
+    monkeypatch.setattr(Matroid, "uniform", classmethod(enumerates))
+    monkeypatch.setattr(matroid, "_sizes", enumerates)
+    with pytest.raises(ScaleExceeded, match="rank tables capped at n=12"):
+        Matroid.from_cyclic_flats(20, 10, [(range(5), 3)])
+    with pytest.raises(ScaleExceeded, match="rank tables capped at n=12"):
+        Matroid.from_cyclic_flats(13, 6, [])
+    # a malformed flat is still reported as such
+    with pytest.raises(InvalidParams):
+        Matroid.from_cyclic_flats(13, 6, [((0, 1, 2), 7)])
+
+
 def test_from_cyclic_flats_empty_list_is_uniform():
     assert Matroid.from_cyclic_flats(4, 2, []) == Matroid.uniform(2, 4)
 

@@ -1,18 +1,23 @@
 """Properties of the matroid axiom check and the split test, on random
 k-set families and cyclic flat lists (fuzz_inputs.matroid_candidates)
-judged by a basis exchange scan in both directions."""
+judged by a basis exchange scan in both directions, and the axiom check
+against the per-pair submodularity scan it replaced."""
 
 import json
 import os
 import tempfile
 from itertools import combinations
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from cdx import cli
-from cdx.matroid import Matroid, is_connected_split
+from cdx.errors import NotAMatroid
+from cdx.matroid import Matroid, _bits, _shown, is_connected_split
 from fuzz_inputs import matroid_candidates
 from test_matroid import reference_is_connected_split
+from test_rank_table import loop_rank_table
 
 
 def candidate_family(obj):
@@ -32,6 +37,45 @@ def exchange_holds(family):
     fam = {frozenset(b) for b in family}
     return all(any(b1 - {x} | {y} in fam for y in b2 - b1)
                for b1 in fam for b2 in fam for x in b1 - b2)
+
+
+def pair_scan_check_axioms(M):
+    """The axiom check as one group of array steps per pair x < y, on the
+    loop-built rank table of each component: the first pair with a
+    violation, then its smallest S, names the witness."""
+    comps = M.component_sets()
+    count, rank = 1, 0
+    for comp in comps:
+        sub, labels = M.restriction_to_component(comp), sorted(comp)
+        r = np.frombuffer(loop_rank_table(sub), dtype=np.uint8)  # ranks <= 12: no uint8 wrap
+        masks = np.arange(1 << sub.n)
+        for x, y in combinations(range(sub.n), 2):
+            bx, by = 1 << x, 1 << y
+            s = masks[masks & (bx | by) == 0]
+            bad = s[r[s | bx] + r[s | by] < r[s | bx | by] + r[s]]
+            if bad.size:
+                S = _shown(labels[e] for e in _bits(int(bad[0])))
+                raise NotAMatroid("rank not submodular: r(S+x) + r(S+y) < r(S+x+y) + r(S) at "
+                                  "S=%r, x=%d, y=%d" % (S, labels[x] + 1, labels[y] + 1))
+        count *= len(sub.basis_masks())
+        rank += sub.rank
+    if (count, rank) != (len(M.basis_masks()), M.rank):
+        raise NotAMatroid("the bases are not those of a direct sum of matroids on "
+                          "the components %s" % [_shown(c) for c in comps])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(matroid_candidates())
+def test_axiom_check_names_the_pair_scan_witness(obj):
+    family = candidate_family(obj)
+    if not family or exchange_holds(family):
+        return
+    with pytest.raises(NotAMatroid) as scanned:
+        pair_scan_check_axioms(Matroid.from_bases(obj["n"], obj["rank"], family, validate=False))
+    with pytest.raises(NotAMatroid) as checked:
+        Matroid.from_bases(obj["n"], obj["rank"], family)
+    assert str(checked.value) == str(scanned.value), obj
 
 
 @settings(max_examples=400, deadline=None, derandomize=True,

@@ -3,8 +3,14 @@
 The reference below is the cyclic flat sweep as it was before the rank
 table: every subset's rank is the largest intersection with a basis, a
 flat is a set equal to its closure, and a cyclic set keeps its rank
-when any one element is removed.
+when any one element is removed.  The second pair of references is the
+rank table and cyclic flat sweep as Python loops over the masks, as they
+were before the numpy passes over the subset array.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -51,15 +57,76 @@ def reference_cyclic_flats(M, ranks):
     return out
 
 
+def loop_rank_table(M):
+    """A downward pass from the basis masks marks the independent sets; an
+    upward pass gives an independent set its size and any other set the
+    largest rank among its one-smaller subsets."""
+    full = 1 << M.n
+    indep = bytearray(full)
+    for b in M.basis_masks():
+        indep[b] = 1
+    for m in range(full - 1, 0, -1):
+        if indep[m]:
+            t = m
+            while t:
+                low = t & -t
+                indep[m ^ low] = 1
+                t ^= low
+    ranks = bytearray(full)
+    for m in range(1, full):
+        if indep[m]:
+            ranks[m] = m.bit_count()
+            continue
+        best = 0
+        t = m
+        while t:
+            low = t & -t
+            r = ranks[m ^ low]
+            if r > best:
+                best = r
+            t ^= low
+        ranks[m] = best
+    return bytes(ranks)
+
+
+def loop_cyclic_flats(M, ranks):
+    """A flat gains rank from every element added; a cyclic set keeps its
+    rank when any one element is removed."""
+    def bits(m):
+        return [e for e in range(M.n) if m >> e & 1]
+
+    full = (1 << M.n) - 1
+    out = []
+    for m in range(full + 1):
+        r = ranks[m]
+        if m and r == m.bit_count():
+            continue  # nonempty and independent, so not cyclic
+        if any(ranks[m | (1 << e)] == r for e in bits(full ^ m)):
+            continue
+        if any(ranks[m ^ (1 << e)] != r for e in bits(m)):
+            continue
+        out.append(CyclicFlat(frozenset(bits(m)), r))
+    out.sort(key=lambda f: (len(f.elements), sorted(f.elements)))
+    return out
+
+
 def assert_matches_reference(M, name):
     ranks = reference_ranks(M)
     assert [M.rank_of(m) for m in range(1 << M.n)] == ranks, name
     assert M.cyclic_flats() == reference_cyclic_flats(M, ranks), name
+    table = loop_rank_table(M)
+    assert M._rank_table() == table, name
+    assert M.cyclic_flats() == loop_cyclic_flats(M, table), name
+
+
+def loop_and_coloop():
+    """Element 0 a loop, 1 and 2 parallel, 3 a coloop."""
+    return Matroid.from_bases(4, 2, [(1, 3), (2, 3)])
 
 
 def test_verify_corpus_matches_reference():
-    items = cli.corpus(8)
-    assert len(items) == 186
+    items = cli.corpus(9)
+    assert len(items) == 302
     for name, M in items:
         assert_matches_reference(M, name)
 
@@ -75,10 +142,36 @@ def test_verify_corpus_matches_reference():
     # a loop (element 0) beside a uniform matroid: the only circuit through
     # 0 is {0}, and {0} is a proper cyclic flat
     lambda: Matroid.from_bases(5, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+    # one-element ground sets, where a subset array has a single axis of length 2
+    lambda: Matroid.from_bases(1, 0, [()]),
+    lambda: Matroid.from_bases(1, 1, [(0,)]),
+    loop_and_coloop,
+    lambda: loop_and_coloop().connected_components()[0],
+    lambda: loop_and_coloop().connected_components()[2],
 ], ids=["fano", "vamos", "mk4", "example-m1", "cuspidal-5-12-3-6", "sparse-12-6",
-        "loop-plus-u24"])
+        "loop-plus-u24", "loop", "coloop", "loop-parallel-pair-coloop", "its-loop",
+        "its-coloop"])
 def test_named_matroids_match_reference(make):
     assert_matches_reference(make(), "")
+
+
+def test_one_element_components_are_what_they_seem():
+    loop, pair, coloop = loop_and_coloop().connected_components()
+    assert (loop.n, loop.rank, loop._rank_table()) == (1, 0, bytes([0, 0]))
+    assert loop.cyclic_flats() == [CyclicFlat(frozenset({0}), 0)]
+    assert (coloop.n, coloop.rank, coloop._rank_table()) == (1, 1, bytes([0, 1]))
+    assert coloop.cyclic_flats() == [CyclicFlat(frozenset(), 0)]
+    assert pair.cyclic_flats() == [CyclicFlat(frozenset(), 0), CyclicFlat(frozenset({0, 1}), 1)]
+
+
+def test_importing_ncpoly_and_matroid_leaves_numpy_unloaded():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, cdx.ncpoly, cdx.matroid; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_closure_reads_the_table():
