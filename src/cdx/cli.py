@@ -366,7 +366,7 @@ def _rank2_instances(n):
                 for x in classes[i] for y in classes[j]
             ]
             name = "rank2-%s" % "+".join(str(s) for s in sizes)
-            yield (name, Matroid.from_bases(n, 2, bases, validate=False))
+            yield (name, Matroid.from_bases(n, 2, bases))
 
 
 def corpus(max_n):

@@ -22,12 +22,7 @@ from .ncpoly import NcPoly, D as _D, add_product, add_scaled, from_terms
 from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product
 from .cuspidal import cd_cuspidal
 from .product import cd_product, cd_product_all  # noqa: F401  cd_product: see ROADMAP item 7
-from .matroid import (
-    Matroid,
-    is_connected_split,
-    is_sparse_paving,
-    split_profile,
-)
+from .matroid import is_sparse_paving, split_profile
 
 def w_key(alpha, beta, a, b, n):
     (alpha, a), (beta, b) = sorted([(alpha, a), (beta, b)])
@@ -79,19 +74,14 @@ w_memo_clear = W_MEMO.clear
 
 
 def cd_split_matroid(M):
-    """Closed-formula cd-index of a connected split matroid."""
-    chk = is_connected_split(M)
-    if not chk:
-        if chk.reason.startswith("not connected"):
-            raise NotConnected(chk.reason + "; use cd_index for componentwise dispatch")
-        raise NotSplit(chk.reason)
-    return _split_formula(M)
+    """Closed-formula cd-index of a connected split matroid; NotConnected
+    or NotSplit for any other matroid."""
+    return _split_formula(split_profile(M))
 
 
-def _split_formula(M):
-    """The closed formula, for M already known to be connected and split."""
-    prof = split_profile(M)
-    k, n = M.rank, M.n
+def _split_formula(prof):
+    """The closed formula, from the SplitProfile alone."""
+    k, n = prof.k, prof.n
     out = {}
     add_scaled(out, cd_hypersimplex(k, n), 1 - sum(prof.lam.values()))
     for (r, h), cnt in prof.lam.items():
@@ -137,15 +127,17 @@ def cd_index(M, oracle_fallback=False):
 
     parts = []
     for sub in M.connected_components():
-        if is_connected_split(sub):
-            parts.append(_split_formula(sub))
-        elif oracle_fallback:
+        try:
+            prof = split_profile(sub)
+        except NotSplit:
+            if not oracle_fallback:
+                raise UnsupportedMatroid(
+                    "component on %d elements is not split; "
+                    "rerun with the oracle fallback enabled" % sub.n
+                ) from None
             parts.append(oracle.oracle_cd_index(sub))
         else:
-            raise UnsupportedMatroid(
-                "component on %d elements is not split; "
-                "rerun with the oracle fallback enabled" % sub.n
-            )
+            parts.append(_split_formula(prof))
     out = cd_product_all(parts)
     check_result(M, out)
     return out

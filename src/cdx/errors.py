@@ -45,10 +45,6 @@ class PresentationMismatch(CdxError):
     code = "PRESENTATION_MISMATCH"
 
 
-class ModularityAnomaly(CdxError):
-    code = "MODULARITY_ANOMALY"
-
-
 class NotSplit(CdxError):
     code = "NOT_SPLIT"
 

@@ -13,28 +13,27 @@ of the with-e view into the without-e view mark every subset of a basis
 independent; an independent set's rank is its size, and n in-place
 maxima of the without-e view into the with-e view give any other set the
 largest rank below it.  For any basis family that equals max |B & S|
-over the bases B.  Rank queries, closures, the axiom check and the
-cyclic flat sweep read this table, the last two by O(n) whole-array
-steps on the same views.  Above the cap ``rank_of`` scans the bases per
-query, and asking for the table or the cyclic flats, or building from
-cyclic flats, raises ScaleExceeded.
+over the bases B.  Rank queries, the axiom check and the cyclic flat
+sweep read this table, the last two by O(n) whole-array steps on the
+same views.  Above the cap ``rank_of`` scans the bases per query, and
+asking for the table or the cyclic flats, or building a connected
+uniform matroid or one from cyclic flats, raises ScaleExceeded.
 """
 
 from itertools import combinations
-from math import comb
 from typing import NamedTuple
 
 from .errors import (
     EmptyMatroid,
     InvalidParams,
-    ModularityAnomaly,
     NotAMatroid,
+    NotConnected,
+    NotSplit,
     PresentationMismatch,
     ScaleExceeded,
 )
 
 _ENUM_CAP = 12  # 2^n subset sweeps beyond this are not desk scale
-_BASIS_CAP = 2_000_000  # explicit basis enumeration cap
 
 
 def _mask(elems):
@@ -117,8 +116,9 @@ class Matroid:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_bases(cls, n, rank, bases, validate=True):
-        """Build from an iterable of bases (iterables of 0-based elements)."""
+    def from_bases(cls, n, rank, bases):
+        """Build from an iterable of bases (iterables of 0-based elements),
+        checking the matroid axioms."""
         if n < 1 or n > 64 or rank < 0 or rank > n:
             raise InvalidParams("need 1 <= n <= 64 and 0 <= rank <= n, got n=%d rank=%d" % (n, rank))
         masks = set()
@@ -132,18 +132,19 @@ class Matroid:
         if not masks:
             raise EmptyMatroid("no bases given")
         M = cls(n, rank, masks)
-        if validate:
-            M._check_axioms()
+        M._check_axioms()
         return M
 
     @classmethod
     def uniform(cls, k, n):
+        """U(k, n).  It is connected when 0 < k < n, and then its cyclic
+        flats need the rank table, so above the subset cap that raises
+        ScaleExceeded before any basis is enumerated; U(0, n) and U(n, n)
+        have one basis each."""
         if not 0 <= k <= n or n < 1 or n > 64:
             raise InvalidParams("uniform matroid needs 0 <= k <= n, 1 <= n <= 64")
-        if comb(n, k) > _BASIS_CAP:
-            raise ScaleExceeded(
-                "binom(%d,%d) bases is past desk scale (cap %d)" % (n, k, _BASIS_CAP)
-            )
+        if 0 < k < n and n > _ENUM_CAP:
+            raise ScaleExceeded("rank tables capped at n=%d" % _ENUM_CAP)
         return cls(n, k, {_mask(c) for c in combinations(range(n), k)})
 
     @classmethod
@@ -277,16 +278,6 @@ class Matroid:
             return self._rank_table()[m]
         return max((b & m).bit_count() for b in self._bases)
 
-    def closure(self, subset):
-        m = subset if isinstance(subset, int) else _mask(subset)
-        r = self.rank_of(m)
-        out = m
-        for e in range(self.n):
-            bit = 1 << e
-            if not m & bit and self.rank_of(m | bit) == r:
-                out |= bit
-        return frozenset(_bits(out))
-
     def cyclic_flats(self):
         """All cyclic flats (flats that are unions of circuits), improper included.
 
@@ -391,30 +382,6 @@ class SplitCheck(NamedTuple):
         return self.ok
 
 
-def is_connected_split(M):
-    """M is connected and no proper cyclic flat contains another: split by
-    the criterion of Bérczi, Király, Schwarcz, Yamaguchi and Yokoi
-    (Hypergraph characterization of split matroids, JCTA 2023).  Its
-    inequality |F & G| <= r(F) + r(G) - k holds for incomparable proper
-    cyclic flats F, G when no pair is nested: a circuit in F & G would
-    close to a proper cyclic flat strictly inside F, and cl(F | G) would
-    be one strictly containing F unless it is the ground set, so F & G is
-    independent, r(F | G) = k, and submodularity gives the inequality.
-    That needs M to be a matroid, which from_bases and from_cyclic_flats
-    check.  With no proper cyclic flat M is uniform, since the cyclic
-    flats and their ranks determine a matroid."""
-    comps = M.component_sets()
-    if len(comps) > 1:
-        return SplitCheck(False, "not connected: components %s"
-                          % [_shown(c) for c in comps])
-    # sorted by size, so a nested pair comes smaller first
-    for fa, fb in combinations(M.proper_cyclic_flats(), 2):
-        if fa.elements < fb.elements:
-            return SplitCheck(False, "nested proper cyclic flats %s < %s"
-                              % (_shown(fa.elements), _shown(fb.elements)))
-    return SplitCheck(True, "")
-
-
 class SplitProfile(NamedTuple):
     n: int
     k: int
@@ -423,11 +390,29 @@ class SplitProfile(NamedTuple):
 
 
 def split_profile(M):
-    """Count proper cyclic flats by (rank, size) and modular pairs by shape.
+    """The profile of a connected split matroid: its proper cyclic flats
+    counted by (rank, size), and its modular pairs by shape.
 
-    A pair F, G is modular when rk F + rk G == |F n G| + rank(M); the
-    intersection is then asserted independent.
+    Raises NotConnected unless M is connected, and NotSplit on the first
+    proper cyclic flat that contains another.  Otherwise M is split by the
+    criterion of Bérczi, Király, Schwarcz, Yamaguchi and Yokoi (Hypergraph
+    characterization of split matroids, JCTA 2023).  Its inequality
+    |F & G| <= r(F) + r(G) - k holds for incomparable proper cyclic flats
+    F, G when no pair is nested: a circuit in F & G would close to a
+    proper cyclic flat strictly inside F, and cl(F | G) would be one
+    strictly containing F unless it is the ground set, so F & G is
+    independent, r(F | G) = k, and submodularity gives the inequality.
+    That needs M to be a matroid, which from_bases and from_cyclic_flats
+    check.  With no proper cyclic flat M is uniform, since the cyclic
+    flats and their ranks determine a matroid.
+
+    A pair is modular when the inequality is an equality.  Its
+    intersection is independent, as above, so each flat less the
+    intersection has rank r - |F & G| on h - |F & G| elements.
     """
+    comps = M.component_sets()
+    if len(comps) > 1:
+        raise NotConnected("not connected: components %s" % [_shown(c) for c in comps])
     k = M.rank
     flats = M.proper_cyclic_flats()
     lam = {}
@@ -435,22 +420,29 @@ def split_profile(M):
         key = (f.rank, len(f.elements))
         lam[key] = lam.get(key, 0) + 1
     mu = {}
+    # sorted by size, so a nested pair comes smaller first
     for fa, fb in combinations(flats, 2):
-        inter = fa.elements & fb.elements
-        if fa.rank + fb.rank != len(inter) + k:
+        if fa.elements < fb.elements:
+            raise NotSplit("nested proper cyclic flats %s < %s"
+                           % (_shown(fa.elements), _shown(fb.elements)))
+        gamma = len(fa.elements & fb.elements)
+        if fa.rank + fb.rank != gamma + k:
             continue
-        if M.rank_of(inter) != len(inter):
-            raise ModularityAnomaly(
-                "modular pair %s, %s has dependent intersection"
-                % (_shown(fa.elements), _shown(fb.elements))
-            )
-        gamma = len(inter)
         pa = (fa.rank - gamma, len(fa.elements) - gamma)
         pb = (fb.rank - gamma, len(fb.elements) - gamma)
         (alpha, a), (beta, b) = sorted([pa, pb])
         key = (alpha, beta, a, b)
         mu[key] = mu.get(key, 0) + 1
     return SplitProfile(M.n, k, lam, mu)
+
+
+def is_connected_split(M):
+    """Whether split_profile accepts M, with its reason when it does not."""
+    try:
+        split_profile(M)
+    except (NotConnected, NotSplit) as exc:
+        return SplitCheck(False, str(exc))
+    return SplitCheck(True, "")
 
 
 def is_sparse_paving(M):

@@ -110,6 +110,14 @@ def test_exit_code_scale_for_a_cyclic_flats_file_above_the_cap(capsys, tmp_path)
     assert "SCALE_EXCEEDED" in err and "capped at n=12" in err
 
 
+def test_uniform_above_the_cap_exits_4_unless_it_is_a_point(capsys):
+    rc, out, err = run(capsys, "compute", "--builtin", "uniform", "--k", "10", "--n", "20")
+    assert (rc, out) == (4, "")
+    assert "SCALE_EXCEEDED" in err and "capped at n=12" in err
+    for k in ("0", "20"):
+        assert run(capsys, "compute", "--builtin", "uniform", "--k", k, "--n", "20") == (0, "1\n", "")
+
+
 def test_verify_small(capsys):
     rc, out, _ = run(capsys, "verify", "--max-n", "4")
     assert rc == 0
@@ -532,18 +540,18 @@ def test_vamos_cache_kinds_and_keys(capsys, tmp_path):
 
 
 
-def wrong_vertex_count(right, M):
-    return hypersimplex.cd_hypersimplex(M.rank, M.n)  # 35 vertices; fano has 28 bases
+def wrong_vertex_count(right, prof):
+    return hypersimplex.cd_hypersimplex(prof.k, prof.n)  # 35 vertices; fano has 28 bases
 
 
-def negative_coefficient(right, M):
-    return right(M) - 100 * NcPoly.word("ccccd")  # the vertex count stays right
+def negative_coefficient(right, prof):
+    return right(prof) - 100 * NcPoly.word("ccccd")  # the vertex count stays right
 
 
 @pytest.mark.parametrize("wrong", [wrong_vertex_count, negative_coefficient])
 def test_a_result_that_breaks_an_invariant_is_an_internal_error(capsys, monkeypatch, wrong):
     right = engine._split_formula
-    monkeypatch.setattr(engine, "_split_formula", lambda M: wrong(right, M))
+    monkeypatch.setattr(engine, "_split_formula", lambda prof: wrong(right, prof))
     rc, out, err = run(capsys, "compute", "--builtin", "fano", "--f-vector")
     assert (rc, out) == (1, "")
     assert err.startswith("error[INTERNAL_ERROR]: cd-index has ")

@@ -29,7 +29,6 @@ from cdx.matroid import (
     example_m2,
     example_m3,
     fano,
-    is_connected_split,
     mk4,
     split_profile,
     vamos,
@@ -195,9 +194,9 @@ def test_cd_index_runs_the_split_test_once_per_component(monkeypatch):
 
     def counted(M):
         seen.append(M.n)
-        return is_connected_split(M)
+        return split_profile(M)
 
-    monkeypatch.setattr(engine, "is_connected_split", counted)
+    monkeypatch.setattr(engine, "split_profile", counted)
     # the Fano matroid plus a triangle, on disjoint ground sets
     bases = [tuple(b) + (e,) for b in fano().bases() for e in (7, 8, 9)]
     M = Matroid.from_bases(10, 4, bases)

@@ -7,6 +7,8 @@ from cdx.errors import (
     EmptyMatroid,
     InvalidParams,
     NotAMatroid,
+    NotConnected,
+    NotSplit,
     PresentationMismatch,
     ScaleExceeded,
 )
@@ -31,7 +33,6 @@ def test_uniform_basics():
     assert len(M.basis_masks()) == 6
     assert M.rank_of({0, 1, 2}) == 2
     assert M.rank_of({3}) == 1
-    assert M.closure({0}) == {0}
     assert M.proper_cyclic_flats() == []
 
 
@@ -120,6 +121,27 @@ def test_from_cyclic_flats_refuses_above_the_cap_before_enumerating(monkeypatch)
     # a malformed flat is still reported as such
     with pytest.raises(InvalidParams):
         Matroid.from_cyclic_flats(13, 6, [((0, 1, 2), 7)])
+
+
+def test_uniform_refuses_above_the_cap_before_enumerating(monkeypatch):
+    from cdx import matroid
+
+    def enumerates(*args):
+        raise AssertionError("enumerated bases above the cap")
+
+    monkeypatch.setattr(matroid, "combinations", enumerates)
+    for k, n in ((1, 13), (10, 20), (63, 64)):
+        with pytest.raises(ScaleExceeded, match="rank tables capped at n=12"):
+            Matroid.uniform(k, n)
+    monkeypatch.undo()
+    # U(0, n) and U(n, n) have one basis each, and their polytope is a point
+    from cdx.engine import cd_index
+
+    for k in (0, 20):
+        U = Matroid.uniform(k, 20)
+        assert U.basis_masks() == [(1 << k) - 1]
+        assert cd_index(U) == 1
+    assert len(Matroid.uniform(6, 12).basis_masks()) == comb(12, 6)
 
 
 def test_from_cyclic_flats_empty_list_is_uniform():
@@ -232,6 +254,49 @@ def test_split_test_matches_the_relaxation_loop():
         assert is_connected_split(M) and reference_is_connected_split(M), name
     for M in non_split_fixtures():
         assert not is_connected_split(M) and not reference_is_connected_split(M), M
+
+
+def test_modular_pairs_meet_in_an_independent_set():
+    """split_profile counts a modular pair F, G as shapes less |F & G|
+    without checking that F & G is independent; its docstring shows that
+    it is.  Check that on corpus(9) and the n = 12 compute items, and that
+    the count is that of the pairs with |F & G| = r(F) + r(G) - k."""
+    from cdx.cli import corpus
+    from cdx.cuspidal import cuspidal_matroid
+
+    matroids = [M for _, M in corpus(9)] + [
+        cuspidal_matroid(5, 12, 3, 6),
+        sparse_paving(12, 6, [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 6, 7), (4, 5, 8, 9, 10, 11)]),
+    ]
+    checked = 0
+    for M in matroids:
+        modular = [fa.elements & fb.elements
+                   for fa, fb in combinations(M.proper_cyclic_flats(), 2)
+                   if len(fa.elements & fb.elements) == fa.rank + fb.rank - M.rank]
+        assert sum(split_profile(M).mu.values()) == len(modular), M
+        for inter in modular:
+            assert M.rank_of(inter) == len(inter), (M, sorted(inter))
+        checked += sum(1 for inter in modular if inter)
+    assert checked > 50  # pairs where the check is not vacuous: 84 of 177
+
+
+def test_split_profile_refuses_what_is_not_connected_split():
+    reasons = [
+        "nested proper cyclic flats [1, 2] < [1, 2, 3, 4]",
+        "nested proper cyclic flats [1, 2, 3] < [1, 2, 3, 4, 5, 6]",
+        "not connected: components [[1, 2], [3, 4]]",
+        "not connected: components [[1], [2, 3]]",
+        "not connected: components [[1], [2, 3, 4, 5]]",
+        "not connected: components [[1, 2, 3, 4, 5, 6, 7], [8]]",
+        "not connected: components [[1, 2, 3, 4, 5, 6, 7], [8, 9, 10]]",
+        "not connected: components [[1, 2], [3, 4], [5]]",
+    ]
+    for M, reason in zip(non_split_fixtures(), reasons, strict=True):
+        error = NotConnected if not M.is_connected() else NotSplit
+        with pytest.raises(error) as exc:
+            split_profile(M)
+        assert str(exc.value) == reason
+        assert is_connected_split(M) == (False, reason)
 
 
 def test_is_connected_split_uniform_and_sparse():
@@ -352,9 +417,8 @@ def test_component_sets_match_the_all_bases_sweep():
     from cdx.cuspidal import cuspidal_matroid
 
     # fano (elements 0-6) next to a triangle (7-9), a loop (10), a coloop (11)
-    fano_bases = fano().bases()
-    disconnected = Matroid.from_bases(
-        12, 5, [b + (t, 11) for b in fano_bases for t in (7, 8, 9)], validate=False)
+    disconnected = Matroid(
+        12, 5, [b | 1 << t | 1 << 11 for b in fano().basis_masks() for t in (7, 8, 9)])
     matroids = ([M for _, M in corpus(8)] + [f() for f in _FIXED_BUILTINS.values()]
                 + [cuspidal_matroid(5, 12, 3, 6), disconnected])
     for M in matroids:

@@ -55,16 +55,12 @@ FACTORS = [NcPoly.one(), C] + [cd_hypersimplex(k, n)
 def direct_sum(*matroids):
     n = sum(M.n for M in matroids)
     rank = sum(M.rank for M in matroids)
-    bases = [[]]
+    masks = [0]
     at = 0
     for M in matroids:
-        bases = [
-            b + [at + e for e in basis]
-            for b in bases
-            for basis in M.bases()
-        ]
+        masks = [b | m << at for b in masks for m in M.basis_masks()]
         at += M.n
-    return Matroid.from_bases(n, rank, bases, validate=False)
+    return Matroid(n, rank, masks)
 
 
 def test_point_is_the_unit():

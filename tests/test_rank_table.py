@@ -11,6 +11,7 @@ were before the numpy passes over the subset array.
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -174,16 +175,14 @@ def test_importing_ncpoly_and_matroid_leaves_numpy_unloaded():
     assert out.strip() == "False"
 
 
-def test_closure_reads_the_table():
-    F = fano()
-    assert F.closure({0, 1}) == frozenset({0, 1, 2})
-    assert F.closure({0, 1, 3}) == frozenset(range(7))
-    assert F.closure(0b1) == frozenset({0})
-
-
 def test_above_the_cap_rank_scans_the_bases():
-    U = Matroid.uniform(3, 13)
-    assert U.rank_of({0, 1, 2, 3, 4}) == 3
-    assert U.closure({0, 1}) == frozenset({0, 1})
+    # U(3,7) on elements 0-6 beside U(2,6) on 7-12: 13 elements, whose
+    # components are each within the cap
+    M = Matroid.from_bases(13, 5, [a + tuple(7 + e for e in b)
+                                   for a in combinations(range(7), 3)
+                                   for b in combinations(range(6), 2)])
+    assert M.rank_of({0, 1, 2, 3, 4}) == 3
+    assert M.rank_of({0, 1, 7, 8, 9}) == 4
+    assert M.rank_of(range(13)) == 5
     with pytest.raises(ScaleExceeded):
-        U.cyclic_flats()
+        M.cyclic_flats()
