@@ -6,12 +6,27 @@ P(M) = {x >= 0 : x(S) <= r(S) for all S, x(E) = r(E)}: with r(S) taken
 as the largest |B & S| over the bases, every proper face is an
 intersection of the faces F_S = {B : |B & S| = r(S)}, so the faces are
 the closure of the facets under intersection, plus the polytope and the
-empty face.  Each face is the base polytope of a direct sum of minors
+empty face.  The closure runs on a hash set of vertex bitmasks; every
+step after it is a whole-array pass over one packed incidence array,
+the faces sorted by mask with row i holding the vertex bits of face i,
+⌈m/8⌉ bytes for m vertices.
+
+Each face is the base polytope of a direct sum of minors
 (Feichtner-Sturmfels, 2005), so its dimension is n minus the number of
 connected components of the matroid whose bases are its vertices, read
-from the fundamental graph of one vertex.  The flag vector counts chains
-through dimension-graded containment matrices.  Only the flag-to-cd peel
-(ncpoly.flag_to_cd) and the bitmask-to-element-list helper are shared.
+from the fundamental graph of one vertex.  For a block of faces at a
+time: the first vertex of each face, the exchange edges of that vertex
+that stay inside the face, one bincount into an (n, faces) array of
+per-element neighbour bitmasks, n Warshall steps to close them, and the
+component count is the number of elements lowest in their closure.  A
+stable sort on dimension then keeps the mask order inside each
+dimension, so layer d is a contiguous row range.
+
+The flag vector counts chains through containment blocks, one lower
+layer against the higher faces, in float32 (a count of vertices is
+exact below 2^24); the chain counts stay float64.  Only the flag-to-cd
+peel (ncpoly.flag_to_cd) and the bitmask-to-element-list helper are
+shared.
 """
 
 import numpy as np
@@ -24,67 +39,111 @@ DEFAULT_MAX_N = 9
 
 # float64 sums of nonnegative integers are exact below this
 _EXACT = float(1 << 53)
-# faces per column block of a containment matrix in oracle_flag_f
+# float32 sums of 0/1 entries are exact below this; a containment count
+# sums one entry per vertex
+_EXACT32 = 1 << 24
+# faces per row block of the dimension pass
 _BLOCK = 512
+# entries per containment block: a lower layer against as many higher
+# faces as fit, so a block's float32 counts and float64 0/1 stay small
+_CELLS = 1 << 18
+# _LOWBIT[b]: index of the lowest set bit of the byte b (0 for b = 0)
+_LOWBIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)],
+                   dtype=np.intp)
 
 
-def _indicator(masks, width):
-    """0/1 float64 matrix with one row per bitmask; column j is bit j."""
+def _pack(masks, width):
+    """uint8 rows, one per bitmask: bit j of row i is bit j of masks[i]."""
     nbytes = (width + 7) // 8 or 1
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(rows, axis=1, bitorder="little")[:, :width].astype(np.float64)
+    raw = b"".join([m.to_bytes(nbytes, "little") for m in masks])
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
 
 
-def _containment(A, B):
-    """C[i, j] == 1.0 iff face A[i] lies inside face B[j], given the faces'
-    vertex indicator rows (see _indicator).
+def _unpack(rows, width):
+    """0/1 float32 matrix of packed rows; column j is bit j."""
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little").astype(np.float32)
 
-    One float64 matmul counts the vertices of A[i] outside B[j]; it is
-    exact, since no count exceeds the vertex count.
+
+def _containment(A, outside):
+    """C[i, j] == 1.0 iff face A[i] lies inside face j, given A's vertex
+    indicator rows and, for face j, the indicator of the vertices
+    outside it (1 - its row).
+
+    One float32 matmul counts the vertices of A[i] outside face j; it is
+    exact while the vertex count stays below 2^24.
     """
-    return (A @ (1.0 - B).T == 0).astype(np.float64)
+    if A.shape[1] >= _EXACT32:
+        raise InternalError("containment counts over %d vertices reach 2^24, "
+                            "past exact float32" % A.shape[1])
+    return (A @ outside.T == 0).astype(np.float64)
 
 
-def _component_count(n, edges):
-    """Connected components of a graph on 0..n-1, by union-find."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = n
-    for x, y in edges:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-            count -= 1
-    return count
+def _face_dims(n, rank, V, packed):
+    """dim of each face of packed (rows sorted by mask, row 0 the empty
+    face): n minus the components of the fundamental graph of its first
+    vertex, restricted to the exchanges that stay inside the face."""
+    m = len(V)
+    # the exchange edges: B_j = B_i - x + y, in row-major order of (i, j)
+    I, J = np.nonzero(V @ V.T == rank - 1)
+    diff = V[I] - V[J]
+    X, Y = diff.argmax(axis=1), diff.argmin(axis=1)
+    # vertex i's edges padded to width slots: the byte and bit of B_j in a
+    # packed row (mask 0 in an unused slot), and x and y
+    deg = np.bincount(I, minlength=m)
+    width = int(deg.max()) if len(I) else 0
+    slot = np.arange(len(I)) - (np.cumsum(deg) - deg)[I]
+    tabByte = np.zeros((m, width), dtype=np.intp)
+    tabBit = np.zeros((m, width), dtype=np.uint8)
+    tabX = np.zeros((m, width), dtype=np.intp)
+    tabY = np.zeros((m, width), dtype=np.intp)
+    tabByte[I, slot], tabBit[I, slot], tabX[I, slot], tabY[I, slot] = J >> 3, 1 << (J & 7), X, Y
+    elem = np.arange(n)
+    below = ((1 << elem) - 1)[:, np.newaxis]
+    dims = np.empty(len(packed), dtype=np.intp)
+    for r0 in range(0, len(packed), _BLOCK):
+        P = packed[r0:r0 + _BLOCK]
+        rows = np.arange(len(P))[:, np.newaxis]
+        byte = (P != 0).argmax(axis=1)
+        first = 8 * byte + _LOWBIT[P[rows[:, 0], byte]]
+        inside = (P[rows, tabByte[first]] & tabBit[first]) != 0
+        x, y = tabX[first], tabY[first]
+        # each element's neighbours as a bitmask; the pairs (x, y) of one
+        # vertex are distinct, so the sum over an element's edges is an OR
+        nbr = np.bincount(np.concatenate([(rows * n + x).ravel(), (rows * n + y).ravel()]),
+                          weights=np.concatenate([(inside << y).ravel(), (inside << x).ravel()]),
+                          minlength=len(P) * n)
+        R = nbr.reshape(len(P), n).T.astype(np.int64) | (1 << elem)[:, np.newaxis]
+        for k in range(n):
+            R |= (R >> k & 1) * R[k]
+        dims[r0:r0 + len(P)] = n - (R & below == 0).sum(axis=0)
+    dims[0] = -1
+    return dims
 
 
 class FaceLattice:
     """Faces of a base polytope as vertex-index bitmasks, graded by dimension.
 
     faces[i] is a bitmask over vertex indices; the empty face is mask 0.
-    Containment of faces is bitmask containment.
+    The faces are sorted by (dimension, mask), and packed[i] holds the bits
+    of faces[i] as uint8 rows (see _pack), so the faces of dimension d are
+    rows lo[d]:lo[d + 1].  Containment of faces is bitmask containment.
+    When packed is not given, the faces are sorted and packed here.
     """
 
-    def __init__(self, vertex_masks, face_masks, dims):
+    def __init__(self, vertex_masks, faces, dims, packed=None):
         self.vertex_masks = vertex_masks
-        order = sorted(range(len(face_masks)), key=lambda i: (dims[i], face_masks[i]))
-        self.faces = [face_masks[i] for i in order]
-        self.dims = [dims[i] for i in order]
-        self.dim = self.dims[-1]
-        self.by_dim = {}
-        for i, d in enumerate(self.dims):
-            self.by_dim.setdefault(d, []).append(i)
+        if packed is None:
+            dims, faces = zip(*sorted(zip(dims, faces)))
+            packed = _pack(faces, len(vertex_masks))
+        self.faces = list(faces)
+        self.dims = np.asarray(dims, dtype=np.intp)
+        self.packed = packed
+        self.dim = int(self.dims[-1])
+        self.lo = np.searchsorted(self.dims, np.arange(self.dim + 2))
 
     def f_vector(self):
         """Counts of faces of each dimension 0..dim-1 (proper faces only)."""
-        return tuple(len(self.by_dim.get(d, ())) for d in range(self.dim))
+        return tuple(int(c) for c in np.diff(self.lo[:self.dim + 1]))
 
     def face_count(self):
         return len(self.faces)
@@ -100,44 +159,36 @@ def face_lattice(M):
         )
     verts = M.basis_masks()
     m = len(verts)
-    V = _indicator(verts, n)
+    V = _unpack(_pack(verts, n), n)
     # meet[S, j] = |S & B_j| for every subset S; F_S is where a row peaks
-    meet = _indicator(range(1 << n), n) @ V.T
+    meet = _unpack(_pack(range(1 << n), n), n) @ V.T
     tight = np.packbits(meet == meet.max(axis=1, keepdims=True), axis=1, bitorder="little")
     full = (1 << m) - 1
     gens = list({int.from_bytes(row.tobytes(), "little") for row in tight} - {full})
     # the facets: generators inside no other generator
-    G = _indicator(gens, m)
-    inside = _containment(G, G).sum(axis=1)
-    facets = [g for g, c in zip(gens, inside) if c == 1]
+    G = _unpack(_pack(gens, m), m)
+    facets = [g for g, c in zip(gens, _containment(G, 1 - G).sum(axis=1)) if c == 1]
     faces = set(facets)
     new = faces
     while new:
         new = {f & g for f in new for g in facets} - faces
         faces |= new
-    faces = list(faces | {full, 0})
-    # adj[i]: (bit of j, x, y) for each vertex B_j = B_i - x + y
-    adj = [[] for _ in verts]
-    for i, j in zip(*np.nonzero(V @ V.T == M.rank - 1)):
-        bi, bj = verts[i], verts[j]
-        adj[i].append((1 << int(j), (bi & ~bj).bit_length() - 1, (bj & ~bi).bit_length() - 1))
-    # dim F = n - (components of the matroid whose bases are F's vertices)
-    dims = []
-    for f in faces:
-        edges = [(x, y) for bit, x, y in adj[(f & -f).bit_length() - 1] if f & bit]
-        dims.append(n - _component_count(n, edges) if f else -1)
-    return FaceLattice(verts, faces, dims)
+    faces = sorted(faces | {full, 0})
+    packed = _pack(faces, m)
+    dims = _face_dims(n, M.rank, V, packed)
+    order = np.argsort(dims, kind="stable")
+    return FaceLattice(verts, [faces[i] for i in order], dims[order], packed[order])
 
 
 def oracle_flag_f(L):
     """Flag f-vector of the boundary, from chains of proper faces."""
     D = L.dim
-    nverts = len(L.vertex_masks)
-    layers = [_indicator([L.faces[i] for i in L.by_dim.get(d, ())], nverts)
-              for d in range(D)]
+    lo = L.lo - L.lo[0]
+    X = _unpack(L.packed[L.lo[0]:L.lo[D]], len(L.vertex_masks))
+    outside = 1 - X
     # tops[d]: the masks S with max(S) == d, and one row per S whose
     # entry j counts the chains of type S ending in face j of layer d
-    tops = [([1 << d], [np.ones((1, len(layers[d])))]) for d in range(D)]
+    tops = [([1 << d], [np.ones((1, lo[d + 1] - lo[d]))]) for d in range(D)]
     flags = [1] + [0] * ((1 << D) - 1)
     for t in range(D):
         sets, rows = tops[t]
@@ -148,12 +199,16 @@ def oracle_flag_f(L):
                                 "past exact float64" % t)
         for S, total in zip(sets, totals):
             flags[S] = int(total)
+        # up[:, j]: chains of each type through layer t into higher face j,
+        # one column block of the containment at a time to bound memory
+        base, end = lo[t + 1], lo[D]
+        up = np.empty((len(sets), end - base))
+        step = max(1, _CELLS // max(1, base - lo[t]))
+        for c in range(base, end, step):
+            block = outside[c:min(c + step, end)]
+            up[:, c - base:c - base + len(block)] = vecs @ _containment(X[lo[t]:base], block)
         for d in range(t + 1, D):
-            # one column block of the containment matrix at a time bounds memory
-            up = layers[d]
-            tops[d][1].append(np.hstack([
-                vecs @ _containment(layers[t], up[lo:lo + _BLOCK])
-                for lo in range(0, len(up), _BLOCK)]))
+            tops[d][1].append(up[:, lo[d] - base:lo[d + 1] - base])
             tops[d][0].extend(S | 1 << d for S in sets)
     return FlagFVector.from_vector(D, flags)
 
@@ -166,10 +221,9 @@ def eulerian_check(L):
     """Every interval of length >= 2 in the full lattice (empty face and
     the polytope itself included) must have equally many elements of
     each parity.  Returns (True, None) or (False, witness_interval)."""
-    faces = L.faces
-    dims = np.array(L.dims)
-    V = _indicator(faces, len(L.vertex_masks))
-    contain = _containment(V, V)
+    dims = L.dims
+    X = _unpack(L.packed, len(L.vertex_masks))
+    contain = _containment(X, 1 - X)
     sign = np.where(dims % 2 == 0, 1.0, -1.0)
     # total[b, t] = signed count of faces in the interval [b, t]
     total = (contain * sign[np.newaxis, :]) @ contain
@@ -177,5 +231,5 @@ def eulerian_check(L):
     bad = (total != 0) & (span >= 2) & (contain == 1)
     if bad.any():
         b, t = map(int, np.argwhere(bad)[0])
-        return False, (_bits(faces[b]), _bits(faces[t]), int(dims[b]), int(dims[t]))
+        return False, (_bits(L.faces[b]), _bits(L.faces[t]), int(dims[b]), int(dims[t]))
     return True, None

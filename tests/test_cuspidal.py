@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from cdx import cuspidal, hypersimplex, ncpoly
+from cdx import cuspidal, hypersimplex
 from cdx.cuspidal import (
     CuspidalKey,
     _compute,
@@ -18,9 +18,10 @@ from cdx.cuspidal import (
 from cdx.errors import InvalidParams
 from cdx.hypersimplex import cd_hypersimplex, cd_hypersimplex_product, factor_faces
 from cdx.matroid import is_connected_split, split_profile
-from cdx.ncpoly import NcPoly, emve_mixed, g_cd, normalize_mixed
+from cdx.ncpoly import NcPoly, normalize_mixed
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product
+from reference import emve_mixed, g_cd
 
 
 def valid_keys(max_n):
@@ -107,8 +108,9 @@ def test_the_recursions_build_no_chain_weight(monkeypatch):
     def refuse(*args):
         raise AssertionError("chain weight built for %r" % (args,))
 
-    monkeypatch.setattr(ncpoly, "g_cd", refuse)
-    monkeypatch.setattr(ncpoly, "_e_mixed", refuse)
+    # a chain weight is a product of polynomials (see reference.g_cd)
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(NcPoly, name, refuse)
     hypersimplex.memo_clear()
     cuspidal.memo_clear()
     for fn, key, digest in want:

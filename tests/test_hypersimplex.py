@@ -28,14 +28,13 @@ from cdx.ncpoly import (
     cd_order,
     cd_to_ab,
     chain_sum,
-    emve_mixed,
     expand_ab,
-    g_cd,
     normalize_mixed,
     word_key,
 )
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product
+from reference import emve_mixed, g_cd
 
 
 class FaceSpec(NamedTuple):

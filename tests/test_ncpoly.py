@@ -23,16 +23,15 @@ from cdx.ncpoly import (
     cd_to_ab,
     cd_order,
     cd_to_flag_f,
-    emve_mixed,
     expand_ab,
     flag_to_ab,
     flag_to_cd,
-    g_cd,
     normalize_mixed,
     word_degree,
 )
 from cdx import ncpoly
 from cdx.hypersimplex import cd_hypersimplex, face_type_counts
+from reference import emve_mixed, g_cd
 
 # (a-b)^2 = c^2 - 2d, b(a-b) = d - cb, a - b = c - 2b as ab expansions
 E = A - B

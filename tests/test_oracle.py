@@ -9,7 +9,7 @@ from cdx import cli, oracle
 from cdx.errors import InternalError, ScaleExceeded
 from cdx.hypersimplex import cd_hypersimplex, face_type_counts
 from cdx.matroid import Matroid, _bits, example_535, fano
-from cdx.ncpoly import NcPoly, flag_to_ab
+from cdx.ncpoly import FlagFVector, NcPoly, flag_to_ab
 from cdx.oracle import (
     FaceLattice,
     eulerian_check,
@@ -51,6 +51,42 @@ def _weight_vectors(n):
                     w[e] = perm[bi]
             rows.append(w)
     return np.array(rows, dtype=np.int32)
+
+
+def _indicator(masks, width):
+    """0/1 float64 matrix with one row per bitmask; column j is bit j."""
+    nbytes = (width + 7) // 8 or 1
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :width].astype(np.float64)
+
+
+def _containment(A, B):
+    """C[i, j] == 1.0 iff face A[i] lies inside face B[j], given the faces'
+    vertex indicator rows."""
+    return (A @ (1.0 - B).T == 0).astype(np.float64)
+
+
+def reference_flag_f(L):
+    """The flag f-vector by the former oracle_flag_f: one indicator
+    matrix per layer, one containment matrix per pair of layers."""
+    D = L.dim
+    nverts = len(L.vertex_masks)
+    layers = [_indicator([f for f, fd in zip(L.faces, L.dims) if fd == d], nverts)
+              for d in range(D)]
+    # tops[d]: the masks S with max(S) == d, and one row per S whose
+    # entry j counts the chains of type S ending in face j of layer d
+    tops = [([1 << d], [np.ones((1, len(layers[d])))]) for d in range(D)]
+    flags = [1] + [0] * ((1 << D) - 1)
+    for t in range(D):
+        sets, rows = tops[t]
+        vecs = np.vstack(rows)
+        for S, total in zip(sets, vecs.sum(axis=1)):
+            flags[S] = int(total)
+        for d in range(t + 1, D):
+            tops[d][1].append(vecs @ _containment(layers[t], layers[d]))
+            tops[d][0].extend(S | 1 << d for S in sets)
+    return FlagFVector.from_vector(D, flags)
 
 
 def reference_face_lattice(M):
@@ -100,6 +136,32 @@ CORPUS7 = cli.corpus(7)
 @pytest.mark.parametrize("name,M", CORPUS7, ids=[name for name, _ in CORPUS7])
 def test_facet_closure_matches_the_weight_vector_scan(name, M):
     assert set(face_lattice(M).faces) == reference_face_lattice(M)
+
+
+@pytest.mark.parametrize("name,M", CORPUS7 + [("uniform-4-8", Matroid.uniform(4, 8))],
+                         ids=[name for name, _ in CORPUS7] + ["uniform-4-8"])
+def test_flag_f_matches_the_per_layer_pair_reference(name, M):
+    L = face_lattice(M)
+    assert oracle_flag_f(L) == reference_flag_f(L)
+
+
+def test_faces_are_sorted_and_packed_row_by_row():
+    # U(4, 8) has 70 vertices, so its masks span more than 64 bits
+    for M in [M for _, M in CORPUS7] + [Matroid.uniform(4, 8)]:
+        L = face_lattice(M)
+        assert list(zip(L.dims.tolist(), L.faces)) == sorted(zip(L.dims.tolist(), L.faces))
+        assert [int.from_bytes(row.tobytes(), "little") for row in L.packed] == L.faces
+        assert L.faces[0] == 0 and L.dims[0] == -1
+
+
+def test_a_lattice_built_by_hand_is_sorted_and_packed():
+    L = face_lattice(Matroid.uniform(2, 5))
+    again = FaceLattice(L.vertex_masks, L.faces[::-1], L.dims.tolist()[::-1])
+    assert again.faces == L.faces
+    assert again.dims.tolist() == L.dims.tolist()
+    assert np.array_equal(again.packed, L.packed)
+    assert again.f_vector() == L.f_vector()
+    assert oracle_flag_f(again) == oracle_flag_f(L)
 
 
 def test_component_count_dimensions_match_affine_rank():
@@ -226,6 +288,18 @@ def test_flag_counts_refuse_inexact_float_sums(monkeypatch):
     assert oracle_flag_f(L).f(frozenset({0, 1, 2})) == 48
 
 
+def test_containment_refuses_inexact_float32_counts(monkeypatch):
+    L = face_lattice(Matroid.uniform(2, 4))
+    monkeypatch.setattr(oracle, "_EXACT32", 6)
+    with pytest.raises(InternalError, match="past exact float32"):
+        oracle_flag_f(L)  # the octahedron has 6 vertices
+    with pytest.raises(InternalError, match="past exact float32"):
+        eulerian_check(L)
+    monkeypatch.setattr(oracle, "_EXACT32", 7)
+    assert oracle_flag_f(L).f(frozenset({0, 1, 2})) == 48
+
+
 def test_scale_guard():
-    with pytest.raises(ScaleExceeded):
+    with pytest.raises(ScaleExceeded, match=r"closes the faces of all 2\^n subsets; refusing n=10 > 9"):
         face_lattice(Matroid.uniform(2, 10))
+    assert oracle.DEFAULT_MAX_N == 9
