@@ -13,23 +13,21 @@ contribute nothing new.
 The face cd-indices go to ``ncpoly.chain_sum`` summed by codimension:
 c1 + c2 + d1 + d2 for an ambient face pinned by c1 + c2 elements to 1
 and d1 + d2 to 0, and n - 1 - dm for a cut-plane face of dimension dm.
+
+The dual matroid's polytope is the image of this one under x -> 1 - x,
+so both have one cd-index.  ``cd_cuspidal`` stores it once, under the
+smaller of the two keys, as ``cd_hypersimplex`` stores (k, n) under
+(min(k, n - k), n); ``check_key`` accepts either key, so a cache record
+under the other one still loads.
 """
 
 from math import comb
-from typing import NamedTuple
 
 from .errors import InvalidParams
 from .memo import Memo
 from .ncpoly import chain_sum
 from .hypersimplex import factor_faces, cd_hypersimplex, cd_hypersimplex_product
 from .product import cd_product  # noqa: F401  see ROADMAP item 7
-
-
-class CuspidalKey(NamedTuple):
-    k: int
-    n: int
-    r: int
-    h: int
 
 
 def check_key(k, n, r, h):
@@ -48,7 +46,7 @@ def check_key(k, n, r, h):
 
 def dual_key(k, n, r, h):
     """Key of the dual matroid (complemented bases)."""
-    return CuspidalKey(n - k, n, r + (n - h) - k, n - h)
+    return (n - k, n, r + (n - h) - k, n - h)
 
 
 def vertex_count(k, n, r, h):
@@ -59,9 +57,10 @@ def vertex_count(k, n, r, h):
 
 
 def cd_cuspidal(k, n, r, h):
-    """cd-index of the (k, n, r, h) cuspidal matroid's base polytope."""
+    """cd-index of the (k, n, r, h) cuspidal matroid's base polytope,
+    memoized on the smaller of its key and its dual's."""
     check_key(k, n, r, h)
-    return MEMO.lookup(CuspidalKey(k, n, r, h))
+    return MEMO.lookup(min((k, n, r, h), dual_key(k, n, r, h)))
 
 
 def _compute(k, n, r, h):
@@ -98,9 +97,7 @@ def _compute(k, n, r, h):
             if dm < 1:
                 continue
             faces.append((n - 1 - dm, cd_hypersimplex_product(k1, n1, k2, n2), ct1 * ct2))
-    p = chain_sum(n - 1, vertex_count(k, n, r, h), faces)
-    MEMO.put(dual_key(k, n, r, h), p)  # the dual's polytope is its image under 1 - x
-    return p
+    return chain_sum(n - 1, vertex_count(k, n, r, h), faces)
 
 
 def cuspidal_matroid(k, n, r, h):

@@ -7,8 +7,6 @@ flats.  Disconnected matroids are handled componentwise, since the base
 polytope of a direct sum is the product of the summands' polytopes.
 """
 
-from math import comb
-
 from .errors import (
     InternalError,
     InvalidParams,
@@ -19,7 +17,7 @@ from .errors import (
 )
 from .memo import Memo
 from .ncpoly import NcPoly, D as _D, add_product, add_scaled, from_terms
-from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product
+from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product, factor_faces
 from .cuspidal import cd_cuspidal
 from .product import cd_product, cd_product_all  # noqa: F401  cd_product: see ROADMAP item 7
 from .matroid import is_sparse_paving, split_profile
@@ -50,18 +48,15 @@ def w_term(alpha, beta, a, b, n):
 
 
 def _w_compute(alpha, beta, a, b, n):
-    # the pieces summed by s = i + j, each sum times D * simplex(n - s) once
+    # products of a face of each flat's hypersimplex, summed by size
+    # n1 + n2, each sum times D * simplex(n - n1 - n2) once
     by_size = {}
-    for p in range(1, alpha + 1):
-        for q in range(1, beta + 1):
-            for i in range(p + 1, a - alpha + p + 1):
-                for j in range(q + 1, b - beta + q + 1):
-                    if n - i - j == 0:
-                        continue  # the paired face is the whole cut plane
-                    coef = (comb(a, i) * comb(b, j)
-                            * comb(a - i, alpha - p) * comb(b - j, beta - q))
-                    add_scaled(by_size.setdefault(i + j, {}),
-                               cd_hypersimplex_product(p, i, q, j), coef)
+    for k1, n1, ct1 in factor_faces(alpha, a):
+        for k2, n2, ct2 in factor_faces(beta, b):
+            # no vertex factor; n1 + n2 = n would be the whole cut plane
+            if 0 < k1 < n1 and 0 < k2 < n2 and n1 + n2 < n:
+                add_scaled(by_size.setdefault(n1 + n2, {}),
+                           cd_hypersimplex_product(k1, n1, k2, n2), ct1 * ct2)
     out = {}
     for s, group in by_size.items():
         add_product(out, group, _D * cd_hypersimplex(1, n - s))

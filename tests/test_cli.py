@@ -479,6 +479,8 @@ def test_every_memo_key_passes_its_check(capsys, tmp_path):
     for kind, table in cli._KINDS.items():
         for key, poly in table.snapshot().items():
             assert table.check(*key) == poly.degree(), (kind, key)
+    # one cuspidal entry per polytope, under the smaller of its keys
+    assert all(key <= cuspidal.dual_key(*key) for key in cuspidal.memo_snapshot())
     clear_memos()
     # so a warm run reads every record back and skips none
     rc, _, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
@@ -519,11 +521,12 @@ def test_file_presentation_mismatch_reports_one_based(capsys, tmp_path):
     assert "missing=[([2, 3, 4], 2)] extra=[]" in err
 
 
-# the records a vamos run writes; the product memo adds no kind and no key
+# the records a vamos run writes; the product memo adds no kind and no
+# key, and each cuspidal polytope is written under the smaller of its key
+# and its dual's
 VAMOS_CACHE_KEYS = [
     ("cuspidal", [2, 4, 1, 2]), ("cuspidal", [2, 5, 1, 2]), ("cuspidal", [2, 6, 1, 2]),
-    ("cuspidal", [3, 5, 2, 3]), ("cuspidal", [3, 6, 2, 3]), ("cuspidal", [3, 7, 2, 3]),
-    ("cuspidal", [4, 6, 3, 4]), ("cuspidal", [4, 7, 3, 4]), ("cuspidal", [4, 8, 3, 4]),
+    ("cuspidal", [3, 6, 2, 3]), ("cuspidal", [3, 7, 2, 3]), ("cuspidal", [4, 8, 3, 4]),
     ("hypersimplex", [1, 3]), ("hypersimplex", [1, 4]), ("hypersimplex", [1, 5]),
     ("hypersimplex", [2, 4]), ("hypersimplex", [2, 5]), ("hypersimplex", [2, 6]),
     ("hypersimplex", [3, 6]), ("hypersimplex", [3, 7]), ("hypersimplex", [4, 8]),
@@ -537,6 +540,23 @@ def test_vamos_cache_kinds_and_keys(capsys, tmp_path):
     assert rc == 0
     records = [json.loads(line) for line in cache.read_text().splitlines()]
     assert sorted((r["kind"], r["key"]) for r in records) == VAMOS_CACHE_KEYS
+
+
+def test_a_cache_with_both_orientations_of_each_cuspidal_key_still_loads(capsys, tmp_path):
+    # older versions also wrote each cuspidal record under its dual key
+    cache = tmp_path / "cache.jsonl"
+    _, cold, _ = compute_as_fresh_process(capsys, cache)
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    records += [dict(r, key=list(cuspidal.dual_key(*r["key"]))) for r in records
+                if r["kind"] == "cuspidal" and cuspidal.dual_key(*r["key"]) != tuple(r["key"])]
+    assert len(records) == 19
+    cache.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    before = cache.read_bytes()
+    rc, out, err = compute_as_fresh_process(capsys, cache)
+    assert (rc, out, err) == (0, cold, "")
+    assert cache.read_bytes() == before  # nothing appended
+    rc, out, err = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    assert (rc, out, err) == (0, "cache verify: 19 records OK\n", "")
 
 
 

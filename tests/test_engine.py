@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -73,6 +74,37 @@ def test_grouped_w_term_matches_the_per_piece_sum():
                             keys.add(key)
     for key in sorted(keys):
         assert _w_compute(*key) == reference_w(*key), key
+
+
+# sha256 of .text() for w keys above the range of reference_w, recorded
+# with the sum over (p, q, i, j) that reference_w also runs, an
+# independent implementation
+PINNED_W = [
+    ((2, 3, 5, 7, 16), "f7ea77043a9ff775b280f773ee69945c8b3b0d9582b6cd0912894830dcee4b66"),
+    ((3, 3, 6, 6, 20), "e5be22bfb64071f3cb73eb11a2bc9a5967c2f27eb095e736b7583d41bb95a58d"),
+    ((4, 5, 8, 9, 20), "c0527ded94d6b74a1c7417e1722ad850d3beedddfa6c4aa7e11d596329b68abf"),
+]
+
+
+def test_pinned_w_digests_above_the_reference_range():
+    for key, digest in PINNED_W:
+        assert hashlib.sha256(w_term(*key).text().encode()).hexdigest() == digest, key
+
+
+def test_w_term_equals_its_dual_pairs_term():
+    # the dual matroid's modular pair has the shapes (b - beta, b) and
+    # (a - alpha, a), and its base polytope is the image under x -> 1 - x
+    checked = 0
+    for n in range(4, 13):
+        for a in range(2, n - 1):
+            for b in range(2, n - a + 1):
+                for alpha in range(1, a):
+                    for beta in range(1, b):
+                        key = (alpha, beta, a, b, n)
+                        if w_key(*key) == key:
+                            assert w_term(*key) == w_term(*w_key(b - beta, a - alpha, b, a, n)), key
+                            checked += 1
+    assert checked == 671
 
 
 def test_w_term_minimal_overlap_closed_form():
