@@ -1,6 +1,13 @@
 """Command-line front end: compute cd-indices, verify against the oracle,
 and keep a persistent result cache.
 
+`verify` runs one PASS/FAIL loop over a list of named checks, each a
+formula result and its reference: the corpus against the face-lattice
+oracle, or with `--only paper-values` the cd-indices printed in the
+paper.  A selection with no check in it is invalid input.  Every named
+corpus family but the hypersimplices is built by
+`Matroid.from_cyclic_flats`.
+
 Elements in files and printed diagnostics are 1-based; everything
 internal is 0-based.
 """
@@ -10,7 +17,7 @@ import fcntl
 import json
 import os
 import sys
-from itertools import combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
 from . import cuspidal, engine, hypersimplex, matroid, oracle
@@ -339,34 +346,17 @@ def _sparse_paving_instances(n, k):
 
 
 def _rank2_instances(n):
-    """Rank-2 matroids with 3..5 parallel classes, one per size multiset."""
-    def parts(total, most, count):
-        if count == 1:
-            if total <= most:
-                yield (total,)
-            return
-        for first in range(min(total - count + 1, most), 0, -1):
-            for rest in parts(total - first, first, count - 1):
-                yield (first,) + rest
-
-    for c in range(3, 6):
-        if c > n:
-            continue
-        for sizes in parts(n, n, c):
-            if all(s == 1 for s in sizes):
-                continue  # that is the uniform matroid again
-            classes = []
-            at = 0
-            for s in sizes:
-                classes.append(list(range(at, at + s)))
-                at += s
-            bases = [
-                (x, y)
-                for i in range(c) for j in range(i + 1, c)
-                for x in classes[i] for y in classes[j]
-            ]
+    """Rank-2 matroids with 3..5 parallel classes, one per size multiset,
+    sizes in descending order; each class of two or more elements is a
+    cyclic flat of rank 1."""
+    for c in range(3, min(n, 5) + 1):
+        for sizes in combinations_with_replacement(range(n, 0, -1), c):
+            if sum(sizes) != n or sizes[0] == 1:
+                continue  # all ones is the uniform matroid again
+            ends = list(accumulate(sizes, initial=0))
+            flats = [(range(a, b), 1) for a, b in zip(ends, ends[1:]) if b - a > 1]
             name = "rank2-%s" % "+".join(str(s) for s in sizes)
-            yield (name, Matroid.from_bases(n, 2, bases))
+            yield (name, Matroid.from_cyclic_flats(n, 2, flats))
 
 
 def corpus(max_n):
@@ -423,16 +413,10 @@ PAPER_VALUES = {
 PAPER_VALUES["example-m3"] = PAPER_VALUES["example-m2"]
 
 
-def _verify_paper_values():
-    jobs = []
-    for name, text in PAPER_VALUES.items():
-        want = NcPoly.from_text(text)
-        if name == "hypersimplex-2-5":
-            got = hypersimplex.cd_hypersimplex(2, 5)
-        else:
-            got = engine.cd_split_matroid(_FIXED_BUILTINS[name]())
-        jobs.append((name, got, want))
-    return jobs
+def _paper_formula(name):
+    if name == "hypersimplex-2-5":
+        return hypersimplex.cd_hypersimplex(2, 5)
+    return engine.cd_split_matroid(_FIXED_BUILTINS[name]())
 
 
 def cmd_verify(args):
@@ -441,6 +425,22 @@ def cmd_verify(args):
                             % oracle.DEFAULT_MAX_N)
     if args.cache_only and not args.cache:
         raise InvalidParams("--cache-verify needs --cache FILE or CDX_CACHE")
+    # a check is a name and a thunk giving (formula, reference); a mode
+    # gives the two labels of a FAIL report and the summary line
+    if args.only == "paper-values":
+        labels, summary = ("formula:  ", "reference:"), "paper-values: %d checked, %d failed"
+        checks = [(name, lambda name=name, text=text: (_paper_formula(name),
+                                                       NcPoly.from_text(text)))
+                  for name, text in PAPER_VALUES.items()]
+    else:
+        labels = ("formula:", "oracle: ")
+        summary = "verify: %%d checked, %%d failed (max n = %d)" % args.max_n
+        checks = [] if args.cache_only else [
+            (name, lambda M=M: (engine.cd_index(M), oracle.oracle_cd_index(M)))
+            for name, M in corpus(args.max_n) if name.startswith(args.only or "")]
+        if not (checks or args.cache_only):
+            raise InvalidParams("--max-n %d%s selects no corpus instance" % (
+                args.max_n, " with --only %r" % args.only if args.only else ""))
     if args.cache:
         store = CacheStore(args.cache)
         checked, bad, skipped, corrupt = store.verify()
@@ -457,36 +457,17 @@ def cmd_verify(args):
         if args.cache_only:
             return 0
 
-    if args.only == "paper-values":
-        failures = 0
-        for name, got, want in _verify_paper_values():
-            if got == want:
-                print("PASS %s" % name)
-            else:
-                failures += 1
-                print("FAIL %s" % name)
-                print("  formula:   %s" % got.text())
-                print("  reference: %s" % want.text())
-        print("paper-values: %d checked, %d failed" % (len(PAPER_VALUES), failures))
-        return 1 if failures else 0
-
-    items = corpus(args.max_n)
-    if args.only:
-        items = [(name, M) for name, M in items if name.startswith(args.only)]
-
     failures = 0
-    for name, M in items:
-        got = engine.cd_index(M)
-        want = oracle.oracle_cd_index(M)
+    for name, check in checks:
+        got, want = check()
         if got == want:
             print("PASS %s" % name)
         else:
             failures += 1
             print("FAIL %s" % name)
-            print("  formula: %s" % got.text())
-            print("  oracle:  %s" % want.text())
-    print("verify: %d checked, %d failed (max n = %d)"
-          % (len(items), failures, args.max_n))
+            print("  %s %s" % (labels[0], got.text()))
+            print("  %s %s" % (labels[1], want.text()))
+    print(summary % (len(checks), failures))
     return 1 if failures else 0
 
 

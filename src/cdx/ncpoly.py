@@ -50,7 +50,8 @@ from .matroid import _bits
 
 LETTERS = "abcd"
 
-_TOKEN = re.compile(r"[+-]|(?:\d+\s*\*\s*)?[A-Za-z]+|\d+")
+# one term of the text form: a run of signs, then N*word, word or N
+_TERM = re.compile(r"([-+\s]*)(?:(?:(\d+)\s*\*\s*)?([A-Za-z]+)|(\d+))")
 
 
 def word_degree(w):
@@ -199,44 +200,22 @@ class NcPoly:
 
     @classmethod
     def from_text(cls, s):
-        """Parse the canonical text form (also accepts "a + -2*b")."""
-        if s.strip() in ("", "0"):
-            return cls()
-        terms = []
-        sign = 1
-        expect_term = True
-        pos = 0
-        n = len(s)
-        while pos < n:
-            if s[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(s, pos)
-            if not m:
+        """Parse the canonical text form, terms N*word, word or N, each
+        after a run of signs that every term but the first needs; an odd
+        count of minus signs negates the term ("cc + 2*d", "a + -2*b")."""
+        terms, pos, end = [], 0, len(s.rstrip())
+        while pos < end:
+            m = _TERM.match(s, pos)
+            if not m or (terms and not m.group(1).strip()):
                 raise InvalidParams("bad syntax at %r in %r" % (s[pos : pos + 8], s))
-            tok = m.group()
-            pos = m.end()
-            if tok == "+" or tok == "-":
-                if expect_term:
-                    sign = -sign if tok == "-" else sign
-                else:
-                    sign = -1 if tok == "-" else 1
-                    expect_term = True
-                continue
-            if not expect_term:
-                raise InvalidParams("missing operator before %r in %r" % (tok, s))
-            tm = re.fullmatch(r"(?:(\d+)\s*\*\s*)?([a-zA-Z]+)|(\d+)", tok)
-            digits = tm.group(1) or tm.group(3)
+            signs, digits, word = m.group(1), m.group(2) or m.group(4), m.group(3) or ""
             try:
                 k = int(digits) if digits else 1
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise InvalidParams("coefficient of %d digits is too long to read"
                                     % len(digits)) from None
-            terms.append((tm.group(2) or "", sign * k))
-            sign = 1
-            expect_term = False
-        if expect_term:
-            raise InvalidParams("dangling operator in %r" % s)
+            terms.append((word, -k if signs.count("-") % 2 else k))
+            pos = m.end()
         return cls(terms)
 
     def __repr__(self):

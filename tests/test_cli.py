@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from cdx import cli, cuspidal, engine, hypersimplex
-from cdx.ncpoly import NcPoly
+from cdx.matroid import Matroid, fano
+from cdx.ncpoly import C, NcPoly
 
 
 def run(capsys, *argv):
@@ -155,6 +156,94 @@ def test_verify_threads_deterministic(capsys):
     rc1, out1, _ = run(capsys, "verify", "--max-n", "5")
     rc2, out2, _ = run(capsys, "verify", "--max-n", "5", "--threads", "4")
     assert (rc1, out1) == (rc2, out2)
+
+
+def test_verify_reports_a_formula_that_disagrees_with_the_oracle(capsys, monkeypatch):
+    wrong = Matroid.uniform(2, 4)
+    truth = cli.oracle.oracle_cd_index
+    monkeypatch.setattr(cli.oracle, "oracle_cd_index",
+                        lambda M: truth(M) + C if M == wrong else truth(M))
+    rc, out, _ = run(capsys, "verify", "--max-n", "4")
+    assert rc == 1
+    lines = out.splitlines()
+    at = lines.index("FAIL hypersimplex-2-4")
+    got = engine.cd_index(wrong)
+    assert lines[at + 1:at + 3] == ["  formula: %s" % got.text(),
+                                    "  oracle:  %s" % (got + C).text()]
+    assert all(l.startswith("PASS ") for l in lines[:at] + lines[at + 3:-1])
+    assert lines[-1] == "verify: %d checked, 1 failed (max n = 4)" % len(cli.corpus(4))
+
+
+def test_verify_reports_a_paper_value_that_disagrees_with_the_formula(capsys, monkeypatch):
+    text = cli.PAPER_VALUES["fano"].replace("19*ccccd", "18*ccccd")
+    monkeypatch.setitem(cli.PAPER_VALUES, "fano", text)
+    rc, out, _ = run(capsys, "verify", "--only", "paper-values")
+    assert rc == 1
+    lines = out.splitlines()
+    at = lines.index("FAIL fano")
+    assert lines[at + 1:at + 3] == [
+        "  formula:   %s" % engine.cd_split_matroid(fano()).text(),
+        "  reference: %s" % NcPoly.from_text(text).text()]
+    assert all(l.startswith("PASS ") for l in lines[:at] + lines[at + 3:-1])
+    assert lines[-1] == "paper-values: 6 checked, 1 failed"
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("--only", "nosuch"), "--only"),
+    (("--max-n", "1"), "--max-n"),
+    (("--max-n", "-3"), "--max-n"),
+    (("--max-n", "4", "--only", "example-535"), "--only"),
+])
+def test_verify_that_selects_no_check_is_invalid(capsys, argv, names):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert (rc, out) == (2, "")
+    assert "INVALID_PARAMS" in err and names in err
+
+
+def test_cache_verify_alone_selects_no_corpus_check(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("")
+    rc, out, _ = run(capsys, "verify", "--cache", str(cache), "--cache-verify",
+                     "--only", "nosuch")
+    assert (rc, out) == (0, "cache verify: 0 records OK\n")
+
+
+def reference_rank2_instances(n):
+    """The rank-2 family as first built: size multisets from a partition
+    recursion, and the bases listed as every pair of elements from two
+    different parallel classes."""
+    def parts(total, most, count):
+        if count == 1:
+            if total <= most:
+                yield (total,)
+            return
+        for first in range(min(total - count + 1, most), 0, -1):
+            for rest in parts(total - first, first, count - 1):
+                yield (first,) + rest
+
+    for c in range(3, min(n, 5) + 1):
+        for sizes in parts(n, n, c):
+            if all(s == 1 for s in sizes):
+                continue
+            classes, at = [], 0
+            for s in sizes:
+                classes.append(range(at, at + s))
+                at += s
+            bases = [(x, y) for i in range(c) for j in range(i + 1, c)
+                     for x in classes[i] for y in classes[j]]
+            yield ("rank2-%s" % "+".join(map(str, sizes)), Matroid.from_bases(n, 2, bases))
+
+
+def test_rank2_family_equals_its_pairwise_reference():
+    items = cli.corpus(9)
+    want = [item for n in range(3, 10) for item in reference_rank2_instances(n)]
+    assert len(want) == 50
+    # the family sits just before example-535, the last instance
+    first = len(items) - 1 - len(want)
+    got = [(i, name, M.rank, M.basis_masks()) for i, (name, M) in enumerate(items)
+           if name.startswith("rank2-")]
+    assert got == [(first + i, name, 2, M.basis_masks()) for i, (name, M) in enumerate(want)]
+    assert items[-1][0] == "example-535"
 
 
 def test_cache_roundtrip_and_transparency(capsys, tmp_path):

@@ -1,5 +1,8 @@
 """Property: any string either parses as a polynomial or raises a CdxError,
-and the canonical text form of any polynomial parses back to it."""
+the canonical text form of any polynomial parses back to it, and the
+one-regex parser agrees with the token-by-token parser it replaced."""
+
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,60 @@ polys = st.dictionaries(
     words, small | nines | nines.map(lambda k: -k), max_size=6).map(NcPoly)
 
 # near the grammar: letters in and out of the alphabet, digits, operators
-near_text = st.text(alphabet="abcdABxy0123456789+-* \t\n", max_size=40)
+NEAR = "abcdABxy0123456789+-* \t\n"
+near_text = st.text(alphabet=NEAR, max_size=40)
+
+_TOKEN = re.compile(r"[+-]|(?:\d+\s*\*\s*)?[A-Za-z]+|\d+")
+
+
+def reference_from_text(s):
+    """The parser NcPoly.from_text replaced: one token at a time, with a
+    sign and an expect_term state between tokens."""
+    if s.strip() in ("", "0"):
+        return NcPoly()
+    terms = []
+    sign = 1
+    expect_term = True
+    pos = 0
+    n = len(s)
+    while pos < n:
+        if s[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN.match(s, pos)
+        if not m:
+            raise InvalidParams("bad syntax at %r in %r" % (s[pos : pos + 8], s))
+        tok = m.group()
+        pos = m.end()
+        if tok == "+" or tok == "-":
+            if expect_term:
+                sign = -sign if tok == "-" else sign
+            else:
+                sign = -1 if tok == "-" else 1
+                expect_term = True
+            continue
+        if not expect_term:
+            raise InvalidParams("missing operator before %r in %r" % (tok, s))
+        tm = re.fullmatch(r"(?:(\d+)\s*\*\s*)?([a-zA-Z]+)|(\d+)", tok)
+        digits = tm.group(1) or tm.group(3)
+        try:
+            k = int(digits) if digits else 1
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise InvalidParams("coefficient of %d digits is too long to read"
+                                % len(digits)) from None
+        terms.append((tm.group(2) or "", sign * k))
+        sign = 1
+        expect_term = False
+    if expect_term:
+        raise InvalidParams("dangling operator in %r" % s)
+    return NcPoly(terms)
+
+
+def parsed_or_error_class(parse, text):
+    try:
+        return parse(text)
+    except CdxError as exc:
+        return type(exc)
 
 
 def parses_or_refuses(text):
@@ -58,6 +114,24 @@ def test_coefficient_text_past_the_digit_limit_is_refused(d, w):
 @given(near_text | st.text(max_size=40))
 def test_any_text_parses_or_raises_a_cdx_error(text):
     parses_or_refuses(text)
+
+
+EDGE_TEXTS = ["", " ", "0", " 0 ", "-0", "+", "-", "- - c", "--c", "+-c", "2c", "c c",
+              "c+", "c +\n", "2*", "2 * c", "2*\tc", "1 2", "c -+- d", "c - -2*d",
+              "c^4", "x", "x +", "0*x + c", "3 - 3"]
+
+
+@settings(max_examples=1000, derandomize=True)
+@given(st.text(alphabet=NEAR + "^", max_size=40))
+def test_from_text_agrees_with_the_token_parser(text):
+    assert (parsed_or_error_class(NcPoly.from_text, text)
+            == parsed_or_error_class(reference_from_text, text))
+
+
+def test_from_text_agrees_with_the_token_parser_on_edge_cases():
+    for text in EDGE_TEXTS:
+        assert (parsed_or_error_class(NcPoly.from_text, text)
+                == parsed_or_error_class(reference_from_text, text)), text
 
 
 @st.composite
