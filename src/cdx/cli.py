@@ -177,7 +177,10 @@ class CacheStore:
                 # the table's check refuses a key its function never stores
                 poly = poly_from_json(rec["cd"], _KINDS[kind].check(*key))
                 if install:
-                    _KINDS[kind].put(key, poly)
+                    # a cuspidal record written under its dual's key by an
+                    # older version goes where cd_cuspidal looks it up
+                    _KINDS[kind].put(min(key, cuspidal.dual_key(*key))
+                                     if kind == "cuspidal" else key, poly)
             except (RecursionError, AttributeError, KeyError, TypeError, ValueError,
                     InvalidParams):
                 sys.stderr.write(

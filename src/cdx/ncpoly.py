@@ -31,12 +31,24 @@ and a list over cd_order(d - 2) times d the part from offset
 len(cd_order(d - 1)) on.  chain_sum runs Horner's rule in (a-b)^2 on
 a state p0 + p1 b, p0 and p1 such lists, two codimensions a step, and
 builds no chain weight; p1, the words with a trailing b, must end up
-zero.  Coefficients stay exact Python ints: they reach 56 bits at
-dimension 19 and grow with the dimension.
+zero.
+
+Each list x runs through the kernel packed into one Python int, the
+sum of x[i] * 2^(bits * i), in slots of a width bits that is a multiple
+of 64.  Packing is linear and a shift by bits * len is a concatenation,
+so a face sum is a sum of count times packed face, and a Horner step is
+a few big-int shifts and additions, whatever the length of the lists.
+Slots may overflow in between, as every operation is exact on the
+whole int; only the final state is read back, and an a-priori bound on
+its coefficients picks the width.  The coefficients stay exact: they
+reach 56 bits at dimension 19, where the slots are still 64 bits wide,
+and 64 bits at dimension 21.
 """
 
 import re
+import struct
 from functools import cache
+from itertools import compress
 
 from .errors import (
     DegreeMismatch,
@@ -363,16 +375,68 @@ def cd_order(d):
     return tuple([w + "c" for w in cd_order(d - 1)] + [w + "d" for w in cd_order(d - 2)])
 
 
-def _vector(p, deg):
-    """The coefficients of p over cd_order(deg), cached on p."""
+def _width(top):
+    """Slot width in bits, a multiple of 64, whose two's complement holds
+    every int of absolute value at most top."""
+    return 64 * (top.bit_length() // 64 + 1)
+
+
+def _offset(length, bits):
+    """2^(bits - 1) in each of length slots of the given width."""
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * length, "little")
+
+
+def _pack(vals, bits):
+    """The sum of vals[i] * 2^(bits * i), each vals[i] in the slot's
+    two's complement range.  Only faces that no chain_sum packed at this
+    width take this path, so it need not be fast."""
+    size = bits // 8
+    raw = b"".join([x.to_bytes(size, "little", signed=True) for x in vals])
+    off = _offset(len(vals), bits)
+    return (int.from_bytes(raw, "little") ^ off) - off
+
+
+def _unpack(x, length, bits):
+    """The length slot values vals with _pack(vals, bits) == x.
+
+    Adding 2^(bits - 1) to every slot makes each one nonnegative and
+    below 2^bits, so nothing carries into the next slot; flipping the
+    top bit back leaves each slot in two's complement."""
+    off = _offset(length, bits)
+    raw = ((x + off) ^ off).to_bytes(length * bits // 8, "little")
+    if bits == 64:
+        return struct.unpack("<%dq" % length, raw)
+    return _unpack_slots(raw, bits // 8)
+
+
+def _unpack_slots(raw, size):
+    """The signed little-endian ints of size bytes each in raw."""
+    return [int.from_bytes(raw[i : i + size], "little", signed=True)
+            for i in range(0, len(raw), size)]
+
+
+def _coeff_info(p, deg):
+    """(deg, max |coefficient|, {slot width: packed coefficients}) of p
+    over cd_order(deg), cached on p; InvalidParams unless p is a cd
+    polynomial of degree deg (or zero)."""
     got = getattr(p, "_vec", None)
     if got is None or got[0] != deg:
         t = p._t
-        vec = tuple([t.get(w, 0) for w in cd_order(deg)])
-        if len(vec) - vec.count(0) != len(t):
+        vals = [t.get(w, 0) for w in cd_order(deg)]
+        if len(vals) - vals.count(0) != len(t):
             raise InvalidParams("a face cd-index is not a cd polynomial of degree %d" % deg)
-        got = p._vec = (deg, vec)
-    return got[1]
+        got = p._vec = (deg, max(map(abs, vals)), {})
+    return got
+
+
+def _packed(p, deg, bits):
+    """p's coefficients over cd_order(deg) packed in slots of bits."""
+    packs = _coeff_info(p, deg)[2]
+    x = packs.get(bits)
+    if x is None:
+        t = p._t
+        x = packs[bits] = _pack([t.get(w, 0) for w in cd_order(deg)], bits)
+    return x
 
 
 def chain_sum(dim, f0, faces):
@@ -385,8 +449,7 @@ def chain_sum(dim, f0, faces):
     V_c the sum of the cd-indices of the faces of codimension c and
     V_dim = f0.  faces lists (c, Psi(F), count) triples, 1 <= c < dim.
     The counts of the same face polynomial object (as a memo table
-    returns it) are summed per codimension first, and each codimension's
-    faces are summed into one coefficient list over cd_order(dim - c).
+    returns it) are summed per codimension first.
 
     The count is built by Horner's rule in (a-b)^2, two codimensions a
     step, from X = 1 (dim even) or X = (c - 2b) + f0 b (dim odd).  The
@@ -400,10 +463,27 @@ def chain_sum(dim, f0, faces):
     cd_order(e + 2), p0 cc fills the start, p1 dc follows at offset
     len(cd_order(e)), and p0 d, p1 cd and V d land at offset
     len(cd_order(e + 1)); the new p1 fills cd_order(e + 1) the same way.
-    So a step is a few list concatenations and comprehensions, and no
-    chain weight is built.  The result is a cd polynomial exactly when
-    p1 ends up zero (Stanley, 1994), and otherwise NotCdEquivalent names
-    the first residue word by word_key.
+
+    Each list x is packed into one int, the sum of x[i] * 2^(bits * i).
+    Packing is linear, and placing a list at an offset is a left shift by
+    bits times the offset, so a face sum is the sum of count times packed
+    face, and with size and short the lengths of cd_order(e) and
+    cd_order(e - 1) a step is
+
+        p0, p1 = (p0 + (p1 << bits size) + ((V - 2 p0 - p1) << bits (size + short)),
+                  W - V + p1 - (p1 << bits size + 1))
+
+    whatever the length of the lists.  Slots may overflow in between, as
+    every operation is exact on the whole int; only the final p0 and p1
+    are read back, so only their coefficients must fit a slot.  If top
+    bounds the state's coefficients and top_V, top_W those of V and W
+    (each the sum over its faces of |count| times the largest face
+    coefficient), the next state's are at most 3 top + top_V + top_W;
+    bits is the least multiple of 64 whose two's complement holds that
+    bound at the end.  So p1 is zero exactly when its int is.  The
+    result is a cd polynomial exactly when p1 ends up zero (Stanley,
+    1994), and otherwise NotCdEquivalent names the first residue word by
+    word_key.
     """
     if dim < 0:
         raise InvalidParams("dimension must be >= 0")
@@ -421,30 +501,31 @@ def chain_sum(dim, f0, faces):
             entry[1] += count
     if dim == 0:
         return NcPoly.one()
-    sums = {dim: [f0]}
+    tops = {dim: f0}  # bounds on the coefficients of each face sum
     for c, group in groups.items():
-        vec = None
-        for face, count in group.values():
-            v = _vector(face, dim - c)
-            vec = ([count * x for x in v] if vec is None
-                   else [a + count * x for a, x in zip(vec, v)])
-        sums[c] = vec
-    e, p0, p1 = (1, [1], [f0 - 2]) if dim % 2 else (0, [1], [])
+        tops[c] = sum([abs(k) * _coeff_info(face, dim - c)[1] for face, k in group.values()])
+    e, top = (1, max(1, abs(f0 - 2))) if dim % 2 else (0, 1)
+    for s in range(e, dim, 2):
+        top = 3 * top + tops.get(dim - s, 0) + tops.get(dim - s - 1, 0)
+    bits = _width(top)
+    sums = {dim: f0}
+    for c, group in groups.items():
+        sums[c] = sum([k * _packed(face, dim - c, bits) for face, k in group.values()])
+    p0, p1 = (1, f0 - 2) if dim % 2 else (1, 0)
     while e < dim:
-        size, short = len(p0), len(p1)
-        v = sums.get(dim - e) or [0] * size
-        w = sums.get(dim - e - 1) or [0] * (size + short)
-        tail = p1 + [0] * (size - short)
-        p0, p1 = (p0 + p1 + [y - 2 * x - z for x, z, y in zip(p0, tail, v)],
-                  [a - y + z for a, y, z in zip(w, v, tail)]
-                  + [a - 2 * z for a, z in zip(w[size:], p1)])
+        size, short = len(cd_order(e)), len(cd_order(e - 1))
+        v, w = sums.get(dim - e, 0), sums.get(dim - e - 1, 0)
+        p0, p1 = (p0 + (p1 << bits * size) + ((v - 2 * p0 - p1) << bits * (size + short)),
+                  w - v + p1 - (p1 << bits * size + 1))
         e += 2
-    if any(p1):
-        w, y = min((w, y) for w, y in zip(cd_order(dim - 1), p1) if y)
+    if p1:
+        vals = _unpack(p1, len(cd_order(dim - 1)), bits)
+        w, y = min((w, y) for w, y in zip(cd_order(dim - 1), vals) if y)
         raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (y, w))
+    vals = _unpack(p0, len(cd_order(dim)), bits)
     p = NcPoly.__new__(NcPoly)
-    p._t = {w: y for w, y in zip(cd_order(dim), p0) if y}
-    p._vec = (dim, tuple(p0))
+    p._t = dict(compress(zip(cd_order(dim), vals), vals))
+    p._vec = (dim, max(max(vals), -min(vals)), {bits: p0})
     return p
 
 

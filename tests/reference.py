@@ -1,14 +1,17 @@
 """Chain weights in the mixed letters b, c, d, which the recursions once
 summed word by word: b(a-b)^t and (a-b)^dim written with b only as a
-trailing letter.  The recursions now run Horner's rule on coefficient
-lists (ncpoly.chain_sum) and build none of these; the tests keep them as
-the reference chain count that the recursions must equal.
+trailing letter.  The recursions now run Horner's rule on packed
+coefficient slots (ncpoly.chain_sum) and build none of these; the tests
+keep them as the reference chain count that the recursions must equal.
+
+reference_chain_sum is the kernel chain_sum replaced: the same Horner
+steps on lists of exact ints, one comprehension per step.
 """
 
 from functools import cache
 
-from cdx.errors import InvalidParams
-from cdx.ncpoly import B, C, D, NcPoly
+from cdx.errors import InvalidParams, NotCdEquivalent
+from cdx.ncpoly import B, C, D, NcPoly, cd_order
 
 
 @cache
@@ -59,3 +62,47 @@ def _e_mixed(dim):
     """(a-b)^dim with every b a trailing letter."""
     head = _csq_minus_2d_pow(dim // 2)
     return head * (C - 2 * B) if dim % 2 else head
+
+
+def _vector(p, deg):
+    """The coefficients of p over cd_order(deg)."""
+    t = p.terms()
+    vec = [t.get(w, 0) for w in cd_order(deg)]
+    if len(vec) - vec.count(0) != len(t):
+        raise InvalidParams("a face cd-index is not a cd polynomial of degree %d" % deg)
+    return vec
+
+
+def reference_chain_sum(dim, f0, faces):
+    """ncpoly.chain_sum on coefficient lists: the state p0 + p1 b holds p0
+    over cd_order(e) and p1 over cd_order(e - 1), and each Horner step
+    builds the new lists by concatenation and comprehensions."""
+    if dim < 0:
+        raise InvalidParams("dimension must be >= 0")
+    if f0 < 1:
+        raise InvalidParams("a polytope has at least one vertex")
+    for c, _, _ in faces:
+        if not 0 < c < dim:
+            raise InvalidParams("a face of codimension %d in dimension %d" % (c, dim))
+    if dim == 0:
+        return NcPoly.one()
+    sums = {dim: [f0]}
+    for c, face, count in faces:
+        v = _vector(face, dim - c)
+        vec = sums.get(c)
+        sums[c] = ([count * x for x in v] if vec is None
+                   else [a + count * x for a, x in zip(vec, v)])
+    e, p0, p1 = (1, [1], [f0 - 2]) if dim % 2 else (0, [1], [])
+    while e < dim:
+        size, short = len(p0), len(p1)
+        v = sums.get(dim - e) or [0] * size
+        w = sums.get(dim - e - 1) or [0] * (size + short)
+        tail = p1 + [0] * (size - short)
+        p0, p1 = (p0 + p1 + [y - 2 * x - z for x, z, y in zip(p0, tail, v)],
+                  [a - y + z for a, y, z in zip(w, v, tail)]
+                  + [a - 2 * z for a, z in zip(w[size:], p1)])
+        e += 2
+    if any(p1):
+        w, y = min((w, y) for w, y in zip(cd_order(dim - 1), p1) if y)
+        raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (y, w))
+    return NcPoly({w: y for w, y in zip(cd_order(dim), p0) if y})

@@ -644,6 +644,9 @@ def test_a_cache_with_both_orientations_of_each_cuspidal_key_still_loads(capsys,
     rc, out, err = compute_as_fresh_process(capsys, cache)
     assert (rc, out, err) == (0, cold, "")
     assert cache.read_bytes() == before  # nothing appended
+    # each record went in under the key cd_cuspidal looks up
+    keys = cuspidal.memo_snapshot()
+    assert keys and all(key == min(key, cuspidal.dual_key(*key)) for key in keys)
     rc, out, err = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
     assert (rc, out, err) == (0, "cache verify: 19 records OK\n", "")
 

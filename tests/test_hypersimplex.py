@@ -34,7 +34,7 @@ from cdx.ncpoly import (
 )
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product
-from reference import emve_mixed, g_cd
+from reference import emve_mixed, g_cd, reference_chain_sum
 
 
 class FaceSpec(NamedTuple):
@@ -127,8 +127,10 @@ def test_chain_sum_raises_on_a_residue_after_collecting_trailing_b():
 def chain_sum_inputs(draw):
     """(dim, f0, faces) for chain_sum: either the faces of a hypersimplex
     of dimension dim, its vertex count off by at most one, or random cd
-    faces, none to two per codimension.  Some triples are split in two
-    that list the same face object."""
+    faces, none to two per codimension.  A random face's coefficients
+    are small, or up to about 2^40 or 2^80 in absolute value, and some
+    counts reach 2^53, which takes the kernel to 128- and 192-bit slots.
+    Some triples are split in two that list the same face object."""
     dim = draw(st.integers(0, 12))
     if dim and draw(st.booleans()):
         n = dim + 1
@@ -142,10 +144,12 @@ def chain_sum_inputs(draw):
         faces = []
         for c in range(1, dim):
             for _ in range(draw(st.integers(0, 2))):
-                face = NcPoly([(w, rnd.randint(-9, 40)) for w in cd_order(dim - c)
-                               if rnd.random() < 0.7])
+                shift = draw(st.sampled_from([0, 0, 34, 74]))
+                face = NcPoly([(w, (rnd.randint(-9, 40) << shift) + rnd.randint(-9, 40))
+                               for w in cd_order(dim - c) if rnd.random() < 0.7])
                 if face:
-                    faces.append((c, face, draw(st.integers(1, 30))))
+                    count = draw(st.integers(1, 30)) << draw(st.sampled_from([0, 0, 48]))
+                    faces.append((c, face, count))
     out = []
     for c, face, count in faces:
         if draw(st.booleans()):
@@ -156,6 +160,14 @@ def chain_sum_inputs(draw):
     return dim, f0, out
 
 
+def outcome(fn, *args):
+    """fn(*args), or the message of the NotCdEquivalent it raises."""
+    try:
+        return "ok", fn(*args)
+    except NotCdEquivalent as err:
+        return "residue", str(err)
+
+
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(chain_sum_inputs())
 def test_chain_sum_equals_the_reference_chain_count(args):
@@ -163,14 +175,21 @@ def test_chain_sum_equals_the_reference_chain_count(args):
     acc = emve_mixed(dim, f0)
     for c, face, count in faces:
         acc = acc + count * (face * g_cd(c - 1))
-    try:
-        want = normalize_mixed(acc)
-    except NotCdEquivalent as err:
-        with pytest.raises(NotCdEquivalent) as got:
-            chain_sum(dim, f0, faces)
-        assert str(got.value) == str(err)
-    else:
-        assert chain_sum(dim, f0, faces) == want
+    got = outcome(chain_sum, dim, f0, faces)
+    assert got == outcome(normalize_mixed, acc)
+    assert got == outcome(reference_chain_sum, dim, f0, faces)
+
+
+def test_chain_sum_equals_the_list_kernel_on_every_hypersimplex_up_to_n22():
+    # from n = 22 on a coefficient needs more than 63 bits, so the last
+    # row runs on 128-bit slots
+    for n in range(3, 23):
+        for k in range(1, n // 2 + 1):
+            faces = [(i + j, cd_hypersimplex(k - i, n - i - j), count)
+                     for (i, j), count in face_type_counts(k, n).items()]
+            got = chain_sum(n - 1, comb(n, k), faces)
+            assert got == reference_chain_sum(n - 1, comb(n, k), faces), (k, n)
+    assert max(got.terms().values()).bit_length() > 63
 
 
 def test_chain_sum_in_low_dimensions_of_both_parities():
@@ -183,6 +202,20 @@ def test_chain_sum_in_low_dimensions_of_both_parities():
         chain_sum(1, 3, [])
     with pytest.raises(NotCdEquivalent, match=r"^residue -1\*cb after"):
         chain_sum(2, 4, [(1, C, 3)])
+
+
+@pytest.mark.parametrize("edge", [2**63, 2**127])
+def test_chain_sum_coefficients_at_the_edge_of_a_slot(edge):
+    # an m-gon's d coefficient m - 2, and the residue of a vertex count
+    # f0 against edges -m, each just inside or just past a slot width
+    for m in range(edge - 3, edge + 4):
+        assert chain_sum(2, m, [(1, C, m)]) == C * C + (m - 2) * D
+        for f0 in (1, 2):
+            want = "residue %d*cb after collecting trailing b" % (-m - f0)
+            for kernel in (chain_sum, reference_chain_sum):
+                with pytest.raises(NotCdEquivalent) as err:
+                    kernel(2, f0, [(1, C, -m)])
+                assert str(err.value) == want
 
 
 def test_chain_sum_rejects_faces_outside_its_range():

@@ -228,6 +228,40 @@ def test_cd_order_lists_each_cd_word_once_in_suffix_blocks():
                 assert [order[i][:len(order[i]) - len(u)] for i in at] == list(prefixes)
 
 
+def slot_extremes(bits):
+    half = 1 << (bits - 1)
+    return [0, 1, -1, half - 1, -(half - 1), -half]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 192])
+def test_packed_slots_round_trip(bits):
+    vals = slot_extremes(bits)
+    for order in (vals, vals[::-1]):
+        x = ncpoly._pack(order, bits)
+        assert x == sum(v << bits * i for i, v in enumerate(order))
+        assert list(ncpoly._unpack(x, len(order), bits)) == order
+    for v in vals:
+        assert list(ncpoly._unpack(ncpoly._pack([v], bits), 1, bits)) == [v]
+    # trailing zero slots read back as zeros
+    assert list(ncpoly._unpack(ncpoly._pack([-1], bits), 3, bits)) == [-1, 0, 0]
+
+
+def test_slot_width_is_the_least_multiple_of_64_holding_the_bound():
+    assert ncpoly._width(0) == 64
+    assert ncpoly._width(2**63 - 1) == 64
+    assert ncpoly._width(2**63) == 128
+    assert ncpoly._width(2**127 - 1) == 128
+    assert ncpoly._width(2**127) == 192
+
+
+def test_per_slot_decode_agrees_with_the_64_bit_one():
+    vals = slot_extremes(64) + [random.Random(5).randint(-2**63, 2**63 - 1) for _ in range(50)]
+    x = ncpoly._pack(vals, 64)
+    off = ncpoly._offset(len(vals), 64)
+    raw = ((x + off) ^ off).to_bytes(8 * len(vals), "little")
+    assert ncpoly._unpack_slots(raw, 8) == list(ncpoly._unpack(x, len(vals), 64)) == vals
+
+
 def test_text_form():
     p = NcPoly({"cccc": 1, "ccd": 8, "cdc": 20, "dcc": 8, "dd": 14})
     assert p.text() == "cccc + 8*ccd + 20*cdc + 8*dcc + 14*dd"
