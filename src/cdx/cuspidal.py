@@ -2,17 +2,19 @@
 
 The (k, n, r, h) cuspidal matroid has the bases of the (k, n) uniform
 matroid that meet a fixed h-element set F in at most r elements; its
-base polytope is the hypersimplex truncated by x(F) <= r.  Faces come
-in three kinds: ambient hypersimplex faces kept whole (max of x(F) on
-the face at most r), ambient faces truncated to smaller cuspidal
-polytopes (r strictly between the face's min and max), and faces lying
-in the cut hyperplane itself, which form a product of two
-hypersimplices.  Ambient faces whose minimum already reaches r
-contribute nothing new.
-
-The face cd-indices go to ``ncpoly.chain_sum`` summed by codimension:
-c1 + c2 + d1 + d2 for an ambient face pinned by c1 + c2 elements to 1
-and d1 + d2 to 0, and n - 1 - dm for a cut-plane face of dimension dm.
+base polytope is the hypersimplex truncated by x(F) <= r.  The faces
+in the cut hyperplane x(F) = r are the faces of one facet, the product
+of the (r, h) and (k - r, n - h) hypersimplices, and ``chain_sum``
+takes all of them as that facet's one term Psi(Q) a.  The other faces
+are ambient hypersimplex faces whose minimum of x(F) lies below r:
+kept whole when their maximum is at most r, and truncated to smaller
+cuspidal polytopes when r lies strictly between.  An ambient face
+pinned by c1 elements of F and c2 outside it to 1, and by d1 and d2 to
+0, has minimum c1 + max(0, k - (n - h) - c1 + d2), which is below r
+exactly when c1 < r and d2 < (n - h) - (k - r), so the loop runs over
+those pinnings alone.  Its codimension is c1 + c2 + d1 + d2, and the
+vertices off the cut plane are the bases meeting F in fewer than r
+elements.
 
 The dual matroid's polytope is the image of this one under x -> 1 - x,
 so both have one cd-index.  ``cd_cuspidal`` stores it once, under the
@@ -26,7 +28,7 @@ from math import comb
 from .errors import InvalidParams
 from .memo import Memo
 from .ncpoly import chain_sum
-from .hypersimplex import factor_faces, cd_hypersimplex, cd_hypersimplex_product
+from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product
 from .product import cd_product  # noqa: F401  see ROADMAP item 7
 
 
@@ -64,40 +66,34 @@ def cd_cuspidal(k, n, r, h):
 
 
 def _compute(k, n, r, h):
-    # ambient faces, by how the pinned sets meet F and its complement;
-    # many pinnings give the same face, so counts are summed per face first
+    # ambient faces, by how the pinned sets meet F and its complement,
+    # bounded to those whose minimum of x(F) stays below r; many pinnings
+    # give the same face, so counts are summed per face first
     ambient = {}  # (codimension, cd function, its arguments) -> count
-    for c1 in range(0, min(k, h + 1)):
+    for c1 in range(r):  # r < min(k, h)
+        n1 = comb(h, c1)
         for c2 in range(0, min(k - c1, n - h + 1)):
+            n2 = n1 * comb(n - h, c2)
+            kk = k - c1 - c2
             for d1 in range(0, min(n - k, h - c1 + 1)):
-                for d2 in range(0, min(n - k - d1, n - h - c2 + 1)):
+                n3 = n2 * comb(h - c1, d1)
+                free_f = h - c1 - d1
+                hi = c1 + min(free_f, kk)
+                for d2 in range(0, min(n - k - d1, n - h - c2 + 1, (n - h) - (k - r))):
                     codim = c1 + c2 + d1 + d2
                     if codim == 0:
                         continue
-                    kk = k - c1 - c2
-                    nn = n - codim
-                    free_f = h - c1 - d1
-                    free_out = (n - h) - c2 - d2
-                    lo = c1 + max(0, kk - free_out)
-                    hi = c1 + min(free_f, kk)
-                    if lo >= r:
-                        continue  # meets the polytope only inside the cut plane
                     if hi <= r:
-                        face = (codim, cd_hypersimplex, (kk, nn))
+                        face = (codim, cd_hypersimplex, (kk, n - codim))
                     else:
-                        face = (codim, cd_cuspidal, (kk, nn, r - c1, free_f))
-                    count = (comb(h, c1) * comb(n - h, c2)
-                             * comb(h - c1, d1) * comb(n - h - c2, d2))
-                    ambient[face] = ambient.get(face, 0) + count
+                        face = (codim, cd_cuspidal, (kk, n - codim, r - c1, free_f))
+                    ambient[face] = ambient.get(face, 0) + n3 * comb(n - h - c2, d2)
     faces = [(c, fn(*args), count) for (c, fn, args), count in ambient.items()]
-    # faces inside the cut plane: products of two hypersimplices
-    for k1, n1, ct1 in factor_faces(r, h):
-        for k2, n2, ct2 in factor_faces(k - r, n - h):
-            dm = (n1 - 1) + (n2 - 1)
-            if dm < 1:
-                continue
-            faces.append((n - 1 - dm, cd_hypersimplex_product(k1, n1, k2, n2), ct1 * ct2))
-    return chain_sum(n - 1, vertex_count(k, n, r, h), faces)
+    # the faces in the cut plane are those of one facet, the product of
+    # the (r, h) and (k - r, n - h) hypersimplices; the vertices off it
+    # meet F in at most r - 1 elements
+    return chain_sum(n - 1, vertex_count(k, n, r - 1, h), faces,
+                     facet=cd_hypersimplex_product(r, h, k - r, n - h))
 
 
 def cuspidal_matroid(k, n, r, h):

@@ -439,7 +439,7 @@ def _packed(p, deg, bits):
     return x
 
 
-def chain_sum(dim, f0, faces):
+def chain_sum(dim, f0, faces, facet=None):
     """cd-index of a polytope P of dimension dim with f0 vertices.
 
     Psi(P) is the cd part of the stratified chain count
@@ -451,10 +451,23 @@ def chain_sum(dim, f0, faces):
     The counts of the same face polynomial object (as a memo table
     returns it) are summed per codimension first.
 
+    With facet = Psi(Q) for a facet Q of P, faces and f0 list only the
+    faces and vertices of P that are not in Q, and Q's own faces enter
+    as one term.  By the same chain sum on Q, Psi(Q) = (a-b)^(dim-1)
+    + sum over G < Q of Psi(G) b(a-b)^(dim Q - dim G - 1), the faces of
+    Q (Q included) and the (a-b)^dim term sum to Psi(Q)(a-b) + Psi(Q) b,
+    so
+
+        Psi(P) = sum over c of V_c b(a-b)^(c-1) + Psi(Q) a
+
+    (Stanley, 1994).  The Horner start below then drops (a-b)^dim, and
+    Psi(Q) a = Psi(Q) c - Psi(Q) b is added to the final state.
+
     The count is built by Horner's rule in (a-b)^2, two codimensions a
-    step, from X = 1 (dim even) or X = (c - 2b) + f0 b (dim odd).  The
-    state X = p0 + p1 b holds p0 over cd_order(e) and p1 over
-    cd_order(e - 1), and by b(a-b)^2 = (a-b)^2 b + dc - cd one step is
+    step, from X = 1 (dim even) or X = (c - 2b) + f0 b (dim odd), or with
+    a facet from X = 0 or X = f0 b.  The state X = p0 + p1 b holds p0 over
+    cd_order(e) and p1 over cd_order(e - 1), and by b(a-b)^2 = (a-b)^2 b
+    + dc - cd one step is
 
         X (a-b)^2 + V b(a-b) + W b
             = p0 (cc-2d) + p1 (dc-cd) + V d + (p1 (cc-2d) - V c + W) b
@@ -480,7 +493,8 @@ def chain_sum(dim, f0, faces):
     (each the sum over its faces of |count| times the largest face
     coefficient), the next state's are at most 3 top + top_V + top_W;
     bits is the least multiple of 64 whose two's complement holds that
-    bound at the end.  So p1 is zero exactly when its int is.  The
+    bound at the end, the largest coefficient of Psi(Q) added to it when
+    a facet is given.  So p1 is zero exactly when its int is.  The
     result is a cd polynomial exactly when p1 ends up zero (Stanley,
     1994), and otherwise NotCdEquivalent names the first residue word by
     word_key.
@@ -500,24 +514,40 @@ def chain_sum(dim, f0, faces):
         else:
             entry[1] += count
     if dim == 0:
+        if facet is not None:
+            raise InvalidParams("a point has no facet")
         return NcPoly.one()
     tops = {dim: f0}  # bounds on the coefficients of each face sum
     for c, group in groups.items():
         tops[c] = sum([abs(k) * _coeff_info(face, dim - c)[1] for face, k in group.values()])
-    e, top = (1, max(1, abs(f0 - 2))) if dim % 2 else (0, 1)
-    for s in range(e, dim, 2):
+    # the state before the first step: (a-b)^dim starts at 1 or c - 2b,
+    # and without it (a facet given) at 0 or f0 b
+    odd = dim % 2
+    if facet is None:
+        p0, p1 = 1, f0 - 2 if odd else 0
+    else:
+        p0, p1 = 0, f0 if odd else 0
+    top = max(abs(p0), abs(p1))
+    for s in range(odd, dim, 2):
         top = 3 * top + tops.get(dim - s, 0) + tops.get(dim - s - 1, 0)
+    if facet is not None:
+        top += _coeff_info(facet, dim - 1)[1]
     bits = _width(top)
     sums = {dim: f0}
     for c, group in groups.items():
         sums[c] = sum([k * _packed(face, dim - c, bits) for face, k in group.values()])
-    p0, p1 = (1, f0 - 2) if dim % 2 else (1, 0)
+    e = odd
     while e < dim:
         size, short = len(cd_order(e)), len(cd_order(e - 1))
         v, w = sums.get(dim - e, 0), sums.get(dim - e - 1, 0)
         p0, p1 = (p0 + (p1 << bits * size) + ((v - 2 * p0 - p1) << bits * (size + short)),
                   w - v + p1 - (p1 << bits * size + 1))
         e += 2
+    if facet is not None:
+        # Psi(Q) a = Psi(Q) c - Psi(Q) b, and Psi(Q) c fills the start of
+        # cd_order(dim)
+        q = _packed(facet, dim - 1, bits)
+        p0, p1 = p0 + q, p1 - q
     if p1:
         vals = _unpack(p1, len(cd_order(dim - 1)), bits)
         w, y = min((w, y) for w, y in zip(cd_order(dim - 1), vals) if y)

@@ -6,10 +6,11 @@ P(M) = {x >= 0 : x(S) <= r(S) for all S, x(E) = r(E)}: with r(S) taken
 as the largest |B & S| over the bases, every proper face is an
 intersection of the faces F_S = {B : |B & S| = r(S)}, so the faces are
 the closure of the facets under intersection, plus the polytope and the
-empty face.  The closure runs on a hash set of vertex bitmasks; every
-step after it is a whole-array pass over one packed incidence array,
-the faces sorted by mask with row i holding the vertex bits of face i,
-⌈m/8⌉ bytes for m vertices.
+empty face.  The closure runs on a hash set of vertex bitmasks, seeded
+with the vertices so that only faces of three or more vertices meet
+the facets; every step after it is a whole-array pass over one packed
+incidence array, the faces sorted by mask with row i holding the
+vertex bits of face i, ⌈m/8⌉ bytes for m vertices.
 
 Each face is the base polytope of a direct sum of minors
 (Feichtner-Sturmfels, 2005), so its dimension is n minus the number of
@@ -168,10 +169,13 @@ def face_lattice(M):
     # the facets: generators inside no other generator
     G = _unpack(_pack(gens, m), m)
     facets = [g for g, c in zip(gens, _containment(G, 1 - G).sum(axis=1)) if c == 1]
-    faces = set(facets)
-    new = faces
+    # every vertex is a face, and a face of at most two vertices (a vertex
+    # or an edge) meets a facet in a face of its own, so only the faces
+    # of three or more vertices are closed
+    faces = set(facets) | {1 << j for j in range(m)}
+    new = facets
     while new:
-        new = {f & g for f in new for g in facets} - faces
+        new = {f & g for f in new if f.bit_count() > 2 for g in facets} - faces
         faces |= new
     faces = sorted(faces | {full, 0})
     packed = _pack(faces, m)

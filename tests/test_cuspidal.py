@@ -86,6 +86,7 @@ PINNED = [
     (cd_cuspidal, (7, 14, 3, 7), "4cc6ba3d831c6b79cf504f49bbf4965455f2dfe673442b0870ff3dfb0b752891"),
     (cd_cuspidal, (8, 16, 7, 8), "90c4658bad85aac512f6b8fddd01098830c7f091d9b1b348238bbd600248bf99"),
     (cd_cuspidal, (8, 16, 4, 8), "01073428763d6076adcd5709d90468b43e8a1382d9abba8b436d0dc9dcd1a9ca"),
+    (cd_cuspidal, (10, 20, 5, 10), "a1e6ec1be7c7f779d15ab6f002602e30357432b33b75b44e87e279a8553c9179"),
     (cd_hypersimplex_product, (3, 7, 4, 10),
      "43a21feac6effd81f33931be25ec02033db52bc084fc39bd51bbf03dd2666c0d"),
     (cd_hypersimplex_product, (4, 9, 4, 9),
@@ -115,6 +116,23 @@ def test_the_recursions_build_no_chain_weight(monkeypatch):
     cuspidal.memo_clear()
     for fn, key, digest in want:
         assert hashlib.sha256(fn(*key).text().encode()).hexdigest() == digest, key
+
+
+def test_the_cut_plane_enters_as_one_facet_per_key(monkeypatch):
+    # the faces in the cut plane are those of one facet, so each computed
+    # key asks for exactly one product of two hypersimplices
+    calls = []
+
+    def product(*args):
+        calls.append(args)
+        return cd_hypersimplex_product(*args)
+
+    monkeypatch.setattr(cuspidal, "cd_hypersimplex_product", product)
+    memo_clear()
+    for key in valid_keys(10) + [(8, 16, 4, 8)]:
+        cd_cuspidal(*key)
+    want = [(r, h, k - r, n - h) for k, n, r, h in memo_snapshot()]
+    assert sorted(calls) == sorted(want)
 
 
 def test_key_validation():

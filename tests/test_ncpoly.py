@@ -23,6 +23,7 @@ from cdx.ncpoly import (
     cd_to_ab,
     cd_order,
     cd_to_flag_f,
+    chain_sum,
     expand_ab,
     flag_to_ab,
     flag_to_cd,
@@ -260,6 +261,50 @@ def test_per_slot_decode_agrees_with_the_64_bit_one():
     off = ncpoly._offset(len(vals), 64)
     raw = ((x + off) ^ off).to_bytes(8 * len(vals), "little")
     assert ncpoly._unpack_slots(raw, 8) == list(ncpoly._unpack(x, len(vals), 64)) == vals
+
+
+def hypersimplex_off_facet(k, n):
+    """(f0, faces) of the (k, n) hypersimplex off its facet x_n = 0: the
+    vertices with x_n = 1, and the faces pinned by (C, D), n not in D."""
+    faces = [(i + j, cd_hypersimplex(k - i, n - i - j), comb(n - 1, j) * comb(n - j, i))
+             for i, j in face_type_counts(k, n)]
+    return comb(n - 1, k - 1), faces
+
+
+def test_chain_sum_with_a_facet_term_on_every_hypersimplex_up_to_n14():
+    # n - 1 runs over both parities of the dimension
+    for n in range(3, 15):
+        for k in range(1, n - 1):
+            f0, faces = hypersimplex_off_facet(k, n)
+            got = chain_sum(n - 1, f0, faces, facet=cd_hypersimplex(k, n - 1))
+            assert got == cd_hypersimplex(k, n), (k, n)
+
+
+def test_chain_sum_with_a_perturbed_facet_leaves_a_residue():
+    for k, n in [(2, 5), (3, 7), (2, 6)]:
+        f0, faces = hypersimplex_off_facet(k, n)
+        tail = "c" * (n - 2)
+        facet = cd_hypersimplex(k, n - 1) + NcPoly.word(tail)
+        with pytest.raises(NotCdEquivalent, match=r"^residue -1\*%sb after" % tail):
+            chain_sum(n - 1, f0, faces, facet=facet)
+
+
+def test_chain_sum_facet_coefficients_set_the_slot_width():
+    # a segment with one vertex off the facet {q}: c q - (q - 1) b, whose
+    # residue sits at the edge of a 64-bit slot only through the facet
+    for q in range(2**63 - 3, 2**63 + 4):
+        with pytest.raises(NotCdEquivalent) as err:
+            chain_sum(1, 1, [], facet=NcPoly({"": q}))
+        assert str(err.value) == "residue %d*b after collecting trailing b" % (1 - q)
+    # t times a segment: the bound t + t reaches 2^63 only with the facet
+    for t, bits in [(2**62 - 1, 64), (2**62, 128)]:
+        got = chain_sum(1, t, [], facet=NcPoly({"": t}))
+        assert got == t * C
+        assert set(got._vec[2]) == {bits}
+    with pytest.raises(InvalidParams):
+        chain_sum(0, 1, [], facet=NcPoly.one())
+    with pytest.raises(InvalidParams):
+        chain_sum(3, 4, [], facet=C)  # not of degree dim - 1
 
 
 def test_text_form():

@@ -264,6 +264,18 @@ def test_meet_closed():
         assert ok
 
 
+def test_closure_from_the_vertices_matches_the_plain_facet_closure():
+    for name, M in cli.corpus(8):
+        L = face_lattice(M)
+        facets = [f for f, d in zip(L.faces, L.dims) if d == L.dim - 1]
+        faces = set(facets)
+        new = faces
+        while new:
+            new = {f & g for f in new for g in facets} - faces
+            faces |= new
+        assert set(L.faces) == faces | {0, L.faces[-1]}, name
+
+
 def test_flag_to_ab_mirror_symmetry():
     ab = flag_to_ab(oracle_flag_f(face_lattice(Matroid.uniform(2, 4))))
     assert ab.mirror() == ab
