@@ -23,7 +23,7 @@ from math import comb
 from . import cuspidal, engine, hypersimplex, matroid, oracle
 from .errors import CacheVersionMismatch, CdxError, InvalidParams
 from .matroid import Matroid
-from .ncpoly import NcPoly, cd_to_flag_f, from_terms, word_degree
+from .ncpoly import NcPoly, cd_f_vector, cd_to_flag_f, from_terms, word_degree
 
 EXIT_CODES = {
     "NOT_A_MATROID": 2,
@@ -274,22 +274,23 @@ def cmd_compute(args):
     if cache:
         cache.append_new()
     dim = p.degree()
-    flag = cd_to_flag_f(p, dim) if (args.flag_f or args.f_vector) else None
+    fvec = cd_f_vector(p, dim) if args.f_vector else None
     rows = []  # (label of S, f_S), S by size and then as a sorted list
     if args.flag_f:
+        flag = cd_to_flag_f(p, dim)
         sets = sorted((len(S), sorted(S), v) for S, v in flag.entries().items())
         rows = [(",".join(str(d) for d in S), v) for _, S, v in sets]
     if args.format == "json":
         obj = {"cd": poly_to_json(p)}
         if args.f_vector:
-            obj["f_vector"] = list(flag.f_vector())
+            obj["f_vector"] = list(fvec)
         if args.flag_f:
             obj["flag_f"] = {label: str(v) for label, v in rows}
         print(json.dumps(obj, sort_keys=True))
     else:
         print(p.text())
         if args.f_vector:
-            print("f-vector: %s" % " ".join(str(x) for x in flag.f_vector()))
+            print("f-vector: %s" % " ".join(str(x) for x in fvec))
         for label, v in rows:
             print("flag[%s] = %d" % (label, v))
     return 0

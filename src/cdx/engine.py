@@ -8,7 +8,9 @@ polytope of a direct sum is the product of the summands' polytopes.
 """
 
 from .errors import (
+    DegreeMismatch,
     InternalError,
+    InvalidAlphabet,
     InvalidParams,
     NotConnected,
     NotSparsePaving,
@@ -16,7 +18,7 @@ from .errors import (
     UnsupportedMatroid,
 )
 from .memo import Memo
-from .ncpoly import NcPoly, D as _D, add_product, add_scaled, from_terms
+from .ncpoly import NcPoly, D as _D, add_product, add_scaled, cd_f_vector, from_terms
 from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product, factor_faces
 from .cuspidal import cd_cuspidal
 from .product import cd_product, cd_product_all  # noqa: F401  cd_product: see ROADMAP item 7
@@ -140,18 +142,20 @@ def cd_index(M, oracle_fallback=False):
 
 def check_result(M, p):
     """Raise InternalError unless the cd-index p of M's base polytope has
-    as many vertices as M has bases and no negative coefficient (Stanley,
-    Flag f-vectors and the cd-index, 1994).
+    no negative coefficient and as many vertices as M has bases.
 
-    The vertex count is f_{0}: of the per-letter factors of cd_to_flag_f
-    at S = {0}, only c^D, giving 2, and d c^(D-2), giving 1, have none
-    that is zero.
+    The vertex count is f_0 of cd_f_vector, whose checks (a homogeneous
+    cd polynomial, c^D with coefficient 1) come out as InternalError too;
+    a point's one vertex is the coefficient of the empty word.
     """
-    D = p.degree()
-    f0 = 2 * p.coeff("c" * D) + p.coeff("d" + "c" * (D - 2)) if D > 0 else p.coeff("")
-    bases = len(M.basis_masks())
-    if f0 != bases:
-        raise InternalError("cd-index has %d vertices, the matroid has %d bases" % (f0, bases))
     for w, k in p.terms().items():
         if k < 0:
             raise InternalError("cd-index has the negative coefficient %d*%s" % (k, w))
+    D = p.degree()
+    try:
+        f0 = cd_f_vector(p, D)[0] if D > 0 else p.coeff("")
+    except (DegreeMismatch, InvalidAlphabet, InvalidParams) as exc:
+        raise InternalError("cd-index is not a polytope's: %s" % exc) from None
+    bases = len(M.basis_masks())
+    if f0 != bases:
+        raise InternalError("cd-index has %d vertices, the matroid has %d bases" % (f0, bases))

@@ -17,6 +17,8 @@ off the cd words: f_S sums the coefficients of the ab words with b only
 on S, and each letter of a cd word counts its own choices, so a word's
 share of f_S is a product of per-position factors, 1 + [i in S] for a c
 at position i and [i in S] + [i+1 in S] for a d at positions i, i+1.
+The f-vector, f_S at the sets S = {i}, needs only the words with at
+most one d, so cd_f_vector reads it off dim coefficients.
 
 The way back peels the same factors off the flag sums, first letter
 first, so ab -> cd is a subset-sum pass over the ab coefficients and
@@ -665,8 +667,21 @@ def _flag_vector(terms, dim):
     return out
 
 
+def _check_cd(p, dim):
+    """InvalidAlphabet unless p uses only c and d, InvalidParams for a
+    negative dim, DegreeMismatch unless p is homogeneous of degree dim."""
+    bad = p.letters() - set("cd")
+    if bad:
+        raise InvalidAlphabet("cd polynomial contains %s" % ", ".join(sorted(bad)))
+    if dim < 0:
+        raise InvalidParams("dimension must be >= 0")
+    if not p.is_homogeneous() or p.degree() != dim:
+        raise DegreeMismatch("expected homogeneous of degree %d, got degree %s" % (dim, p.degree()))
+
+
 def cd_to_flag_f(p, dim):
-    """Flag f-vector encoded by a cd polynomial of degree dim.
+    """Flag f-vector encoded by a cd polynomial of degree dim, all 2^dim
+    entries; cd_f_vector reads the f-vector alone off dim coefficients.
 
     f_S sums the coefficients of the ab words with b only on S.  A cd
     word expands letter by letter, so its share of f_S is a product of
@@ -675,12 +690,39 @@ def cd_to_flag_f(p, dim):
     (ba, ab).  The flag vector over all masks follows by recursion on
     the first letter, with no ab expansion.
     """
-    bad = p.letters() - set("cd")
-    if bad:
-        raise InvalidAlphabet("cd polynomial contains %s" % ", ".join(sorted(bad)))
-    if not p.is_homogeneous() or p.degree() != dim:
-        raise DegreeMismatch("expected homogeneous of degree %d, got degree %s" % (dim, p.degree()))
+    _check_cd(p, dim)
     return FlagFVector.from_vector(dim, _flag_vector(p._t, dim))
+
+
+def cd_f_vector(p, dim):
+    """Face counts by dimension (f_0, ..., f_{dim-1}) encoded by a cd
+    polynomial of degree dim, equal to cd_to_flag_f(p, dim).f_vector().
+
+    At S = {i} the factors of cd_to_flag_f are 2 for a c at i, 1 for any
+    other c, 1 for a d covering i and 0 for any other d.  So only words
+    with at most one d count, and
+
+        f_i = 2 [c^dim] + [c^i d c^(dim-i-2)] + [c^(i-1) d c^(dim-i-1)]
+
+    (Stanley, Flag f-vectors and the cd-index, 1994).  f of the empty set
+    is [c^dim].  The checks are cd_to_flag_f's on the entries read:
+    NegativeFlag on the first negative one by mask, then InvalidParams
+    unless f of the empty set is 1.
+    """
+    _check_cd(p, dim)
+    t = p._t
+    top = t.get("c" * dim, 0)
+    f = [2 * top] * dim
+    for j in range(dim - 1):  # a d at j, j + 1 counts in f_j and f_{j+1}
+        x = t.get("c" * j + "d" + "c" * (dim - j - 2), 0)
+        f[j] += x
+        f[j + 1] += x
+    for S, x in [([], top)] + [([i], x) for i, x in enumerate(f)]:
+        if x < 0:
+            raise NegativeFlag("f_%s = %d" % (S, x))
+    if top != 1:
+        raise InvalidParams("f of the empty set must be 1")
+    return tuple(f)
 
 
 def flag_to_ab(fv):

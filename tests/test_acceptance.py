@@ -15,7 +15,7 @@ from cdx.errors import InvalidParams
 from cdx.hypersimplex import _compute as hyp_compute
 from cdx.hypersimplex import cd_hypersimplex
 from cdx.hypersimplex import memo_clear as hyp_clear
-from cdx.ncpoly import NcPoly, ab_to_cd, cd_to_ab, cd_to_flag_f
+from cdx.ncpoly import NcPoly, ab_to_cd, cd_f_vector, cd_to_ab, cd_to_flag_f
 from cdx.oracle import eulerian_check, face_lattice, oracle_cd_index
 
 DELTA_2_5_CD = "cccc + 8*ccd + 20*cdc + 8*dcc + 14*dd"
@@ -156,6 +156,7 @@ def test_criterion_8_property_suite():
         ab = cd_to_ab(p)
         assert ab.mirror() == ab
         fv = cd_to_flag_f(p, p.degree())
+        assert cd_f_vector(p, p.degree()) == fv.f_vector()
         assert fv.f(frozenset()) == 1
         for s, val in fv.entries().items():
             assert val >= 0, s

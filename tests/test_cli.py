@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from cdx import cli, cuspidal, engine, hypersimplex
+from cdx import cli, cuspidal, engine, hypersimplex, ncpoly
 from cdx.matroid import Matroid, fano
 from cdx.ncpoly import C, NcPoly
 
@@ -28,6 +29,74 @@ def test_compute_fano_f_vector(capsys):
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[1].startswith("f-vector: 28 ")
+
+
+CUSPIDAL_5_12_3_6 = ["--builtin", "cuspidal", "--k", "5", "--n", "12", "--r", "3", "--h", "6"]
+# sha256 of the stdout of compute CUSPIDAL_5_12_3_6 --f-vector; the text
+# is the benchmark's recorded golden output for this matroid
+CUSPIDAL_F_VECTOR_SHA256 = {
+    "text": "da5d4b2cc43db439605482884e336b8e05db91aa7bdc724c07e7bdf72170923d",
+    "json": "23c65f93ad3c7ca053b9294310e40825ee059e0d52539a6f33004a0acf73cc22",
+}
+
+
+class FlagVectorCalled(Exception):
+    pass
+
+
+def no_flag_vector(terms, dim):
+    raise FlagVectorCalled
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_f_vector_alone_builds_no_flag_vector(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(ncpoly, "_flag_vector", no_flag_vector)
+    rc, out, _ = run(capsys, "compute", *CUSPIDAL_5_12_3_6, "--f-vector", "--format", fmt)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CUSPIDAL_F_VECTOR_SHA256[fmt]
+    with pytest.raises(FlagVectorCalled):
+        cli.main(["compute", *CUSPIDAL_5_12_3_6, "--f-vector", "--flag-f", "--format", fmt])
+
+
+# sha256 of the stdout of compute --f-vector --flag-f, as printed when
+# the f-vector was read off the flag vector
+F_VECTOR_FLAG_F_SHA256 = {
+    ("fano", "text"): "0d773444f6b27ab08ace5adfecbefc448e31a0dec5a0f7451bee87e69857c632",
+    ("fano", "json"): "40af072603ae0b551025ae5ecbfaf1edec659862b7c6bb7a0de0b63c8d1a2b1a",
+    ("vamos", "text"): "bcfa0e1fa7bbdb744e39b74309e94fecc15b5b92a46695837b371f144ac6601f",
+    ("vamos", "json"): "de5798b5999ee4873a0765b713f719d958beee3a443d77a16d622b0bd6186a5e",
+    ("mk4", "text"): "c96ffd5bc298b588fe23d2909f1fa87ef4c82b91d5c20f3ef106886898391c80",
+    ("mk4", "json"): "bc72b36b32c1a6ee94c209ea29f28a7cd3a09e68c655dd0187a7828f8ed19142",
+    ("example-m1", "text"): "4259e893d212c4d89ad2c30e6aeeb8ef7c5f39970cfadae3e2078cff1ae004bc",
+    ("example-m1", "json"): "dff1d069b22cda963e16fa71360863af87b6e6781fdab718b3e6f8ef20baf2fc",
+    ("example-m2", "text"): "29e060819c4c61173a93e4453861255fe5e3c8762dc8f54f975f776cb877e457",
+    ("example-m2", "json"): "447ce7165b870666284c93cb81230399683a87ebd790a2f702c7cdab6d4b8e25",
+    ("example-m3", "text"): "29e060819c4c61173a93e4453861255fe5e3c8762dc8f54f975f776cb877e457",
+    ("example-m3", "json"): "447ce7165b870666284c93cb81230399683a87ebd790a2f702c7cdab6d4b8e25",
+    ("example-535", "text"): "8844614b7720b7df33a30f65119b2ad93f41b242eefe6817a8dab6a972b27ab9",
+    ("example-535", "json"): "2d4b533024072e3d10a361a040f8dc9eac96c9ecafdf6d1bbc9fee8c7af40223",
+    ("point", "text"): "64c14e553ba134af80fa111b60ab1587d2d7c3957774e8053d20ff90ccd746fc",
+    ("point", "json"): "b2ad2ccdbe18b545b125f2286f3e75a08233de254412e18b2af84bfc2b728df6",
+    ("U(1,2)", "text"): "2fdc516670a5c9bbf8492c962da8d299df831203596c30046579d6f60b685425",
+    ("U(1,2)", "json"): "4aa6a41e1c2a609ada05137eb39d15552a434219e1a4740ac34698c66b6d8ed0",
+}
+
+
+def test_every_fixed_builtin_has_pinned_f_vector_and_flag_f_stdout():
+    assert {name for name, _ in F_VECTOR_FLAG_F_SHA256} >= set(cli._FIXED_BUILTINS)
+
+
+@pytest.mark.parametrize("name, fmt", sorted(F_VECTOR_FLAG_F_SHA256))
+def test_f_vector_and_flag_f_stdout_is_pinned(capsys, tmp_path, name, fmt):
+    if name == "point":
+        source = ["--file", write_json(tmp_path, {"n": 1, "rank": 1, "bases": [[1]]})]
+    elif name == "U(1,2)":
+        source = ["--builtin", "uniform", "--k", "1", "--n", "2"]
+    else:
+        source = ["--builtin", name]
+    rc, out, _ = run(capsys, "compute", *source, "--f-vector", "--flag-f", "--format", fmt)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == F_VECTOR_FLAG_F_SHA256[(name, fmt)]
 
 
 def test_compute_json_format(capsys):

@@ -248,3 +248,8 @@ def test_result_check_reads_the_vertex_count_off_the_index():
     # the tetrahedron's 4 vertices, but a negative coefficient
     with pytest.raises(InternalError, match="negative"):
         check_result(Matroid.uniform(1, 4), NcPoly.from_text("ccc - 5*cd + 2*dc"))
+    # three vertices each, but no polytope's cd-index: c^2 must have
+    # coefficient 1, and every word degree 2
+    for text in ("3*d", "cc + d + c"):
+        with pytest.raises(InternalError, match="not a polytope's"):
+            check_result(Matroid.uniform(1, 3), NcPoly.from_text(text))

@@ -3,8 +3,11 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdx.errors import (
+    CdxError,
     DegreeMismatch,
     InvalidAlphabet,
     InvalidParams,
@@ -21,6 +24,7 @@ from cdx.ncpoly import (
     NcPoly,
     ab_to_cd,
     cd_to_ab,
+    cd_f_vector,
     cd_order,
     cd_to_flag_f,
     chain_sum,
@@ -30,7 +34,7 @@ from cdx.ncpoly import (
     normalize_mixed,
     word_degree,
 )
-from cdx import ncpoly
+from cdx import cli, cuspidal, engine, ncpoly
 from cdx.hypersimplex import cd_hypersimplex, face_type_counts
 from reference import emve_mixed, g_cd
 
@@ -468,3 +472,76 @@ def test_flag_kernel_face_counts_of_large_hypersimplices(k, n):
     for (i, j), count in face_type_counts(k, n).items():
         want[n - i - j - 1] += count
     assert list(cd_to_flag_f(cd_hypersimplex(k, n), n - 1).f_vector()) == want
+
+
+def test_f_vector_of_small_polytopes():
+    assert cd_f_vector(NcPoly.one(), 0) == ()
+    assert cd_f_vector(C, 1) == (2,)
+    for m in range(3, 12):  # the m-gon: cc + (m - 2) d
+        assert cd_f_vector(C * C + (m - 2) * D, 2) == (m, m)
+    assert cd_f_vector(C**3 + 6 * C * D + 4 * D * C, 3) == (6, 12, 8)
+
+
+def test_f_vector_raises_where_the_flag_vector_does():
+    cases = [
+        (C, 2, DegreeMismatch),
+        (C + NcPoly.one(), 1, DegreeMismatch),
+        (NcPoly.zero(), 0, DegreeMismatch),
+        (-C, 1, NegativeFlag),
+        (C * C - 3 * D, 2, NegativeFlag),
+        (A, 1, InvalidAlphabet),
+        (C * C + B * C, 2, InvalidAlphabet),
+        (2 * C, 1, InvalidParams),  # f of the empty set must be 1
+        (NcPoly.zero(), -1, InvalidParams),
+    ]
+    for p, dim, err in cases:
+        for fn in (cd_to_flag_f, cd_f_vector):
+            with pytest.raises(err):
+                fn(p, dim)
+    for fn in (cd_to_flag_f, cd_f_vector):  # f = (1, -1, 0)
+        with pytest.raises(NegativeFlag, match=r"f_\[1\] = -1"):
+            fn(C**3 - 2 * C * D - D * C, 3)
+
+
+def _is_cuspidal_key(key):
+    try:
+        cuspidal.check_key(*key)
+    except InvalidParams:
+        return False
+    return True
+
+
+def test_f_vector_equals_the_flag_vector_on_computed_indices():
+    computed = [cd_hypersimplex(k, n) for n in range(2, 17) for k in range(1, n)]
+    computed += [cuspidal.cd_cuspidal(*key) for key in product(range(13), repeat=4)
+                 if _is_cuspidal_key(key)]
+    computed += [engine.cd_index(M) for _, M in cli.corpus(9)]
+    assert len(computed) == 120 + 495 + 302
+    for p in computed:
+        d = p.degree()
+        assert cd_f_vector(p, d) == cd_to_flag_f(p, d).f_vector(), p
+
+
+@st.composite
+def nonnegative_cd_polys(draw):
+    """(p, dim): a cd polynomial of degree dim <= 12 with nonnegative
+    coefficients, c^dim most often with coefficient 1."""
+    dim = draw(st.integers(0, 12))
+    terms = draw(st.dictionaries(st.sampled_from(cd_order(dim)),
+                                 st.integers(0, 10**12) | st.integers(0, 9), max_size=12))
+    if draw(st.integers(0, 3)):
+        terms["c" * dim] = 1
+    return NcPoly(terms), dim
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(nonnegative_cd_polys())
+def test_f_vector_equals_the_flag_vector_on_drawn_polynomials(args):
+    p, dim = args
+    try:
+        want = cd_to_flag_f(p, dim).f_vector()
+    except CdxError as exc:  # no terms, or f of the empty set is not 1
+        with pytest.raises(type(exc)):
+            cd_f_vector(p, dim)
+    else:
+        assert cd_f_vector(p, dim) == want
