@@ -2,25 +2,26 @@
 
 Ground set is 0-based internally; the CLI layer does the 1-based file
 translation, and diagnostics print elements 1-based.  Everything here
-is desk scale: subset enumeration caps at n = 12, and the matroid axiom
-check reads one rank table per connected component.
+is desk scale: no matroid has more than _ENUM_CAP = 12 elements.  Every
+constructor checks that in `_check_size`, after its argument checks and
+before it enumerates any set.
 
-Up to that cap each matroid computes the rank of every subset once, on
-first use, into a table of 2^n bytes (4 KB at n = 12), indexed by mask.
+Each matroid computes the rank of every subset once, on first use, into
+one table of 2^n bytes (4 KB at n = 12), indexed by mask.
 For each element e, the sets without e and the sets with e are two
 basic-slice views of such a numpy array (``_halves``).  n in-place ORs
 of the with-e view into the without-e view mark every subset of a basis
 independent; an independent set's rank is its size, and n in-place
 maxima of the without-e view into the with-e view give any other set the
 largest rank below it.  For any basis family that equals max |B & S|
-over the bases B.  Rank queries, the axiom check and the cyclic flat
-sweep read this table, the last two by O(n) whole-array steps on the
-same views.  Above the cap ``rank_of`` scans the bases per query, and
-asking for the table or the cyclic flats, or building a connected
-uniform matroid or one from cyclic flats, raises ScaleExceeded.
+over the bases B.  Rank queries, the axiom check, the connected
+components and the cyclic flat sweep all read this table, the last
+three by whole-array steps.
 """
 
+from functools import reduce
 from itertools import combinations
+from operator import and_
 from typing import NamedTuple
 
 from .errors import (
@@ -34,6 +35,12 @@ from .errors import (
 )
 
 _ENUM_CAP = 12  # 2^n subset sweeps beyond this are not desk scale
+
+
+def _check_size(n):
+    """ScaleExceeded above the cap, before any set is enumerated."""
+    if n > _ENUM_CAP:
+        raise ScaleExceeded("rank tables capped at n=%d, got n=%d" % (_ENUM_CAP, n))
 
 
 def _mask(elems):
@@ -77,14 +84,14 @@ def _sizes(n):
     return sizes
 
 
-def _not_submodular(grows, labels):
+def _not_submodular(grows):
     """NotAMatroid naming S, x, y where bit x of grows[S] (D_x(S)) is
-    clear and bit x of grows[S+y] is set, on the elements labels: the
-    first pair x < y, then the smallest mask S.  The inequality is
-    symmetric in x and y, so the pair is x in the violations along y."""
+    clear and bit x of grows[S+y] is set: the first pair x < y, then the
+    smallest mask S.  The inequality is symmetric in x and y, so the pair
+    is x in the violations along y."""
     import numpy as np
 
-    n = len(labels)
+    n = len(grows).bit_length() - 1
     along = []
     for y in range(n):
         without_y, with_y = _halves(grows, y)
@@ -93,9 +100,8 @@ def _not_submodular(grows, labels):
     masks = np.arange(1 << n)
     s = masks[masks & (1 << x | 1 << y) == 0]
     bad = s[(grows[s | 1 << y] & ~grows[s]) >> x & 1 == 1]
-    S = _shown(labels[e] for e in _bits(int(bad[0])))
     return NotAMatroid("rank not submodular: r(S+x) + r(S+y) < r(S+x+y) + r(S) at "
-                       "S=%r, x=%d, y=%d" % (S, labels[x] + 1, labels[y] + 1))
+                       "S=%r, x=%d, y=%d" % (_shown(_bits(int(bad[0]))), x + 1, y + 1))
 
 
 class CyclicFlat(NamedTuple):
@@ -119,8 +125,8 @@ class Matroid:
     def from_bases(cls, n, rank, bases):
         """Build from an iterable of bases (iterables of 0-based elements),
         checking the matroid axioms."""
-        if n < 1 or n > 64 or rank < 0 or rank > n:
-            raise InvalidParams("need 1 <= n <= 64 and 0 <= rank <= n, got n=%d rank=%d" % (n, rank))
+        if n < 1 or not 0 <= rank <= n:
+            raise InvalidParams("need n >= 1 and 0 <= rank <= n, got n=%d rank=%d" % (n, rank))
         masks = set()
         for b in bases:
             m = _mask(b) if not isinstance(b, int) else b
@@ -129,6 +135,7 @@ class Matroid:
             if m.bit_count() != rank:
                 raise NotAMatroid("basis %r does not have size %d" % (_shown(_bits(m)), rank))
             masks.add(m)
+        _check_size(n)
         if not masks:
             raise EmptyMatroid("no bases given")
         M = cls(n, rank, masks)
@@ -137,14 +144,11 @@ class Matroid:
 
     @classmethod
     def uniform(cls, k, n):
-        """U(k, n).  It is connected when 0 < k < n, and then its cyclic
-        flats need the rank table, so above the subset cap that raises
-        ScaleExceeded before any basis is enumerated; U(0, n) and U(n, n)
-        have one basis each."""
-        if not 0 <= k <= n or n < 1 or n > 64:
-            raise InvalidParams("uniform matroid needs 0 <= k <= n, 1 <= n <= 64")
-        if 0 < k < n and n > _ENUM_CAP:
-            raise ScaleExceeded("rank tables capped at n=%d" % _ENUM_CAP)
+        """U(k, n)."""
+        if n < 1 or not 0 <= k <= n:
+            raise InvalidParams("uniform matroid needs n >= 1 and 0 <= k <= n, got k=%d n=%d"
+                                % (k, n))
+        _check_size(n)
         return cls(n, k, {_mask(c) for c in combinations(range(n), k)})
 
     @classmethod
@@ -153,22 +157,19 @@ class Matroid:
 
         Keeps every k-subset B with |B & F| <= rank(F) for each given
         flat, checks the matroid axioms, then re-derives the cyclic flats
-        and checks they match the input family.  Above the subset cap the
-        re-derivation is out of reach, so that raises ScaleExceeded before
-        any set is enumerated.
+        and checks they match the input family.
         """
-        if n < 1 or n > 64 or rank < 0 or rank > n:
-            raise InvalidParams("need 1 <= n <= 64 and 0 <= rank <= n")
+        if n < 1 or not 0 <= rank <= n:
+            raise InvalidParams("need n >= 1 and 0 <= rank <= n, got n=%d rank=%d" % (n, rank))
         fam = []
         for elems, r in flats:
             fm = _mask(elems)
             if fm >> n or not 0 <= r <= rank:
                 raise InvalidParams("flat (%r, %d) out of range" % (_shown(elems), r))
-            if fm == 0 or fm == (1 << n) - 1:
+            if fm == 0 or fm.bit_count() == n:
                 raise InvalidParams("cyclic flat presentations list proper nonempty flats only")
             fam.append((fm, r))
-        if n > _ENUM_CAP:
-            raise ScaleExceeded("rank tables capped at n=%d" % _ENUM_CAP)
+        _check_size(n)
         import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
 
         sizes = _sizes(n)
@@ -215,48 +216,34 @@ class Matroid:
         return "Matroid(n=%d, rank=%d, %d bases)" % (self.n, self.rank, len(self._bases))
 
     def _check_axioms(self):
-        """Raise NotAMatroid unless the bases are a matroid's.  Built from
-        equal-size sets, a rank table r(S) = max |B & S| is a matroid's rank
-        function, with exactly those sets as bases, iff r(S+x) + r(S+y) >=
-        r(S+x+y) + r(S) for all S and x, y outside S; each component's table
-        is checked.  In such a table D_x(S) = r(S+x) - r(S) is 0 or 1, and
-        the inequality says D_x(S) >= D_x(S+y).  So with D_x(S) for all x
-        at once as the bits of one integer per S, no bit may appear when
-        any y is added, which is n array steps.  The component ranks must
-        add up to self.rank, so each basis meets each component in its
-        rank, and the bases must be all combinations of the components'
-        bases."""
+        """Raise NotAMatroid unless the bases are a matroid's.  For sets of
+        one size k, r(S) = max |B & S| starts at 0 and grows by 0 or 1 per
+        element, so it is a matroid's rank function exactly when r(S+x) +
+        r(S+y) >= r(S+x+y) + r(S) for all S and x, y outside S.  That
+        matroid's bases are the k-sets with r(B) = k, the given sets and no
+        others, so one pass over the whole table decides it, whatever the
+        components.  D_x(S) = r(S+x) - r(S) is 0 or 1, and the inequality
+        says D_x(S) >= D_x(S+y).  So with D_x(S) for all x at once as the
+        bits of one integer per S, no bit may appear when any y is added,
+        which is n array steps."""
         import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
 
-        comps = self.component_sets()
-        count, rank = 1, 0
-        for comp in comps:
-            sub, labels = self.restriction_to_component(comp), sorted(comp)
-            n = sub.n
-            r = np.frombuffer(sub._rank_table(), dtype=np.uint8)
-            # bit x: D_x(S), clear for S with x; n <= 12, as _rank_table checks
-            grows = np.zeros(1 << n, dtype=np.uint16)
-            for x in range(n):
-                without_x, with_x = _halves(r, x)
-                grows_without_x, _ = _halves(grows, x)
-                grows_without_x |= np.left_shift(without_x < with_x, x, dtype=np.uint16)
-            for y in range(n):
-                without_y, with_y = _halves(grows, y)
-                if np.any(with_y & ~without_y):
-                    raise _not_submodular(grows, labels)
-            count *= len(sub._bases)
-            rank += sub.rank
-        if (count, rank) != (len(self._bases), self.rank):
-            raise NotAMatroid("the bases are not those of a direct sum of matroids on "
-                              "the components %s" % [_shown(c) for c in comps])
+        r = np.frombuffer(self._rank_table(), dtype=np.uint8)
+        grows = np.zeros(1 << self.n, dtype=np.uint16)  # bit x: D_x(S), clear for S with x
+        for x in range(self.n):
+            without_x, with_x = _halves(r, x)
+            grows_without_x, _ = _halves(grows, x)
+            grows_without_x |= np.left_shift(without_x < with_x, x, dtype=np.uint16)
+        for y in range(self.n):
+            without_y, with_y = _halves(grows, y)
+            if np.any(with_y & ~without_y):
+                raise _not_submodular(grows)
 
     # -- rank machinery -----------------------------------------------
 
     def _rank_table(self):
         """Rank of every subset mask, as 2^n bytes; see the module docstring."""
         if self._ranks is None:
-            if self.n > _ENUM_CAP:
-                raise ScaleExceeded("rank tables capped at n=%d" % _ENUM_CAP)
             import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
 
             indep = np.zeros(1 << self.n, dtype=np.bool_)
@@ -274,9 +261,7 @@ class Matroid:
 
     def rank_of(self, subset):
         m = subset if isinstance(subset, int) else _mask(subset)
-        if self.n <= _ENUM_CAP:
-            return self._rank_table()[m]
-        return max((b & m).bit_count() for b in self._bases)
+        return self._rank_table()[m]
 
     def cyclic_flats(self):
         """All cyclic flats (flats that are unions of circuits), improper included.
@@ -311,35 +296,17 @@ class Matroid:
         return Matroid(self.n, self.n - self.rank, {full ^ b for b in self._bases})
 
     def component_sets(self):
-        """Ground set partition into connected components: those of the
-        fundamental graph of one basis B, joining x in B to y outside B
-        when B - x + y is a basis (Krogdahl).  Loops and coloops stay
-        singletons."""
-        parent = list(range(self.n))
+        """Ground set partition into connected components.  S is a
+        separator when r(S) + r(E - S) = r(E), and the rank table read
+        backwards is indexed by complement.  Separators are closed under
+        intersection, so the component of e is the AND of the separators
+        holding e.  Loops and coloops are singletons."""
+        import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        bs = self._bases
-        b = min(bs)
-        outside = _bits(((1 << self.n) - 1) ^ b)
-        for x in _bits(b):
-            stripped = b & ~(1 << x)
-            for y in outside:
-                if stripped | (1 << y) in bs:
-                    union(x, y)
-        groups = {}
-        for e in range(self.n):
-            groups.setdefault(find(e), []).append(e)
-        return sorted((frozenset(g) for g in groups.values()), key=lambda s: min(s))
+        r = np.frombuffer(self._rank_table(), dtype=np.uint8)
+        seps = np.flatnonzero(r + r[::-1] == self.rank).tolist()
+        comps = {reduce(and_, (s for s in seps if s >> e & 1)) for e in range(self.n)}
+        return sorted((frozenset(_bits(c)) for c in comps), key=min)
 
     def connected_components(self):
         """One standalone matroid per component, elements relabeled."""

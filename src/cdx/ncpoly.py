@@ -669,14 +669,18 @@ def _flag_vector(terms, dim):
 
 def _check_cd(p, dim):
     """InvalidAlphabet unless p uses only c and d, InvalidParams for a
-    negative dim, DegreeMismatch unless p is homogeneous of degree dim."""
-    bad = p.letters() - set("cd")
-    if bad:
+    negative dim, DegreeMismatch unless p is homogeneous of degree dim.
+    One pass over the words gives each its degree, or None when a letter
+    other than c and d is left after stripping them."""
+    degrees = {None if w.strip("cd") else len(w) + w.count("d") for w in p._t}
+    if None in degrees:
+        bad = p.letters() - set("cd")
         raise InvalidAlphabet("cd polynomial contains %s" % ", ".join(sorted(bad)))
     if dim < 0:
         raise InvalidParams("dimension must be >= 0")
-    if not p.is_homogeneous() or p.degree() != dim:
-        raise DegreeMismatch("expected homogeneous of degree %d, got degree %s" % (dim, p.degree()))
+    if degrees != {dim}:
+        raise DegreeMismatch("expected homogeneous of degree %d, got degree %s"
+                             % (dim, max(degrees, default=-1)))
 
 
 def cd_to_flag_f(p, dim):

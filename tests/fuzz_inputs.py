@@ -1,8 +1,10 @@
 """Hypothesis inputs shared by the property tests: any JSON value, bytes
-damaged as by an interrupted write or a bad disk, and random k-set
-families and cyclic flat lists, some of them matroids and some not."""
+damaged as by an interrupted write or a bad disk, random k-set families
+and cyclic flat lists, some of them matroids and some not, and direct
+sums of uniform matroids above the size cap."""
 
 from itertools import combinations
+from math import comb, prod
 
 from hypothesis import strategies as st
 
@@ -49,3 +51,20 @@ def matroid_candidates(draw):
         rank = draw(st.integers(max(1, k - (n - h) + 1), min(k, h) - 1))
         flats.append({"set": sorted(elems), "rank": rank})
     return {"n": n, "rank": k, "cyclic_flats": flats}
+
+
+@st.composite
+def uniform_direct_sums(draw):
+    """(k, m) for each summand U(k, m) of a direct sum of two to four
+    uniform matroids on 13 to 40 elements in all.  The sum has at most
+    2000 bases, so that its bases file stays small: a summand that would
+    pass that count is a point, U(0, m) or U(m, m), instead."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4)
+                 .filter(lambda s: 13 <= sum(s) <= 40))
+    summands = []
+    for m in sizes:
+        k = draw(st.integers(0, m))
+        if prod(comb(j, i) for i, j in summands) * comb(m, k) > 2000:
+            k = draw(st.sampled_from([0, m]))
+        summands.append((k, m))
+    return summands

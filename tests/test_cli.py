@@ -180,12 +180,13 @@ def test_exit_code_scale_for_a_cyclic_flats_file_above_the_cap(capsys, tmp_path)
     assert "SCALE_EXCEEDED" in err and "capped at n=12" in err
 
 
-def test_uniform_above_the_cap_exits_4_unless_it_is_a_point(capsys):
-    rc, out, err = run(capsys, "compute", "--builtin", "uniform", "--k", "10", "--n", "20")
-    assert (rc, out) == (4, "")
-    assert "SCALE_EXCEEDED" in err and "capped at n=12" in err
-    for k in ("0", "20"):
-        assert run(capsys, "compute", "--builtin", "uniform", "--k", k, "--n", "20") == (0, "1\n", "")
+def test_uniform_above_the_cap_exits_4_even_as_a_point(capsys):
+    for k in ("10", "0", "20"):
+        rc, out, err = run(capsys, "compute", "--builtin", "uniform", "--k", k, "--n", "20")
+        assert (rc, out) == (4, "")
+        assert "SCALE_EXCEEDED" in err and "capped at n=12" in err
+    for k in ("0", "12"):
+        assert run(capsys, "compute", "--builtin", "uniform", "--k", k, "--n", "12") == (0, "1\n", "")
 
 
 def test_verify_small(capsys):

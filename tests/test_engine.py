@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from cdx.engine import (
     w_term,
 )
 from cdx.errors import (
+    CdxError,
     InternalError,
     InvalidParams,
     NotConnected,
@@ -217,6 +219,38 @@ def test_profile_determines_polynomial():
     a = Matroid.from_cyclic_flats(6, 3, [((0, 1, 2), 2)])
     b = Matroid.from_cyclic_flats(6, 3, [((3, 4, 5), 2)])
     assert cd_split_matroid(a) == cd_split_matroid(b)
+
+
+def two_flat_families(ns):
+    """(n, k, flats) for every pair of flat parameters (r(F), |F|) <=
+    (r(G), |G|) on n elements with rank k, where |F & G| = r(F) + r(G) - k
+    is what a modular pair needs: F the first |F| elements, G starting at
+    the last |F & G| of them."""
+    for n in ns:
+        for k in range(1, n):
+            for rf, hf, rg, hg in product(range(k), range(1, n), range(k), range(1, n)):
+                g = rf + rg - k
+                if rf < hf and rg < hg and (rf, hf) <= (rg, hg) and 0 <= g \
+                        and hf - g + hg <= n:
+                    yield n, k, [(range(hf), rf), (range(hf - g, hf - g + hg), rg)]
+
+
+def test_general_modular_pair_shapes_match_the_oracle():
+    # every corpus modular pair has alpha = beta = 1; these have alpha or beta >= 2
+    profiles = {}
+    for n, k, flats in two_flat_families(range(6, 9)):
+        try:
+            M = Matroid.from_cyclic_flats(n, k, flats)
+            prof = split_profile(M)
+        except CdxError:
+            continue
+        if any(alpha >= 2 or beta >= 2 for alpha, beta, _, _ in prof.mu):
+            key = (n, k, tuple(sorted(prof.lam.items())), tuple(sorted(prof.mu.items())))
+            profiles.setdefault(key, M)
+    shapes = {s for M in profiles.values() for s in split_profile(M).mu}
+    assert (len(profiles), len(shapes)) == (45, 13)
+    for M in profiles.values():
+        assert cd_index(M) == oracle_cd_index(M), split_profile(M)
 
 
 def test_cd_index_runs_the_split_test_once_per_component(monkeypatch):

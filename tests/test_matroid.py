@@ -47,7 +47,7 @@ def test_not_a_matroid():
     with pytest.raises(NotAMatroid, match=r"not submodular: .* at S=\[4\], x=2, y=3"):
         Matroid.from_bases(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)])
     # four singleton components, whose ranks add up to 4, not 2
-    with pytest.raises(NotAMatroid, match="direct sum"):
+    with pytest.raises(NotAMatroid, match=r"not submodular: .* at S=\[3\], x=1, y=2"):
         Matroid.from_bases(4, 2, [(0, 1), (2, 3)])
     with pytest.raises(NotAMatroid):
         Matroid.from_bases(4, 2, [(0, 1), (0, 1, 2)])
@@ -56,26 +56,25 @@ def test_not_a_matroid():
         Matroid.from_cyclic_flats(6, 4, [((0, 1, 2, 5), 3), ((0, 1, 3, 5), 3)])
 
 
-def test_axioms_above_the_cap_are_checked_per_component():
-    # U(1,9) on elements 0-8 beside a family on 9-12, so n = 13
-    def family(tail):
-        return [(u,) + t for u in range(9) for t in tail]
+def test_from_bases_refuses_above_the_cap_before_enumerating(monkeypatch):
+    def enumerates(*args):
+        raise AssertionError("built a rank table above the cap")
 
-    good = [(9, 10), (9, 11), (9, 12), (10, 11), (10, 12), (11, 12)]
-    M = Matroid.from_bases(13, 3, family(good))
-    assert M.component_sets() == [frozenset(range(9)), frozenset(range(9, 13))]
-    # and it still computes, componentwise
-    from cdx.engine import cd_index
-    from cdx.hypersimplex import cd_hypersimplex
-    from cdx.product import cd_product
-
-    assert cd_index(M) == cd_product(cd_hypersimplex(1, 9), cd_hypersimplex(2, 4))
-    with pytest.raises(NotAMatroid, match=r"at S=\[13\], x=11, y=12"):
-        Matroid.from_bases(13, 3, family([(9, 10), (9, 11), (10, 11), (9, 12)]))
-    with pytest.raises(NotAMatroid, match="direct sum"):
-        Matroid.from_bases(13, 3, family(good)[1:])
-    with pytest.raises(ScaleExceeded):
-        Matroid.from_bases(13, 1, [(e,) for e in range(13)])
+    monkeypatch.setattr(Matroid, "_rank_table", enumerates)
+    # U(1,9) on elements 0-8 beside U(2,4) on 9-12: a matroid, but n = 13
+    family = [(u,) + t for u in range(9) for t in combinations(range(9, 13), 2)]
+    with pytest.raises(ScaleExceeded, match="rank tables capped at n=12, got n=13"):
+        Matroid.from_bases(13, 3, family)
+    with pytest.raises(ScaleExceeded, match="got n=24"):
+        Matroid.from_bases(24, 2, [(a, b) for a in range(12) for b in range(12, 24)])
+    for k in (0, 13):  # points are refused too
+        with pytest.raises(ScaleExceeded):
+            Matroid.from_bases(13, k, [range(k)])
+    # malformed bases are still reported as such
+    with pytest.raises(InvalidParams):
+        Matroid.from_bases(13, 1, [(13,)])
+    with pytest.raises(NotAMatroid, match="does not have size"):
+        Matroid.from_bases(13, 3, [(0, 1)])
 
 
 def test_coloop_family_is_a_matroid():
@@ -130,15 +129,15 @@ def test_uniform_refuses_above_the_cap_before_enumerating(monkeypatch):
         raise AssertionError("enumerated bases above the cap")
 
     monkeypatch.setattr(matroid, "combinations", enumerates)
-    for k, n in ((1, 13), (10, 20), (63, 64)):
+    for k, n in ((1, 13), (10, 20), (63, 64), (0, 20), (20, 20), (9, 99)):
         with pytest.raises(ScaleExceeded, match="rank tables capped at n=12"):
             Matroid.uniform(k, n)
     monkeypatch.undo()
     # U(0, n) and U(n, n) have one basis each, and their polytope is a point
     from cdx.engine import cd_index
 
-    for k in (0, 20):
-        U = Matroid.uniform(k, 20)
+    for k in (0, 12):
+        U = Matroid.uniform(k, 12)
         assert U.basis_masks() == [(1 << k) - 1]
         assert cd_index(U) == 1
     assert len(Matroid.uniform(6, 12).basis_masks()) == comb(12, 6)
@@ -374,6 +373,8 @@ def test_mk4():
 
 def test_scale_guards():
     with pytest.raises(InvalidParams):
+        Matroid.uniform(9, 8)
+    with pytest.raises(ScaleExceeded):
         Matroid.uniform(9, 99)
     with pytest.raises(ScaleExceeded):
         Matroid.uniform(32, 64)

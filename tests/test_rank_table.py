@@ -11,13 +11,11 @@ were before the numpy passes over the subset array.
 import os
 import subprocess
 import sys
-from itertools import combinations
 
 import pytest
 
 from cdx import cli
 from cdx.cuspidal import cuspidal_matroid
-from cdx.errors import ScaleExceeded
 from cdx.matroid import (
     CyclicFlat,
     Matroid,
@@ -173,16 +171,3 @@ def test_importing_ncpoly_and_matroid_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
-
-
-def test_above_the_cap_rank_scans_the_bases():
-    # U(3,7) on elements 0-6 beside U(2,6) on 7-12: 13 elements, whose
-    # components are each within the cap
-    M = Matroid.from_bases(13, 5, [a + tuple(7 + e for e in b)
-                                   for a in combinations(range(7), 3)
-                                   for b in combinations(range(6), 2)])
-    assert M.rank_of({0, 1, 2, 3, 4}) == 3
-    assert M.rank_of({0, 1, 7, 8, 9}) == 4
-    assert M.rank_of(range(13)) == 5
-    with pytest.raises(ScaleExceeded):
-        M.cyclic_flats()
