@@ -98,9 +98,10 @@ def _compute(k, n, r, h):
 
 def cuspidal_matroid(k, n, r, h):
     """The matroid itself: bases meeting the first h elements at most r times."""
-    from .matroid import Matroid
+    from .matroid import Matroid, _check_size
 
     check_key(k, n, r, h)
+    _check_size(n)  # before the h elements of F are listed
     return Matroid.from_cyclic_flats(n, k, [(tuple(range(h)), r)])
 
 

@@ -19,9 +19,7 @@ components and the cyclic flat sweep all read this table, the last
 three by whole-array steps.
 """
 
-from functools import reduce
 from itertools import combinations
-from operator import and_
 from typing import NamedTuple
 
 from .errors import (
@@ -41,6 +39,16 @@ def _check_size(n):
     """ScaleExceeded above the cap, before any set is enumerated."""
     if n > _ENUM_CAP:
         raise ScaleExceeded("rank tables capped at n=%d, got n=%d" % (_ENUM_CAP, n))
+
+
+def _elements(elems, n):
+    """elems as a frozenset when each lies in 0 <= e < n, else None; a
+    mask int is read by its bits.  Nothing is shifted by an element, so a
+    huge n or element costs nothing before `_check_size`."""
+    if isinstance(elems, int):
+        return frozenset(_bits(elems)) if 0 <= elems and not elems >> n else None
+    s = frozenset(elems)
+    return s if all(0 <= e < n for e in s) else None
 
 
 def _mask(elems):
@@ -127,17 +135,18 @@ class Matroid:
         checking the matroid axioms."""
         if n < 1 or not 0 <= rank <= n:
             raise InvalidParams("need n >= 1 and 0 <= rank <= n, got n=%d rank=%d" % (n, rank))
-        masks = set()
+        sets = set()
         for b in bases:
-            m = _mask(b) if not isinstance(b, int) else b
-            if m < 0 or m >> n:
+            s = _elements(b, n)
+            if s is None:
                 raise InvalidParams("basis %r out of range for n=%d" % (b, n))
-            if m.bit_count() != rank:
-                raise NotAMatroid("basis %r does not have size %d" % (_shown(_bits(m)), rank))
-            masks.add(m)
+            if len(s) != rank:
+                raise NotAMatroid("basis %r does not have size %d" % (_shown(s), rank))
+            sets.add(s)
         _check_size(n)
-        if not masks:
+        if not sets:
             raise EmptyMatroid("no bases given")
+        masks = {_mask(s) for s in sets}
         M = cls(n, rank, masks)
         M._check_axioms()
         return M
@@ -163,13 +172,14 @@ class Matroid:
             raise InvalidParams("need n >= 1 and 0 <= rank <= n, got n=%d rank=%d" % (n, rank))
         fam = []
         for elems, r in flats:
-            fm = _mask(elems)
-            if fm >> n or not 0 <= r <= rank:
+            s = _elements(elems, n)
+            if s is None or not 0 <= r <= rank:
                 raise InvalidParams("flat (%r, %d) out of range" % (_shown(elems), r))
-            if fm == 0 or fm.bit_count() == n:
+            if not 0 < len(s) < n:
                 raise InvalidParams("cyclic flat presentations list proper nonempty flats only")
-            fam.append((fm, r))
+            fam.append((s, r))
         _check_size(n)
+        fam = [(_mask(s), r) for s, r in fam]
         import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
 
         sizes = _sizes(n)
@@ -300,12 +310,13 @@ class Matroid:
         separator when r(S) + r(E - S) = r(E), and the rank table read
         backwards is indexed by complement.  Separators are closed under
         intersection, so the component of e is the AND of the separators
-        holding e.  Loops and coloops are singletons."""
+        holding e, one array step per element (a matroid with c components
+        has 2^c separators).  Loops and coloops are singletons."""
         import numpy as np  # here, so that importing ncpoly, which uses _bits, does not load it
 
         r = np.frombuffer(self._rank_table(), dtype=np.uint8)
-        seps = np.flatnonzero(r + r[::-1] == self.rank).tolist()
-        comps = {reduce(and_, (s for s in seps if s >> e & 1)) for e in range(self.n)}
+        seps = np.flatnonzero(r + r[::-1] == self.rank)
+        comps = {int(np.bitwise_and.reduce(seps[seps >> e & 1 == 1])) for e in range(self.n)}
         return sorted((frozenset(_bits(c)) for c in comps), key=min)
 
     def connected_components(self):

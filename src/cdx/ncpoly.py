@@ -672,7 +672,7 @@ def _check_cd(p, dim):
     negative dim, DegreeMismatch unless p is homogeneous of degree dim.
     One pass over the words gives each its degree, or None when a letter
     other than c and d is left after stripping them."""
-    degrees = {None if w.strip("cd") else len(w) + w.count("d") for w in p._t}
+    degrees = {None if w.strip("cd") else word_degree(w) for w in p._t}
     if None in degrees:
         bad = p.letters() - set("cd")
         raise InvalidAlphabet("cd polynomial contains %s" % ", ".join(sorted(bad)))

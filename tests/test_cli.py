@@ -189,6 +189,16 @@ def test_uniform_above_the_cap_exits_4_even_as_a_point(capsys):
         assert run(capsys, "compute", "--builtin", "uniform", "--k", k, "--n", "12") == (0, "1\n", "")
 
 
+def test_builtins_with_a_huge_n_exit_4_before_listing_elements(capsys):
+    """The cuspidal builtin lists its flat's h elements; at n = 10**12
+    that list alone would not fit in memory."""
+    n, h = 10 ** 12, 10 ** 12 - 10
+    for extra in (["uniform", "--k", "5"], ["cuspidal", "--k", "5", "--r", "2", "--h", str(h)]):
+        rc, out, err = run(capsys, "compute", "--builtin", *extra, "--n", str(n))
+        assert (rc, out) == (4, ""), err
+        assert "got n=%d" % n in err
+
+
 def test_verify_small(capsys):
     rc, out, _ = run(capsys, "verify", "--max-n", "4")
     assert rc == 0

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from unittest import mock
@@ -127,3 +128,20 @@ def test_every_matroid_file_above_the_cap_exits_4_before_computing(summands):
             assert (rc, out.getvalue()) == (4, ""), (obj, err.getvalue())
             assert "SCALE_EXCEEDED" in err.getvalue(), err.getvalue()
             assert "got n=%d" % n in err.getvalue(), err.getvalue()
+
+
+def test_a_huge_n_exits_4_before_any_mask_is_built(tmp_path):
+    """An element at n = 10**12 is in range, but 1 << 10**12 would take
+    125 GB; the cap comes first, for bases and for cyclic flats alike."""
+    n = 10 ** 12
+    for obj in ({"n": n, "rank": 1, "bases": [[n]]},
+                {"n": n, "rank": 1, "cyclic_flats": [{"set": [n], "rank": 0}]}):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main(["compute", "--file", str(path)])
+        assert time.perf_counter() - start < 1, obj
+        assert (rc, out.getvalue()) == (4, ""), (obj, err.getvalue())
+        assert "got n=%d" % n in err.getvalue(), err.getvalue()
