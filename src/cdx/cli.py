@@ -21,7 +21,7 @@ from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
 from . import cuspidal, engine, hypersimplex, matroid, oracle
-from .errors import CacheVersionMismatch, CdxError, InvalidParams
+from .errors import CacheVersionMismatch, CdxError, InvalidParams, ScaleExceeded
 from .matroid import Matroid
 from .ncpoly import NcPoly, cd_f_vector, cd_to_flag_f, from_terms, word_degree
 
@@ -115,7 +115,11 @@ def builtin_matroid(name, args):
 # -- persistent cache -------------------------------------------------
 
 CACHE_VERSION = 1
-_KINDS = {"hypersimplex": hypersimplex.MEMO, "cuspidal": cuspidal.MEMO, "w": engine.W_MEMO}
+# each persisted kind's table, and the check that refuses a key the table
+# never stores and returns the degree of the cd-index stored there
+_KINDS = {"hypersimplex": (hypersimplex.MEMO, hypersimplex._check_key),
+          "cuspidal": (cuspidal.MEMO, cuspidal.check_key),
+          "w": (engine.W_MEMO, engine.check_w_key)}
 # the largest degree compute stores: a cd-index on at most _ENUM_CAP elements
 VERIFY_MAX_DEGREE = matroid._ENUM_CAP - 1
 
@@ -174,13 +178,13 @@ class CacheStore:
                 if not isinstance(key, list) or not all(_is_int(x) for x in key):
                     raise ValueError("key %r is not a list of integers" % (key,))
                 key = tuple(key)
-                # the table's check refuses a key its function never stores
-                poly = poly_from_json(rec["cd"], _KINDS[kind].check(*key))
+                table, check = _KINDS[kind]
+                poly = poly_from_json(rec["cd"], check(*key))
                 if install:
                     # a cuspidal record written under its dual's key by an
                     # older version goes where cd_cuspidal looks it up
-                    _KINDS[kind].put(min(key, cuspidal.dual_key(*key))
-                                     if kind == "cuspidal" else key, poly)
+                    table.put(min(key, cuspidal.dual_key(*key))
+                              if kind == "cuspidal" else key, poly)
             except (RecursionError, AttributeError, KeyError, TypeError, ValueError,
                     InvalidParams):
                 sys.stderr.write(
@@ -196,7 +200,7 @@ class CacheStore:
     def append_new(self):
         """Append records for memo entries not yet in the file."""
         recs = []
-        for kind, table in _KINDS.items():
+        for kind, (table, _) in _KINDS.items():
             for key, poly in sorted(table.snapshot().items()):
                 kt = tuple(key)
                 if (kind, kt) not in self.known:
@@ -236,8 +240,8 @@ class CacheStore:
         warning each."""
         checked, bad, skipped = 0, [], 0
         for kind, key, poly in self.load(install=False):
-            table = _KINDS[kind]
-            degree = table.check(*key)
+            table, check = _KINDS[kind]
+            degree = check(*key)
             if degree > VERIFY_MAX_DEGREE:
                 sys.stderr.write(
                     "warning: %s: %s record %r has degree %d, above the %d "
@@ -262,8 +266,6 @@ def cmd_compute(args):
     else:
         M = load_matroid_file(args.file)
     if args.max_n is not None and M.n > args.max_n:
-        from .errors import ScaleExceeded
-
         raise ScaleExceeded("n=%d exceeds --max-n %d" % (M.n, args.max_n))
     cache = None
     if args.cache:
@@ -324,9 +326,8 @@ def _sparse_paving_instances(n, k):
         chs = [subsets[i] for i in chosen]
         try:
             M = matroid.sparse_paving(n, k, chs)
+            matroid.split_profile(M)  # NotConnected or NotSplit otherwise
         except CdxError:
-            return
-        if not matroid.is_connected_split(M):
             return
         seen[sig] = (chs, M)
 

@@ -29,6 +29,7 @@ from .errors import InvalidParams
 from .memo import Memo
 from .ncpoly import chain_sum
 from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product
+from .matroid import Matroid, _check_size
 from .product import cd_product  # noqa: F401  see ROADMAP item 7
 
 
@@ -98,13 +99,11 @@ def _compute(k, n, r, h):
 
 def cuspidal_matroid(k, n, r, h):
     """The matroid itself: bases meeting the first h elements at most r times."""
-    from .matroid import Matroid, _check_size
-
     check_key(k, n, r, h)
     _check_size(n)  # before the h elements of F are listed
     return Matroid.from_cyclic_flats(n, k, [(tuple(range(h)), r)])
 
 
-MEMO = Memo(check_key, _compute)
+MEMO = Memo(_compute)
 memo_snapshot = MEMO.snapshot
 memo_clear = MEMO.clear

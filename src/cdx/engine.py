@@ -65,7 +65,7 @@ def _w_compute(alpha, beta, a, b, n):
     return from_terms(out)
 
 
-W_MEMO = Memo(check_w_key, _w_compute)
+W_MEMO = Memo(_w_compute)
 w_memo_snapshot = W_MEMO.snapshot
 w_memo_clear = W_MEMO.clear
 
@@ -120,7 +120,7 @@ def cd_index(M, oracle_fallback=False):
 
     Split components go through the closed formula; other components
     can fall back to the brute-force oracle when allowed."""
-    from . import oracle
+    from . import oracle  # deferred: it loads numpy, see the matroid module docstring
 
     parts = []
     for sub in M.connected_components():

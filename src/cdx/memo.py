@@ -3,20 +3,16 @@
 Every expensive result is keyed by a small tuple of integers: the
 hypersimplex (k, n), a product of two hypersimplices, the cuspidal
 (k, n, r, h) and the modular-pair term (alpha, beta, a, b, n).  Each
-table is a ``Memo``; the cache reads and fills three of them.
+table is a ``Memo``, a dict and the function it caches; it checks no
+key.  The cache reads and fills three of the tables, and its kind table
+``cli._KINDS`` holds the key check it runs on each record.
 """
 
 
 class Memo:
-    """Results of ``compute(*key)`` by key.
+    """Results of ``compute(*key)`` by key."""
 
-    ``check(*key)`` raises InvalidParams unless the table's function
-    stores ``key``, and returns the degree of the cd-index stored there;
-    the cache runs it on every record it reads.
-    """
-
-    def __init__(self, check, compute):
-        self.check = check
+    def __init__(self, compute):
         self.compute = compute
         self._table = {}
 

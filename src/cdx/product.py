@@ -30,7 +30,7 @@ def cd_product(p, q):
     for x in (p, q):
         if not x.is_homogeneous():
             raise InvalidParams("cd-index of a polytope must be homogeneous")
-        if x.coeff("") < 0 or not x:
+        if x.coeff("c" * x.degree()) != 1:  # c^D, or a point's 1
             raise InvalidParams("not a polytope cd-index: %s" % x.text())
     dp, dq = p.degree(), q.degree()
     if dp == 0:

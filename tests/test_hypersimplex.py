@@ -326,12 +326,12 @@ def test_hypersimplex_product_memo_is_emptied_by_memo_clear():
     a = cd_hypersimplex_product(2, 5, 1, 4)
     # the unordered pair of canonical keys is one entry
     assert cd_hypersimplex_product(3, 4, 3, 5) is a
-    # the recursion also stores the products of faces, each under its
-    # canonical key
+    # the recursion also stores the products of faces, each under the
+    # sorted pair of canonical keys of hypersimplices of dimension >= 1
     snap = hypersimplex.PRODUCTS.snapshot()
     assert snap[1, 4, 2, 5] is a
-    for key in snap:
-        hypersimplex.PRODUCTS.check(*key)
+    for k1, n1, k2, n2 in snap:
+        assert 1 <= k1 <= n1 - k1 and 1 <= k2 <= n2 - k2 and (k1, n1) <= (k2, n2)
     memo_clear()
     assert hypersimplex.PRODUCTS.snapshot() == {}
     assert memo_snapshot() == {}
@@ -346,14 +346,10 @@ def test_hypersimplex_product_invalid_params():
 
 
 def test_memo_check_rejects_noncanonical():
-    assert hypersimplex.MEMO.check(3, 8) == 7
+    assert hypersimplex._check_key(3, 8) == 7
     for key in [(5, 8), (0, 5), (1, 2), (2, 3)]:
         with pytest.raises(InvalidParams):
-            hypersimplex.MEMO.check(*key)
-    assert hypersimplex.PRODUCTS.check(1, 4, 2, 5) == 7
-    for key in [(2, 5, 1, 4), (0, 1, 2, 5), (3, 5, 1, 4)]:
-        with pytest.raises(InvalidParams):
-            hypersimplex.PRODUCTS.check(*key)
+            hypersimplex._check_key(*key)
 
 
 def test_invalid_params():

@@ -8,7 +8,7 @@ def test_lookup_computes_each_key_once():
         calls.append((a, b))
         return [a + b]
 
-    table = Memo(lambda a, b: None, compute)
+    table = Memo(compute)
     first = table.lookup((1, 2))
     assert first == [3]
     assert table.lookup((1, 2)) is first
@@ -16,7 +16,7 @@ def test_lookup_computes_each_key_once():
 
 
 def test_put_keeps_the_first_value_and_snapshot_is_a_copy():
-    table = Memo(lambda a: None, lambda a: [a])
+    table = Memo(lambda a: [a])
     kept = [0]
     assert table.put((1,), kept) is kept
     assert table.put((1,), [9]) is kept

@@ -120,6 +120,11 @@ def test_rejects_bad_inputs():
         cd_product(NcPoly.word("c") + NcPoly.one(), NcPoly.word("c"))
     with pytest.raises(InvalidParams):
         cd_product(NcPoly.zero(), NcPoly.word("c"))
+    # a point's cd-index is 1, not another constant
+    with pytest.raises(InvalidParams):
+        cd_product(NcPoly({"": 2}), NcPoly.word("c"))
+    with pytest.raises(InvalidParams):
+        cd_product(NcPoly.word("c"), NcPoly({"": 5}))
 
 
 def test_kernel_matches_reference_on_hypersimplices():

@@ -164,10 +164,16 @@ def test_one_element_components_are_what_they_seem():
 
 
 def test_importing_ncpoly_and_matroid_leaves_numpy_unloaded():
+    # nor do the recursions' modules, nor the hypersimplex recursion itself:
+    # numpy alone would add about 14 MB to such a process's peak memory
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, cdx.ncpoly, cdx.matroid; print('numpy' in sys.modules)"
+    code = ("import sys, cdx.ncpoly, cdx.matroid, cdx.hypersimplex, cdx.cuspidal, cdx.engine\n"
+            "for n in range(2, 11):\n"
+            "    for k in range(1, n):\n"
+            "        cdx.hypersimplex.cd_hypersimplex(k, n)\n"
+            "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
