@@ -6,7 +6,8 @@ formula result and its reference: the corpus against the face-lattice
 oracle, or with `--only paper-values` the cd-indices printed in the
 paper.  A selection with no check in it is invalid input.  Every named
 corpus family but the hypersimplices is built by
-`Matroid.from_cyclic_flats`.
+`Matroid.from_cyclic_flats`.  `verify --cache FILE` instead recomputes
+the records of that cache and runs no corpus.
 
 Elements in files and printed diagnostics are 1-based; everything
 internal is 0-based.
@@ -21,7 +22,7 @@ from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
 from . import cuspidal, engine, hypersimplex, matroid, oracle
-from .errors import CacheVersionMismatch, CdxError, InvalidParams, ScaleExceeded
+from .errors import CacheVersionMismatch, CdxError, InvalidParams
 from .matroid import Matroid
 from .ncpoly import NcPoly, cd_f_vector, cd_to_flag_f, from_terms, word_degree
 
@@ -265,8 +266,6 @@ def cmd_compute(args):
         M = builtin_matroid(args.builtin, args)
     else:
         M = load_matroid_file(args.file)
-    if args.max_n is not None and M.n > args.max_n:
-        raise ScaleExceeded("n=%d exceeds --max-n %d" % (M.n, args.max_n))
     cache = None
     if args.cache:
         cache = CacheStore(args.cache)
@@ -425,11 +424,22 @@ def _paper_formula(name):
 
 
 def cmd_verify(args):
+    if args.cache:  # the cache audit alone; --only and --max-n do not apply
+        checked, bad, skipped, corrupt = CacheStore(args.cache).verify()
+        tail = "".join(", %d %s" % (count, what) for count, what in
+                       ((skipped, "skipped"), (corrupt, "corrupt")) if count)
+        if not bad:
+            print("cache verify: %d records OK%s" % (checked, tail))
+            return 0
+        for kind, key, stored, fresh in bad:
+            print("FAIL cache %s %r" % (kind, list(key)))
+            print("  stored:     %s" % stored.text())
+            print("  recomputed: %s" % fresh.text())
+        print("cache verify: %d bad of %d records%s" % (len(bad), checked, tail))
+        return 1
     if args.max_n > oracle.DEFAULT_MAX_N:
         raise InvalidParams("verify is oracle-bound; --max-n must be <= %d"
                             % oracle.DEFAULT_MAX_N)
-    if args.cache_only and not args.cache:
-        raise InvalidParams("--cache-verify needs --cache FILE or CDX_CACHE")
     # a check is a name and a thunk giving (formula, reference); a mode
     # gives the two labels of a FAIL report and the summary line
     if args.only == "paper-values":
@@ -440,27 +450,11 @@ def cmd_verify(args):
     else:
         labels = ("formula:", "oracle: ")
         summary = "verify: %%d checked, %%d failed (max n = %d)" % args.max_n
-        checks = [] if args.cache_only else [
-            (name, lambda M=M: (engine.cd_index(M), oracle.oracle_cd_index(M)))
-            for name, M in corpus(args.max_n) if name.startswith(args.only or "")]
-        if not (checks or args.cache_only):
+        checks = [(name, lambda M=M: (engine.cd_index(M), oracle.oracle_cd_index(M)))
+                  for name, M in corpus(args.max_n) if name.startswith(args.only or "")]
+        if not checks:
             raise InvalidParams("--max-n %d%s selects no corpus instance" % (
                 args.max_n, " with --only %r" % args.only if args.only else ""))
-    if args.cache:
-        store = CacheStore(args.cache)
-        checked, bad, skipped, corrupt = store.verify()
-        tail = "".join(", %d %s" % (count, what) for count, what in
-                       ((skipped, "skipped"), (corrupt, "corrupt")) if count)
-        if bad:
-            for kind, key, stored, fresh in bad:
-                print("FAIL cache %s %r" % (kind, list(key)))
-                print("  stored:     %s" % stored.text())
-                print("  recomputed: %s" % fresh.text())
-            print("cache verify: %d bad of %d records%s" % (len(bad), checked, tail))
-            return 1
-        print("cache verify: %d records OK%s" % (checked, tail))
-        if args.cache_only:
-            return 0
 
     failures = 0
     for name, check in checks:
@@ -500,12 +494,9 @@ def build_parser():
     pc.add_argument("--format", choices=("text", "json"), default="text")
     pc.add_argument("--flag-f", action="store_true", help="also print the flag f-vector")
     pc.add_argument("--f-vector", action="store_true", help="also print the f-vector")
-    pc.add_argument("--cache", default=os.environ.get("CDX_CACHE") or None,
-                    help="JSONL result cache (default: $CDX_CACHE)")
+    pc.add_argument("--cache", help="JSONL result cache")
     pc.add_argument("--oracle-fallback", action="store_true",
                     help="allow brute force on small non-split components")
-    pc.add_argument("--max-n", type=int, default=None,
-                    help="refuse matroids with more elements than this")
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("verify", help="check the formulas against the brute-force oracle")
@@ -515,9 +506,8 @@ def build_parser():
                     help="name prefix filter, or the literal 'paper-values'")
     pv.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
-    pv.add_argument("--cache", default=os.environ.get("CDX_CACHE") or None)
-    pv.add_argument("--cache-verify", dest="cache_only", action="store_true",
-                    help="only spot-check the cache against recomputation")
+    pv.add_argument("--cache", help="recompute every record of this JSONL cache "
+                                    "instead of checking the corpus")
     pv.set_defaults(func=cmd_verify)
     return ap
 

@@ -48,11 +48,9 @@ def _check_size(n):
 
 
 def _elements(elems, n):
-    """elems as a frozenset when each lies in 0 <= e < n, else None; a
-    mask int is read by its bits.  Nothing is shifted by an element, so a
-    huge n or element costs nothing before `_check_size`."""
-    if isinstance(elems, int):
-        return frozenset(_bits(elems)) if 0 <= elems and not elems >> n else None
+    """elems as a frozenset when each lies in 0 <= e < n, else None.
+    Nothing is shifted by an element, so a huge n or element costs
+    nothing before `_check_size`."""
     s = frozenset(elems)
     return s if all(0 <= e < n for e in s) else None
 

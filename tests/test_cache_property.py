@@ -61,7 +61,7 @@ def damaged_records(draw):
     cheap to recompute; only "key-and-cd" goes further.  It moves the
     ground set size n of the key up to 40, a key its table still stores,
     and writes a cd of the new degree, so the record passes every check
-    and reaches the degree bound of --cache-verify."""
+    and reaches the degree bound of `verify --cache`."""
     rec = json.loads(draw(st.sampled_from(fano_records())))
     words = sorted(rec["cd"])
     what = draw(st.sampled_from(["none", "v", "kind", "key", "key-entry",
@@ -106,10 +106,10 @@ def test_any_cache_line_gives_a_documented_exit_code(line):
         path = os.path.join(tmp, "cache.jsonl")
         with open(path, "wb") as fh:
             fh.write(line + b"\n")
-        verify_rc, _ = run_cli("verify", "--cache", path, "--cache-verify")
+        verify_rc, _ = run_cli("verify", "--cache", path)
         assert verify_rc in DOCUMENTED_EXIT_CODES
         rc, out = run_cli("compute", "--builtin", "fano", "--cache", path)
         assert rc in DOCUMENTED_EXIT_CODES
     if rc == 0 and out.strip() != cli.PAPER_VALUES["fano"]:
-        # a record that changed the answer is caught by --cache-verify
+        # a record that changed the answer is caught by verify --cache
         assert verify_rc == 1

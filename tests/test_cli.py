@@ -162,13 +162,6 @@ def test_exit_code_unsupported_and_fallback(capsys, tmp_path):
     assert NcPoly.from_text(out.strip()).degree() == 5
 
 
-def test_exit_code_scale(capsys):
-    rc, _, err = run(capsys, "compute", "--builtin", "uniform",
-                     "--k", "2", "--n", "6", "--max-n", "5")
-    assert rc == 4
-    assert "SCALE_EXCEEDED" in err
-
-
 def test_exit_code_scale_for_a_cyclic_flats_file_above_the_cap(capsys, tmp_path):
     p = tmp_path / "n13.json"
     p.write_text(json.dumps({
@@ -283,7 +276,7 @@ def test_verify_that_selects_no_check_is_invalid(capsys, argv, names):
 def test_cache_verify_alone_selects_no_corpus_check(capsys, tmp_path):
     cache = tmp_path / "cache.jsonl"
     cache.write_text("")
-    rc, out, _ = run(capsys, "verify", "--cache", str(cache), "--cache-verify",
+    rc, out, _ = run(capsys, "verify", "--cache", str(cache),
                      "--only", "nosuch")
     assert (rc, out) == (0, "cache verify: 0 records OK\n")
 
@@ -337,7 +330,7 @@ def test_cache_roundtrip_and_transparency(capsys, tmp_path):
     assert cold == warm
     # warm run added nothing
     assert len(cache.read_text().splitlines()) == n_records
-    rc, out, _ = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    rc, out, _ = run(capsys, "verify", "--cache", str(cache))
     assert rc == 0
     assert "records OK" in out
 
@@ -351,7 +344,7 @@ def test_cache_tamper_detected(capsys, tmp_path):
     rec["cd"][word] = str(int(rec["cd"][word]) + 7)
     lines[0] = json.dumps(rec)
     cache.write_text("\n".join(lines) + "\n")
-    rc, out, _ = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    rc, out, _ = run(capsys, "verify", "--cache", str(cache))
     assert rc == 1
     assert "FAIL cache" in out
 
@@ -435,7 +428,7 @@ def test_file_that_does_not_parse_is_invalid(capsys, tmp_path, data):
 
 def test_oracle_fallback_stays_within_the_oracle_cap(capsys, tmp_path):
     # a chain of two cyclic flats: connected and not split, so only the
-    # oracle reaches it, and --max-n cannot lift the oracle's own cap
+    # oracle reaches it, and not above the oracle's own cap
     path = write_json(tmp_path, {
         "n": 10, "rank": 4,
         "cyclic_flats": [{"set": [1, 2, 3], "rank": 2},
@@ -443,8 +436,7 @@ def test_oracle_fallback_stays_within_the_oracle_cap(capsys, tmp_path):
     })
     rc, _, err = run(capsys, "compute", "--file", path)
     assert rc == 3
-    rc, out, err = run(capsys, "compute", "--file", path, "--oracle-fallback",
-                       "--max-n", "10")
+    rc, out, err = run(capsys, "compute", "--file", path, "--oracle-fallback")
     assert (rc, out) == (4, "")
     assert "SCALE_EXCEEDED" in err
 
@@ -497,7 +489,7 @@ def test_cache_record_with_a_key_unfit_for_its_kind_is_skipped(capsys, tmp_path,
     cache = tmp_path / "cache.jsonl"
     cache.write_text(json.dumps(record) + "\n")
     clear_memos()
-    rc, out, err = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    rc, out, err = run(capsys, "verify", "--cache", str(cache))
     assert (rc, out) == (0, "cache verify: 0 records OK, 1 corrupt\n")
     assert "record 1 is corrupt, skipping it" in err
     rc, out, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
@@ -529,7 +521,7 @@ def test_cache_verify_counts_corrupt_records(capsys, tmp_path):
     with cache.open("a") as fh:
         fh.write("{this is not json\n")
     clear_memos()
-    rc, out, err = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    rc, out, err = run(capsys, "verify", "--cache", str(cache))
     assert (rc, out) == (0, "cache verify: %d records OK, 1 corrupt\n" % good)
     assert "record %d is corrupt, skipping it" % (good + 1) in err
     # a wrong record still fails, and the corrupt one is still counted
@@ -538,7 +530,7 @@ def test_cache_verify_counts_corrupt_records(capsys, tmp_path):
     rec["cd"][word] = str(int(rec["cd"][word]) + 1)
     with cache.open("a") as fh:
         fh.write(json.dumps(rec) + "\n")
-    rc, out, _ = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    rc, out, _ = run(capsys, "verify", "--cache", str(cache))
     assert rc == 1
     assert out.endswith("cache verify: 1 bad of %d records, 1 corrupt\n" % (good + 1))
 
@@ -553,12 +545,12 @@ def test_cache_line_that_is_not_utf8_is_skipped(capsys, tmp_path):
     rc, out, err = run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
     assert (rc, out.strip()) == (0, cli.PAPER_VALUES["fano"])
     assert "record %d is corrupt, skipping it" % (good + 1) in err
-    rc, out, _ = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    rc, out, _ = run(capsys, "verify", "--cache", str(cache))
     assert (rc, out) == (0, "cache verify: %d records OK, 1 corrupt\n" % good)
 
 
 @pytest.mark.parametrize("argv", [("compute", "--builtin", "fano"),
-                                  ("verify", "--cache-verify")])
+                                  ("verify",)])
 def test_cache_that_is_a_directory_is_invalid(capsys, tmp_path, argv):
     rc, out, err = run(capsys, *argv, "--cache", str(tmp_path))
     assert (rc, out) == (2, "")
@@ -583,15 +575,32 @@ def test_cache_that_cannot_be_written_is_invalid(capsys, monkeypatch, tmp_path):
         raise AssertionError("opened the cache for appending")
 
     monkeypatch.setattr(cli.CacheStore, "open_append", unwritable)
-    rc, out, _ = run(capsys, "verify", "--cache-verify", "--cache", str(good))
+    rc, out, _ = run(capsys, "verify", "--cache", str(good))
     assert rc == 0 and "records OK" in out
 
 
-def test_cache_verify_needs_a_cache(capsys, monkeypatch):
-    monkeypatch.delenv("CDX_CACHE", raising=False)
-    rc, out, err = run(capsys, "verify", "--cache-verify")
-    assert (rc, out) == (2, "")
-    assert "INVALID_PARAMS" in err and "--cache-verify needs" in err
+def test_the_environment_changes_nothing(capsys, monkeypatch, tmp_path):
+    plain = run(capsys, "compute", "--builtin", "fano")
+    env_cache = tmp_path / "env.jsonl"
+    monkeypatch.setenv("CDX_CACHE", str(env_cache))
+    assert run(capsys, "compute", "--builtin", "fano") == plain
+    assert not env_cache.exists()
+    rc, out, _ = run(capsys, "verify", "--max-n", "3")
+    assert rc == 0
+    assert out.splitlines()[0] == "PASS hypersimplex-1-2"
+
+
+def test_verify_cache_is_the_audit_alone(capsys, monkeypatch, tmp_path):
+    def no_corpus(*args):
+        raise AssertionError("verify --cache ran a corpus check")
+
+    cache = tmp_path / "cache.jsonl"
+    clear_memos()
+    assert run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))[0] == 0
+    monkeypatch.setattr(cli, "corpus", no_corpus)
+    monkeypatch.setattr(cli.oracle, "oracle_cd_index", no_corpus)
+    rc, out, _ = run(capsys, "verify", "--cache", str(cache))
+    assert (rc, out) == (0, "cache verify: 14 records OK\n")
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -613,7 +622,7 @@ def test_cache_verify_skips_a_record_above_the_compute_bound(tmp_path):
         '{"v": 1, "kind": "hypersimplex", "key": [1, 40], "cd": {}}\n'
         '{"v": 1, "kind": "hypersimplex", "key": [1, 3], "cd": {"cc": "1", "d": "1"}}\n'
     )
-    done = subprocess.run(cdx_argv("verify", "--cache", str(cache), "--cache-verify"),
+    done = subprocess.run(cdx_argv("verify", "--cache", str(cache)),
                           env=cdx_env(), capture_output=True, text=True, timeout=20)
     assert (done.returncode, done.stdout) == (0, "cache verify: 1 records OK, 1 skipped\n")
     assert "Traceback" not in done.stderr
@@ -727,7 +736,7 @@ def test_a_cache_with_both_orientations_of_each_cuspidal_key_still_loads(capsys,
     # each record went in under the key cd_cuspidal looks up
     keys = cuspidal.memo_snapshot()
     assert keys and all(key == min(key, cuspidal.dual_key(*key)) for key in keys)
-    rc, out, err = run(capsys, "verify", "--cache", str(cache), "--cache-verify")
+    rc, out, err = run(capsys, "verify", "--cache", str(cache))
     assert (rc, out, err) == (0, "cache verify: 19 records OK\n", "")
 
 
