@@ -67,6 +67,8 @@ def load_matroid_file(path):
     if not (_is_int(n) and _is_int(rank)):
         raise InvalidParams("%s: n and rank must be integers, got n=%r rank=%r"
                             % (path, n, rank))
+    if "bases" in data and "cyclic_flats" in data:
+        raise InvalidParams("%s: give either bases or cyclic_flats, not both" % path)
     if "bases" in data:
         if not isinstance(data["bases"], list):
             raise InvalidParams("%s: bases must be a list of element lists" % path)

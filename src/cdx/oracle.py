@@ -5,12 +5,14 @@ rank table.  Faces come from Edmonds' description of the base polytope,
 P(M) = {x >= 0 : x(S) <= r(S) for all S, x(E) = r(E)}: with r(S) taken
 as the largest |B & S| over the bases, every proper face is an
 intersection of the faces F_S = {B : |B & S| = r(S)}, so the faces are
-the closure of the facets under intersection, plus the polytope and the
-empty face.  The closure runs on a hash set of vertex bitmasks, seeded
-with the vertices so that only faces of three or more vertices meet
-the facets; every step after it is a whole-array pass over one packed
-incidence array, the faces sorted by mask with row i holding the
-vertex bits of face i, ⌈m/8⌉ bytes for m vertices.
+the closure of the distinct rows F_S under intersection, plus the
+polytope and the empty face.  The closure runs on a hash set of vertex
+bitmasks and takes one row at a time, largest first: a row that is
+already in the set is an intersection of rows closed before it and is
+skipped, and any other row g adds f & g for every face f so far.
+Every step after it is a whole-array pass over one packed incidence
+array, the faces sorted by mask with row i holding the vertex bits of
+face i, ⌈m/8⌉ bytes for m vertices.
 
 Each face is the base polytope of a direct sum of minors
 (Feichtner-Sturmfels, 2005), so its dimension is n minus the number of
@@ -150,6 +152,21 @@ class FaceLattice:
         return len(self.faces)
 
 
+def _close(generators, full):
+    """Every intersection of the generators (bitmasks inside full), with
+    full itself and the empty set; the same set for any order.
+
+    After each generator the set holds every intersection of the
+    generators taken so far, so a generator already in it adds nothing.
+    """
+    faces = {full}
+    for g in generators:
+        if g not in faces:
+            faces |= {f & g for f in faces}
+    faces.add(0)
+    return faces
+
+
 def face_lattice(M):
     """Enumerate every face of the base polytope of M, empty face included."""
     n = M.n
@@ -164,20 +181,8 @@ def face_lattice(M):
     # meet[S, j] = |S & B_j| for every subset S; F_S is where a row peaks
     meet = _unpack(_pack(range(1 << n), n), n) @ V.T
     tight = np.packbits(meet == meet.max(axis=1, keepdims=True), axis=1, bitorder="little")
-    full = (1 << m) - 1
-    gens = list({int.from_bytes(row.tobytes(), "little") for row in tight} - {full})
-    # the facets: generators inside no other generator
-    G = _unpack(_pack(gens, m), m)
-    facets = [g for g, c in zip(gens, _containment(G, 1 - G).sum(axis=1)) if c == 1]
-    # every vertex is a face, and a face of at most two vertices (a vertex
-    # or an edge) meets a facet in a face of its own, so only the faces
-    # of three or more vertices are closed
-    faces = set(facets) | {1 << j for j in range(m)}
-    new = facets
-    while new:
-        new = {f & g for f in new if f.bit_count() > 2 for g in facets} - faces
-        faces |= new
-    faces = sorted(faces | {full, 0})
+    rows = {int.from_bytes(row.tobytes(), "little") for row in tight}
+    faces = sorted(_close(sorted(rows, key=int.bit_count, reverse=True), (1 << m) - 1))
     packed = _pack(faces, m)
     dims = _face_dims(n, M.rank, V, packed)
     order = np.argsort(dims, kind="stable")

@@ -401,6 +401,15 @@ def test_file_string_n_is_invalid(capsys, tmp_path):
     assert "n and rank must be integers, got n='4' rank=2" in err
 
 
+def test_file_with_both_bases_and_cyclic_flats_is_invalid(capsys, tmp_path):
+    # the bases give U(2, 2) plus two loops, the cyclic flats U(2, 4);
+    # neither presentation is taken over the other
+    path = write_json(tmp_path, {"n": 4, "rank": 2, "bases": [[1, 2]], "cyclic_flats": []})
+    rc, out, err = run(capsys, "compute", "--file", path)
+    assert (rc, out) == (2, "")
+    assert "INVALID_PARAMS" in err and "either bases or cyclic_flats, not both" in err
+
+
 def test_file_flat_without_rank_is_invalid(capsys, tmp_path):
     path = write_json(tmp_path, {"n": 5, "rank": 3, "cyclic_flats": [{"set": [1, 2, 3]}]})
     rc, _, err = run(capsys, "compute", "--file", path)

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 from itertools import permutations
 from math import comb
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 
 from cdx import cli, oracle
+from cdx.cuspidal import cd_cuspidal, cuspidal_matroid
 from cdx.errors import InternalError, ScaleExceeded
 from cdx.hypersimplex import cd_hypersimplex, face_type_counts
 from cdx.matroid import Matroid, _bits, example_535, fano
-from cdx.ncpoly import FlagFVector, NcPoly, flag_to_ab
+from cdx.ncpoly import FlagFVector, NcPoly, cd_f_vector, flag_to_ab
 from cdx.oracle import (
     FaceLattice,
     eulerian_check,
@@ -264,7 +266,7 @@ def test_meet_closed():
         assert ok
 
 
-def test_closure_from_the_vertices_matches_the_plain_facet_closure():
+def test_closure_matches_the_plain_facet_closure():
     for name, M in cli.corpus(8):
         L = face_lattice(M)
         facets = [f for f, d in zip(L.faces, L.dims) if d == L.dim - 1]
@@ -274,6 +276,33 @@ def test_closure_from_the_vertices_matches_the_plain_facet_closure():
             new = {f & g for f in new for g in facets} - faces
             faces |= new
         assert set(L.faces) == faces | {0, L.faces[-1]}, name
+
+
+def _edmonds_rows(M):
+    """The distinct vertex sets F_S = {B : |B & S| = max over the bases}
+    over every subset S, as bitmasks over vertex indices."""
+    V = _indicator(M.basis_masks(), M.n)
+    meet = _indicator(range(1 << M.n), M.n) @ V.T
+    return {sum(1 << int(j) for j in np.flatnonzero(row == row.max())) for row in meet}
+
+
+def test_closure_is_the_same_for_any_generator_order():
+    rng = random.Random(8)
+    for name, M in cli.corpus(8):
+        want = set(face_lattice(M).faces)
+        full = (1 << len(M.basis_masks())) - 1
+        ascending = sorted(_edmonds_rows(M), key=lambda g: (g.bit_count(), g))
+        shuffled = ascending[:]
+        rng.shuffle(shuffled)
+        for order in (ascending, ascending[::-1], shuffled):
+            assert oracle._close(order, full) == want, name
+
+
+def test_face_count_past_the_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_N", 10)
+    L = face_lattice(cuspidal_matroid(5, 10, 2, 5))
+    assert L.face_count() == 17334
+    assert L.f_vector() == cd_f_vector(cd_cuspidal(5, 10, 2, 5), 9)
 
 
 def test_flag_to_ab_mirror_symmetry():
