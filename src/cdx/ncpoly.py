@@ -45,6 +45,17 @@ whole int; only the final state is read back, and an a-priori bound on
 its coefficients picks the width.  The coefficients stay exact: they
 reach 56 bits at dimension 19, where the slots are still 64 bits wide,
 and 64 bits at dimension 21.
+
+A chain_sum result keeps only that form: its degree, its largest
+|coefficient| and its packed ints by slot width.  When a sum with wider
+slots takes it as a face, the wider packing is copied from the
+narrowest one by strided byte copies, never re-encoded from words.
+text and terms read the packing and keep nothing.  The readers that
+need words, the arithmetic, coeff, ==, hash and every other reader of
+the term dict, build it from the packing on first use and keep it.  So
+the recursions' memo tables hold packed ints alone, and only the
+entries that a caller reads as words, such as the terms of the split
+formula and the products in a modular-pair term, get a dict.
 """
 
 import re
@@ -78,9 +89,14 @@ def word_key(w):
 
 
 class NcPoly:
-    """Integer combination of words over the alphabet abcd."""
+    """Integer combination of words over the alphabet abcd.
 
-    __slots__ = ("_t", "_vec")
+    A polynomial built from terms holds its term dict _t; a chain_sum
+    result holds only its packing _vec until a reader of _t builds the
+    dict (see the module docstring).
+    """
+
+    __slots__ = ("_dict", "_vec")
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -92,7 +108,16 @@ class NcPoly:
             if k == 0:
                 continue
             t[w] = t.get(w, 0) + k
-        self._t = {w: k for w, k in t.items() if k}
+        self._dict = {w: k for w, k in t.items() if k}
+        self._vec = None
+
+    @property
+    def _t(self):
+        """The term dict, word -> nonzero coefficient."""
+        t = self._dict
+        if t is None:
+            t = self._dict = dict(_packed_terms(self._vec))
+        return t
 
     @classmethod
     def zero(cls):
@@ -111,7 +136,9 @@ class NcPoly:
 
     def terms(self):
         """Term dict copy, word -> coefficient."""
-        return dict(self._t)
+        if self._dict is None:
+            return dict(_packed_terms(self._vec))
+        return dict(self._dict)
 
     def words(self):
         return sorted(self._t, key=word_key)
@@ -190,12 +217,17 @@ class NcPoly:
 
     def text(self):
         """Canonical text form, e.g. "cc + 2*d"; "0" for zero."""
-        if not self._t:
+        if self._dict is None:
+            # one degree, so word_key order is the words' own order
+            order, vals = _slot_values(self._vec)
+            items = [(order[i], vals[i]) for i in _sorted_positions(self._vec[0]) if vals[i]]
+        else:
+            items = [(w, self._dict[w]) for w in self.words()]
+        if not items:
             return "0"
         parts = []
         try:
-            for i, w in enumerate(self.words()):
-                k = self._t[w]
+            for i, (w, k) in enumerate(items):
                 sign = "-" if k < 0 else "+"
                 mag = abs(k)
                 if w == "":
@@ -358,7 +390,8 @@ def add_product(acc, left, right):
 def from_terms(t):
     """NcPoly of a term dict over valid words, zero terms dropped."""
     out = NcPoly.__new__(NcPoly)
-    out._t = {w: c for w, c in t.items() if c}
+    out._dict = {w: c for w, c in t.items() if c}
+    out._vec = None
     return out
 
 
@@ -383,15 +416,18 @@ def _width(top):
     return 64 * (top.bit_length() // 64 + 1)
 
 
-def _offset(length, bits):
-    """2^(bits - 1) in each of length slots of the given width."""
-    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * length, "little")
+def _offset(length, bits, wide=None):
+    """2^(bits - 1) in each of length slots of the given width, or of
+    wide bits when wide is given."""
+    pad = bytes(((wide or bits) - bits) // 8)
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80" + pad) * length, "little")
 
 
 def _pack(vals, bits):
     """The sum of vals[i] * 2^(bits * i), each vals[i] in the slot's
-    two's complement range.  Only faces that no chain_sum packed at this
-    width take this path, so it need not be fast."""
+    two's complement range.  Only faces built from terms, and narrowing,
+    which no input in reach needs, take this path, so it need not be
+    fast."""
     size = bits // 8
     raw = b"".join([x.to_bytes(size, "little", signed=True) for x in vals])
     off = _offset(len(vals), bits)
@@ -403,25 +439,68 @@ def _unpack(x, length, bits):
 
     Adding 2^(bits - 1) to every slot makes each one nonnegative and
     below 2^bits, so nothing carries into the next slot; flipping the
-    top bit back leaves each slot in two's complement."""
+    top bit back leaves each slot in two's complement.  A slot of m
+    64-bit words is its signed top word, then each lower word shifted
+    in, one list pass per word."""
     off = _offset(length, bits)
     raw = ((x + off) ^ off).to_bytes(length * bits // 8, "little")
-    if bits == 64:
-        return struct.unpack("<%dq" % length, raw)
-    return _unpack_slots(raw, bits // 8)
+    m = bits // 64
+    fmt = "<%d%%s" % (length * m)
+    vals = struct.unpack(fmt % "q", raw)[m - 1::m]
+    if m > 1:
+        low = struct.unpack(fmt % "Q", raw)
+        for j in range(m - 2, -1, -1):
+            vals = [v << 64 | w for v, w in zip(vals, low[j::m])]
+    return vals
 
 
-def _unpack_slots(raw, size):
-    """The signed little-endian ints of size bytes each in raw."""
-    return [int.from_bytes(raw[i : i + size], "little", signed=True)
-            for i in range(0, len(raw), size)]
+def _repack(x, length, bits, wide):
+    """_pack(vals, wide) from x = _pack(vals, bits), every vals[i] in the
+    range of both widths.
+
+    To widen, x plus the offset holds vals[i] + 2^(bits - 1), nonnegative
+    and below 2^bits, in slot i.  Its bytes go by strided copies into the
+    low bytes of slots of wide bits, and the same offsets at that spacing
+    come off again.  Narrowing goes through the slot values."""
+    if wide < bits:
+        return _pack(_unpack(x, length, bits), wide)
+    size, big = bits // 8, wide // 8
+    raw = (x + _offset(length, bits)).to_bytes(length * size, "little")
+    out = bytearray(length * big)
+    for j in range(size):
+        out[j::big] = raw[j::size]
+    return int.from_bytes(out, "little") - _offset(length, bits, wide)
+
+
+def _slot_values(vec):
+    """(cd_order(deg), the coefficients over it) of the packed
+    coefficients vec = (deg, top, packs), read at the narrowest width."""
+    deg, _, packs = vec
+    bits = min(packs)
+    order = cd_order(deg)
+    return order, _unpack(packs[bits], len(order), bits)
+
+
+def _packed_terms(vec):
+    """The (word, coefficient) pairs of the nonzero slots of vec."""
+    order, vals = _slot_values(vec)
+    return compress(zip(order, vals), vals)
+
+
+@cache
+def _sorted_positions(d):
+    """The positions in cd_order(d) of the cd words of degree d, taken in
+    sorted order."""
+    order = cd_order(d)
+    return sorted(range(len(order)), key=order.__getitem__)
 
 
 def _coeff_info(p, deg):
     """(deg, max |coefficient|, {slot width: packed coefficients}) of p
     over cd_order(deg), cached on p; InvalidParams unless p is a cd
-    polynomial of degree deg (or zero)."""
-    got = getattr(p, "_vec", None)
+    polynomial of degree deg (or zero).  A chain_sum result holds its
+    own from the start."""
+    got = p._vec
     if got is None or got[0] != deg:
         t = p._t
         vals = [t.get(w, 0) for w in cd_order(deg)]
@@ -432,12 +511,19 @@ def _coeff_info(p, deg):
 
 
 def _packed(p, deg, bits):
-    """p's coefficients over cd_order(deg) packed in slots of bits."""
+    """p's coefficients over cd_order(deg) packed in slots of bits,
+    repacked from its narrowest packing, or from its term dict when it
+    has none."""
     packs = _coeff_info(p, deg)[2]
     x = packs.get(bits)
     if x is None:
-        t = p._t
-        x = packs[bits] = _pack([t.get(w, 0) for w in cd_order(deg)], bits)
+        if packs:
+            old = min(packs)
+            x = _repack(packs[old], len(cd_order(deg)), old, bits)
+        else:
+            t = p._t
+            x = _pack([t.get(w, 0) for w in cd_order(deg)], bits)
+        packs[bits] = x
     return x
 
 
@@ -556,7 +642,7 @@ def chain_sum(dim, f0, faces, facet=None):
         raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (y, w))
     vals = _unpack(p0, len(cd_order(dim)), bits)
     p = NcPoly.__new__(NcPoly)
-    p._t = dict(compress(zip(cd_order(dim), vals), vals))
+    p._dict = None  # built from the packing on first use
     p._vec = (dim, max(max(vals), -min(vals)), {bits: p0})
     return p
 

@@ -99,6 +99,48 @@ def test_pinned_digests_above_the_reference_range():
         assert hashlib.sha256(fn(*key).text().encode()).hexdigest() == digest, key
 
 
+# sha256 of .text() for results packed at 128 bits, recorded when every
+# 64-bit face was re-encoded from its term dict instead of repacked
+PINNED_WIDE = [
+    (cd_hypersimplex, (11, 22), "225d858fe7a909215a7aeb349bc70d7126bb467f71f6062b4b0d2d6a03234652"),
+    (cd_hypersimplex, (12, 24), "ef32c40e428dcd6e588155c391cd540799a1bcbadf0c518943eebada5c77a97c"),
+    (cd_cuspidal, (11, 22, 5, 11), "43afb852cebc806a22a1f1db95efcb32dab5d65a8b22f71bb540d69767e6dab8"),
+    (cd_cuspidal, (12, 24, 6, 12), "c6e79f695aaf2ee8887ed5c45b32e7107fc1856be55dca3d051807a1f395d738"),
+]
+
+
+def test_pinned_digests_past_the_64_bit_slots():
+    # cold, so their 64-bit faces are widened on the way
+    hypersimplex.memo_clear()
+    cuspidal.memo_clear()
+    for fn, key, digest in PINNED_WIDE:
+        p = fn(*key)
+        assert min(p._vec[2]) == 128, key
+        assert hashlib.sha256(p.text().encode()).hexdigest() == digest, key
+
+
+def memo_entries():
+    return [p for table in (hypersimplex.memo_snapshot(), hypersimplex.PRODUCTS.snapshot(),
+                            memo_snapshot())
+            for p in table.values()]
+
+
+def test_recursion_results_stay_packed():
+    hypersimplex.memo_clear()
+    cuspidal.memo_clear()
+    cd_cuspidal(8, 16, 4, 8)
+    entries = memo_entries()
+    assert len(entries) > 100
+    assert all(p._dict is None for p in entries)
+    texts = [p.text() for p in entries]
+    terms = [p.terms() for p in entries]
+    assert all(p._dict is None for p in entries)
+    # both read the packing as the term dict would
+    for p, text, t in zip(entries, texts, terms):
+        assert NcPoly(t).text() == text
+        assert NcPoly.from_text(text) == p and p._dict == t
+
+
 def test_the_recursions_build_no_chain_weight(monkeypatch):
     # sha256 of .text(), each value equal to its reference recursion
     want = [

@@ -34,7 +34,7 @@ from cdx.ncpoly import (
     normalize_mixed,
     word_degree,
 )
-from cdx import cli, cuspidal, engine, ncpoly
+from cdx import cli, cuspidal, engine, hypersimplex, ncpoly
 from cdx.hypersimplex import cd_hypersimplex, face_type_counts
 from reference import emve_mixed, g_cd
 
@@ -260,11 +260,44 @@ def test_slot_width_is_the_least_multiple_of_64_holding_the_bound():
 
 
 def test_per_slot_decode_agrees_with_the_64_bit_one():
-    vals = slot_extremes(64) + [random.Random(5).randint(-2**63, 2**63 - 1) for _ in range(50)]
-    x = ncpoly._pack(vals, 64)
-    off = ncpoly._offset(len(vals), 64)
-    raw = ((x + off) ^ off).to_bytes(8 * len(vals), "little")
-    assert ncpoly._unpack_slots(raw, 8) == list(ncpoly._unpack(x, len(vals), 64)) == vals
+    # _unpack reads 64-bit words; a slot's own signed bytes must agree
+    rng = random.Random(5)
+    for bits in (64, 128, 192):
+        half = 1 << (bits - 1)
+        vals = slot_extremes(bits) + [rng.randint(-half, half - 1) for _ in range(50)]
+        x = ncpoly._pack(vals, bits)
+        off = ncpoly._offset(len(vals), bits)
+        raw = ((x + off) ^ off).to_bytes(bits // 8 * len(vals), "little")
+        size = bits // 8
+        per_slot = [int.from_bytes(raw[i:i + size], "little", signed=True)
+                    for i in range(0, len(raw), size)]
+        assert per_slot == list(ncpoly._unpack(x, len(vals), bits)) == vals, bits
+
+
+@pytest.mark.parametrize("wide", [128, 192])
+def test_widening_a_packing_equals_packing_at_the_wider_width(wide):
+    rng = random.Random(wide)
+    vals = slot_extremes(64) + [rng.randint(-2**63, 2**63 - 1) for _ in range(50)]
+    for order in (vals, vals[::-1], [-1], [0, 0, 2**63 - 1]):
+        x = ncpoly._pack(order, 64)
+        assert ncpoly._repack(x, len(order), 64, wide) == ncpoly._pack(order, wide)
+        # and back, every value still in range
+        assert ncpoly._repack(ncpoly._pack(order, wide), len(order), wide, 64) == x
+    # a 128-bit packing widened to 192 bits
+    vals = slot_extremes(128)
+    assert ncpoly._repack(ncpoly._pack(vals, 128), len(vals), 128, 192) == ncpoly._pack(vals, 192)
+
+
+def test_a_chain_sum_result_is_repacked_from_its_own_packing():
+    hypersimplex.memo_clear()
+    p = cd_hypersimplex(5, 11)
+    assert p._dict is None and set(p._vec[2]) == {64}
+    for wide in (128, 192):
+        x = ncpoly._packed(p, 10, wide)
+        assert p._dict is None
+        assert x == ncpoly._pack([p.terms().get(w, 0) for w in cd_order(10)], wide)
+    assert set(p._vec[2]) == {64, 128, 192}
+    assert p == NcPoly(p.terms()) and p._dict is not None
 
 
 def hypersimplex_off_facet(k, n):
