@@ -21,7 +21,7 @@ import sys
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
-from . import cuspidal, engine, hypersimplex, matroid, oracle
+from . import cuspidal, engine, hypersimplex, matroid
 from .errors import CacheVersionMismatch, CdxError, InvalidParams
 from .matroid import Matroid
 from .ncpoly import NcPoly, cd_f_vector, cd_to_flag_f, from_terms, word_degree
@@ -439,6 +439,8 @@ def cmd_verify(args):
             print("  recomputed: %s" % fresh.text())
         print("cache verify: %d bad of %d records%s" % (len(bad), checked, tail))
         return 1
+    from . import oracle  # only here: it loads numpy, which no other path needs
+
     if args.max_n > oracle.DEFAULT_MAX_N:
         raise InvalidParams("verify is oracle-bound; --max-n must be <= %d"
                             % oracle.DEFAULT_MAX_N)

@@ -120,8 +120,6 @@ def cd_index(M, oracle_fallback=False):
 
     Split components go through the closed formula; other components
     can fall back to the brute-force oracle when allowed."""
-    from . import oracle  # deferred: it loads numpy, see the matroid module docstring
-
     parts = []
     for sub in M.connected_components():
         try:
@@ -132,6 +130,8 @@ def cd_index(M, oracle_fallback=False):
                     "component on %d elements is not split; "
                     "rerun with the oracle fallback enabled" % sub.n
                 ) from None
+            from . import oracle  # only here: it loads numpy, which no other path needs
+
             parts.append(oracle.oracle_cd_index(sub))
         else:
             parts.append(_split_formula(prof))

@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import InvalidParams
 from .memo import Memo
-from .ncpoly import C, NcPoly, chain_sum
+from .ncpoly import NcPoly, chain_sum
 
 
 def face_type_counts(k, n):
@@ -36,13 +36,18 @@ def _check_params(k, n):
         raise InvalidParams("hypersimplex needs 0 <= k <= n, n >= 1, got k=%d n=%d" % (k, n))
 
 
+# the (1, 2) hypersimplex, packed like every other recursion result, so
+# that no face of the recursion needs its words listed
+SEGMENT = chain_sum(1, 2, [])
+
+
 def cd_hypersimplex(k, n):
     """cd-index of the (k, n) hypersimplex, memoized on (min(k, n-k), n)."""
     _check_params(k, n)
     if k == 0 or k == n:
         return NcPoly.one()  # a single vertex
     if n == 2:
-        return C
+        return SEGMENT
     return MEMO.lookup((min(k, n - k), n))
 
 

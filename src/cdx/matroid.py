@@ -6,26 +6,29 @@ is desk scale: no matroid has more than _ENUM_CAP = 12 elements.  Every
 constructor checks that in `_check_size`, after its argument checks and
 before it enumerates any set.
 
-Each matroid computes the rank of every subset once, on first use, into
-one table of 2^n bytes (4 KB at n = 12), indexed by mask.
-For each element e, the sets without e and the sets with e are two
-basic-slice views of such a numpy array (``_halves``).  n in-place ORs
-of the with-e view into the without-e view mark every subset of a basis
-independent; an independent set's rank is its size, and n in-place
-maxima of the without-e view into the with-e view give any other set the
-largest rank below it.  For any basis family that equals max |B & S|
-over the bases B.  Rank queries, the axiom check, the connected
-components and the cyclic flat sweep all read this table, the last
-three by whole-array steps.
+A family of subsets is one Python int with bit S set for each member
+mask S: at n = 12 a family is a 4096-bit int, and one big-int operation
+acts on every subset at once.  WITH[e], the family of the sets holding
+e, is built once per n (``_families``).  For a family T, (T & WITH[e]) >>
+2^e takes each member holding e to the set without e, and (T & ~WITH[e])
+<< 2^e each member without e to the set with e.  So n such steps close
+the bases downwards to the independent sets, and n more close the
+independent j-sets upwards to {S : r(S) >= j}, for each j up to the
+rank.  For any basis family these levels give r(S) = max |B & S| over
+the bases B.  One step per level then gives G[x] = {S without x :
+r(S+x) > r(S)} for each element x, and the axiom check and the cyclic
+flat sweep read only the G[x].  The rank table holds the rank of every
+subset as 2^n bytes (4 KB at n = 12), indexed by mask: byte S counts
+the levels holding S.  Rank queries and the connected components read
+it.
 
-numpy is imported inside the functions that use it.  Through ncpoly,
-which takes ``_bits`` from here, every module of the recursions loads
-this one, and the hypersimplex and cuspidal recursions never need numpy.
-A process that runs the hypersimplex recursion for all n <= 20 peaks at
-26 MB resident; with numpy loaded it peaks at 40 MB.
+Nothing here loads numpy, and nothing on the way from a matroid to its
+cd-index does; only the brute-force oracle does, for `cdx verify` and
+the oracle fallback.
 """
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, compress
 from typing import NamedTuple
 
 from .errors import (
@@ -67,7 +70,17 @@ def _shown(elems):
     return [e + 1 for e in sorted(elems)]
 
 
+# a byte 0 or 1 and the binary digit that spells it
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _bits(mask):
+    """The set bits of mask, ascending.  A family of subsets is read in
+    one pass over its binary digits, not one big-int step per member."""
+    if mask >> 64:
+        digits = bin(mask)[:1:-1].encode().translate(_FROM_DIGITS)
+        return list(compress(range(len(digits)), digits))
     out = []
     while mask:
         low = mask & -mask
@@ -76,44 +89,43 @@ def _bits(mask):
     return out
 
 
-def _halves(a, e):
-    """The sets without e and the sets with e, as two views of an array
-    indexed by subset mask: reshaped to (2^(n-e-1), 2, 2^e) it has bit e
-    on the middle axis.  Indexing that axis keeps the other two, so even
-    at n = 1 both halves are views, not scalars."""
-    v = a.reshape(-1, 2, 1 << e)
-    return v[:, 0], v[:, 1]
-
-
-def _sizes(n):
-    """|S| for every subset mask S, as uint8."""
-    import numpy as np  # deferred, see the module docstring
-
-    sizes = np.zeros(1 << n, dtype=np.uint8)
+def _levels(n, x, top):
+    """[{S : |S & x| = j} for j = 0, ..., top], each a family of subset
+    masks of n elements; see the module docstring.  Element e doubles
+    the table: the sets with e are those without it shifted by 2^e, one
+    level up when e is in x.  Levels above top are never built."""
+    levels = [1] + [0] * top
     for e in range(n):
-        _, with_e = _halves(sizes, e)
-        with_e += 1
-    return sizes
+        step = 1 << e
+        if x >> e & 1:
+            for j in range(top, 0, -1):
+                levels[j] |= levels[j - 1] << step
+        else:
+            for j in range(top + 1):
+                levels[j] |= levels[j] << step
+    return levels
 
 
-def _not_submodular(grows):
-    """NotAMatroid naming S, x, y where bit x of grows[S] (D_x(S)) is
-    clear and bit x of grows[S+y] is set: the first pair x < y, then the
-    smallest mask S.  The inequality is symmetric in x and y, so the pair
-    is x in the violations along y."""
-    import numpy as np  # deferred, see the module docstring
+@cache
+def _families(n):
+    """(WITH, SIZE) for the subsets of n elements: WITH[e] the family of
+    the sets holding e, SIZE[j] that of the sets of size j."""
+    return (tuple(_levels(n, 1 << e, 1)[1] for e in range(n)),
+            tuple(_levels(n, (1 << n) - 1, n)))
 
-    n = len(grows).bit_length() - 1
-    along = []
-    for y in range(n):
-        without_y, with_y = _halves(grows, y)
-        along.append(int(np.bitwise_or.reduce(with_y & ~without_y, axis=None)))
-    x, y = min((x, y) for y in range(n) for x in _bits(along[y]) if x < y)
-    masks = np.arange(1 << n)
-    s = masks[masks & (1 << x | 1 << y) == 0]
-    bad = s[(grows[s | 1 << y] & ~grows[s]) >> x & 1 == 1]
-    return NotAMatroid("rank not submodular: r(S+x) + r(S+y) < r(S+x+y) + r(S) at "
-                       "S=%r, x=%d, y=%d" % (_shown(_bits(int(bad[0]))), x + 1, y + 1))
+
+def _family(masks, n):
+    """The family of the given subset masks of n elements."""
+    flags = bytearray(1 << n)
+    for m in masks:
+        flags[m] = 1
+    return int(flags.translate(_TO_DIGITS)[::-1], 2)
+
+
+def _spread(family, n):
+    """The family as an int of 2^n bytes: byte S is 1 for a member S, else 0."""
+    digits = format(family, "0%db" % (1 << n)).encode()  # bit S is the S-th digit from the right
+    return int.from_bytes(digits.translate(_FROM_DIGITS), "big")
 
 
 class CyclicFlat(NamedTuple):
@@ -128,7 +140,7 @@ class Matroid:
         self.n = n
         self.rank = rank
         self._bases = frozenset(basis_masks)
-        self._ranks = None  # rank of every subset, built on first use
+        self._tables = None  # (rank table, G), built on first use
         self._cyclic = None
 
     # -- constructors -------------------------------------------------
@@ -184,14 +196,10 @@ class Matroid:
             fam.append((s, r))
         _check_size(n)
         fam = [(_mask(s), r) for s, r in fam]
-        import numpy as np  # deferred, see the module docstring
-
-        sizes = _sizes(n)
-        subsets = np.arange(1 << n, dtype=np.uint16)
-        keep = sizes == rank
+        keep = _families(n)[1][rank]
         for fm, r in fam:
-            keep &= sizes[subsets & fm] <= r
-        masks = set(np.flatnonzero(keep).tolist())
+            keep &= sum(_levels(n, fm, r))  # |S & F| <= r; the levels are disjoint
+        masks = set(_bits(keep))
         if not masks:
             raise EmptyMatroid("the given cyclic flats cut out no bases")
         M = cls(n, rank, masks)
@@ -237,41 +245,51 @@ class Matroid:
         matroid's bases are the k-sets with r(B) = k, the given sets and no
         others, so one pass over the whole table decides it, whatever the
         components.  D_x(S) = r(S+x) - r(S) is 0 or 1, and the inequality
-        says D_x(S) >= D_x(S+y).  So with D_x(S) for all x at once as the
-        bits of one integer per S, no bit may appear when any y is added,
-        which is n array steps."""
-        import numpy as np  # deferred, see the module docstring
-
-        r = np.frombuffer(self._rank_table(), dtype=np.uint8)
-        grows = np.zeros(1 << self.n, dtype=np.uint16)  # bit x: D_x(S), clear for S with x
+        says D_x(S) >= D_x(S+y): G[x] holds S whenever it holds S+y.  The
+        inequality is symmetric in x and y, so one step per pair x < y
+        finds the violations; the first pair with one, then its smallest
+        mask S, names the witness."""
+        with_e = _families(self.n)[0]
+        gains = self._tabulated()[1]
         for x in range(self.n):
-            without_x, with_x = _halves(r, x)
-            grows_without_x, _ = _halves(grows, x)
-            grows_without_x |= np.left_shift(without_x < with_x, x, dtype=np.uint16)
-        for y in range(self.n):
-            without_y, with_y = _halves(grows, y)
-            if np.any(with_y & ~without_y):
-                raise _not_submodular(grows)
+            g = gains[x]
+            for y in range(x + 1, self.n):
+                bad = ((g & with_e[y]) >> (1 << y)) & ~g
+                if bad:
+                    s = (bad & -bad).bit_length() - 1
+                    raise NotAMatroid("rank not submodular: r(S+x) + r(S+y) < r(S+x+y) + r(S) "
+                                      "at S=%r, x=%d, y=%d" % (_shown(_bits(s)), x + 1, y + 1))
 
     # -- rank machinery -----------------------------------------------
 
-    def _rank_table(self):
-        """Rank of every subset mask, as 2^n bytes; see the module docstring."""
-        if self._ranks is None:
-            import numpy as np  # deferred, see the module docstring
+    def _tabulated(self):
+        """(rank table, G), built together on first use; see the module
+        docstring.  levels[j - 1] is {S : r(S) >= j}, and S+x gains rank
+        over S exactly when some level holds S+x but not S."""
+        if self._tables is None:
+            with_e, size = _families(self.n)
+            indep = _family(self._bases, self.n)
+            for e, w in enumerate(with_e):
+                indep |= (indep & w) >> (1 << e)
+            levels = []
+            for j in range(1, self.rank + 1):
+                level = indep & size[j]
+                for e, w in enumerate(with_e):
+                    level |= (level & ~w) << (1 << e)
+                levels.append(level)
+            gains = []
+            for x, w in enumerate(with_e):
+                g = 0
+                for level in levels:
+                    g |= ((level & w) >> (1 << x)) & ~level
+                gains.append(g)
+            ranks = sum(_spread(level, self.n) for level in levels)
+            self._tables = (ranks.to_bytes(1 << self.n, "little"), tuple(gains))
+        return self._tables
 
-            indep = np.zeros(1 << self.n, dtype=np.bool_)
-            indep[np.fromiter(self._bases, dtype=np.intp, count=len(self._bases))] = True
-            for e in range(self.n):
-                without_e, with_e = _halves(indep, e)
-                without_e |= with_e
-            ranks = _sizes(self.n)
-            ranks *= indep
-            for e in range(self.n):
-                without_e, with_e = _halves(ranks, e)
-                np.maximum(with_e, without_e, out=with_e)
-            self._ranks = ranks.tobytes()
-        return self._ranks
+    def _rank_table(self):
+        """Rank of every subset mask, as 2^n bytes."""
+        return self._tabulated()[0]
 
     def rank_of(self, subset):
         m = subset if isinstance(subset, int) else _mask(subset)
@@ -280,22 +298,17 @@ class Matroid:
     def cyclic_flats(self):
         """All cyclic flats (flats that are unions of circuits), improper included.
 
-        A flat gains rank from every element added; a cyclic set keeps
-        its rank when any one element is removed.
+        A flat S gains rank from every element x added: S is in G[x] for
+        each x outside S.  A cyclic set S keeps its rank when any one
+        element e is removed: S - e is in no G[e].
         """
         if self._cyclic is None:
-            import numpy as np  # deferred, see the module docstring
-
-            ranks = self._rank_table()
-            r = np.frombuffer(ranks, dtype=np.uint8)
-            keep = np.ones(r.shape, dtype=np.bool_)
-            for e in range(self.n):
-                without_e, with_e = _halves(r, e)
-                keep_without, keep_with = _halves(keep, e)
-                keep_without &= without_e < with_e
-                keep_with &= without_e == with_e
-            out = [CyclicFlat(frozenset(_bits(m)), ranks[m])
-                   for m in np.flatnonzero(keep).tolist()]
+            ranks, gains = self._tabulated()
+            with_e = _families(self.n)[0]
+            flats = (1 << (1 << self.n)) - 1
+            for x, (g, w) in enumerate(zip(gains, with_e)):
+                flats &= (g | w) & ~(g << (1 << x))
+            out = [CyclicFlat(frozenset(_bits(m)), ranks[m]) for m in _bits(flats)]
             out.sort(key=lambda f: (len(f.elements), sorted(f.elements)))
             self._cyclic = out
         return list(self._cyclic)
@@ -312,15 +325,27 @@ class Matroid:
     def component_sets(self):
         """Ground set partition into connected components.  S is a
         separator when r(S) + r(E - S) = r(E), and the rank table read
-        backwards is indexed by complement.  Separators are closed under
-        intersection, so the component of e is the AND of the separators
-        holding e, one array step per element (a matroid with c components
+        backwards is indexed by complement, so the separators are the zero
+        bytes of (table + reversed table) ^ (r(E) in every byte).
+        Separators are closed under intersection, so the component of e is
+        the AND of the separators holding e (a matroid with c components
         has 2^c separators).  Loops and coloops are singletons."""
-        import numpy as np  # deferred, see the module docstring
-
-        r = np.frombuffer(self._rank_table(), dtype=np.uint8)
-        seps = np.flatnonzero(r + r[::-1] == self.rank)
-        comps = {int(np.bitwise_and.reduce(seps[seps >> e & 1 == 1])) for e in range(self.n)}
+        table = self._rank_table()
+        size = len(table)
+        both = int.from_bytes(table, "little") + int.from_bytes(table[::-1], "little")
+        diff = (both ^ int.from_bytes(bytes([self.rank]) * size, "little")).to_bytes(size, "little")
+        seps = []
+        s = diff.find(0)
+        while s >= 0:
+            seps.append(s)
+            s = diff.find(0, s + 1)
+        comps = set()
+        for e in range(self.n):
+            comp = (1 << self.n) - 1
+            for s in seps:
+                if s >> e & 1:
+                    comp &= s
+            comps.add(comp)
         return sorted((frozenset(_bits(c)) for c in comps), key=min)
 
     def connected_components(self):

@@ -33,7 +33,9 @@ and a list over cd_order(d - 2) times d the part from offset
 len(cd_order(d - 1)) on.  chain_sum runs Horner's rule in (a-b)^2 on
 a state p0 + p1 b, p0 and p1 such lists, two codimensions a step, and
 builds no chain weight; p1, the words with a trailing b, must end up
-zero.
+zero.  It reads only the lengths of the lists, _cd_count(d), which are
+Fibonacci numbers, so it lists no word: only text, terms and the term
+dicts do.
 
 Each list x runs through the kernel packed into one Python int, the
 sum of x[i] * 2^(bits * i), in slots of a width bits that is a multiple
@@ -410,6 +412,16 @@ def cd_order(d):
     return tuple([w + "c" for w in cd_order(d - 1)] + [w + "d" for w in cd_order(d - 2)])
 
 
+@cache
+def _cd_count(d):
+    """len(cd_order(d)), a Fibonacci number, without building the words."""
+    if d < 0:
+        return 0
+    if d <= 1:
+        return 1
+    return _cd_count(d - 1) + _cd_count(d - 2)
+
+
 def _width(top):
     """Slot width in bits, a multiple of 64, whose two's complement holds
     every int of absolute value at most top."""
@@ -477,8 +489,7 @@ def _slot_values(vec):
     coefficients vec = (deg, top, packs), read at the narrowest width."""
     deg, _, packs = vec
     bits = min(packs)
-    order = cd_order(deg)
-    return order, _unpack(packs[bits], len(order), bits)
+    return cd_order(deg), _unpack(packs[bits], _cd_count(deg), bits)
 
 
 def _packed_terms(vec):
@@ -519,7 +530,7 @@ def _packed(p, deg, bits):
     if x is None:
         if packs:
             old = min(packs)
-            x = _repack(packs[old], len(cd_order(deg)), old, bits)
+            x = _repack(packs[old], _cd_count(deg), old, bits)
         else:
             t = p._t
             x = _pack([t.get(w, 0) for w in cd_order(deg)], bits)
@@ -626,7 +637,7 @@ def chain_sum(dim, f0, faces, facet=None):
         sums[c] = sum([k * _packed(face, dim - c, bits) for face, k in group.values()])
     e = odd
     while e < dim:
-        size, short = len(cd_order(e)), len(cd_order(e - 1))
+        size, short = _cd_count(e), _cd_count(e - 1)
         v, w = sums.get(dim - e, 0), sums.get(dim - e - 1, 0)
         p0, p1 = (p0 + (p1 << bits * size) + ((v - 2 * p0 - p1) << bits * (size + short)),
                   w - v + p1 - (p1 << bits * size + 1))
@@ -637,10 +648,10 @@ def chain_sum(dim, f0, faces, facet=None):
         q = _packed(facet, dim - 1, bits)
         p0, p1 = p0 + q, p1 - q
     if p1:
-        vals = _unpack(p1, len(cd_order(dim - 1)), bits)
+        vals = _unpack(p1, _cd_count(dim - 1), bits)
         w, y = min((w, y) for w, y in zip(cd_order(dim - 1), vals) if y)
         raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (y, w))
-    vals = _unpack(p0, len(cd_order(dim)), bits)
+    vals = _unpack(p0, _cd_count(dim), bits)
     p = NcPoly.__new__(NcPoly)
     p._dict = None  # built from the packing on first use
     p._vec = (dim, max(max(vals), -min(vals)), {bits: p0})

@@ -70,10 +70,17 @@ MUTANTS = [
            'np.argsort(dims, kind="stable")', "np.argsort(dims)",
            ("tests/test_oracle.py::test_faces_are_sorted_and_packed_row_by_row",)),
     Mutant("widen-from-the-wrong-width", "src/cdx/ncpoly.py",
-           "_repack(packs[old], len(cd_order(deg)), old, bits)",
-           "_repack(packs[old], len(cd_order(deg)), bits, bits)",
+           "_repack(packs[old], _cd_count(deg), old, bits)",
+           "_repack(packs[old], _cd_count(deg), bits, bits)",
            ("tests/test_ncpoly.py::test_a_chain_sum_result_is_repacked_from_its_own_packing",
             "tests/test_cuspidal.py::test_pinned_digests_past_the_64_bit_slots")),
+    Mutant("rank-levels-skip-the-last-element", "src/cdx/matroid.py",
+           "for e, w in enumerate(with_e):\n                    level |=",
+           "for e, w in enumerate(with_e[:-1]):\n                    level |=",
+           ("tests/test_rank_table.py::test_named_matroids_match_reference",)),
+    Mutant("separators-at-rank-minus-one", "src/cdx/matroid.py",
+           "bytes([self.rank]) * size", "bytes([self.rank - 1]) * size",
+           ("tests/test_matroid.py::test_component_sets_match_the_all_bases_sweep",)),
 ]
 
 

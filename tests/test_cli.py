@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cdx import cli, cuspidal, engine, hypersimplex, ncpoly
+from cdx import cli, cuspidal, engine, hypersimplex, ncpoly, oracle
 from cdx.matroid import Matroid, fano
 from cdx.ncpoly import C, NcPoly
 
@@ -233,8 +233,8 @@ def test_verify_threads_deterministic(capsys):
 
 def test_verify_reports_a_formula_that_disagrees_with_the_oracle(capsys, monkeypatch):
     wrong = Matroid.uniform(2, 4)
-    truth = cli.oracle.oracle_cd_index
-    monkeypatch.setattr(cli.oracle, "oracle_cd_index",
+    truth = oracle.oracle_cd_index
+    monkeypatch.setattr(oracle, "oracle_cd_index",
                         lambda M: truth(M) + C if M == wrong else truth(M))
     rc, out, _ = run(capsys, "verify", "--max-n", "4")
     assert rc == 1
@@ -607,7 +607,7 @@ def test_verify_cache_is_the_audit_alone(capsys, monkeypatch, tmp_path):
     clear_memos()
     assert run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))[0] == 0
     monkeypatch.setattr(cli, "corpus", no_corpus)
-    monkeypatch.setattr(cli.oracle, "oracle_cd_index", no_corpus)
+    monkeypatch.setattr(oracle, "oracle_cd_index", no_corpus)
     rc, out, _ = run(capsys, "verify", "--cache", str(cache))
     assert (rc, out) == (0, "cache verify: 14 records OK\n")
 

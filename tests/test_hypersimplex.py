@@ -192,6 +192,15 @@ def test_chain_sum_equals_the_list_kernel_on_every_hypersimplex_up_to_n22():
     assert max(got.terms().values()).bit_length() > 63
 
 
+def test_the_recursion_lists_no_cd_words():
+    # chain_sum reads only word counts; the words are listed for text(),
+    # terms() and the term dicts alone
+    memo_clear()
+    cd_order.cache_clear()
+    cd_hypersimplex(10, 20)
+    assert cd_order.cache_info().currsize == 0
+
+
 def test_chain_sum_in_low_dimensions_of_both_parities():
     assert chain_sum(0, 1, []) == NcPoly.one()
     assert chain_sum(1, 2, []) == C  # a segment

@@ -112,7 +112,7 @@ def test_from_cyclic_flats_refuses_above_the_cap_before_enumerating(monkeypatch)
         raise AssertionError("enumerated subsets above the cap")
 
     monkeypatch.setattr(Matroid, "uniform", classmethod(enumerates))
-    monkeypatch.setattr(matroid, "_sizes", enumerates)
+    monkeypatch.setattr(matroid, "_levels", enumerates)
     with pytest.raises(ScaleExceeded, match="rank tables capped at n=12"):
         Matroid.from_cyclic_flats(20, 10, [(range(5), 3)])
     with pytest.raises(ScaleExceeded, match="rank tables capped at n=12"):

@@ -5,9 +5,10 @@ table: every subset's rank is the largest intersection with a basis, a
 flat is a set equal to its closure, and a cyclic set keeps its rank
 when any one element is removed.  The second pair of references is the
 rank table and cyclic flat sweep as Python loops over the masks, as they
-were before the numpy passes over the subset array.
+were before the whole-table passes over the subset masks.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from cdx.matroid import (
     sparse_paving,
     vamos,
 )
+from cdx.oracle import oracle_cd_index
 
 
 def reference_ranks(M):
@@ -141,15 +143,19 @@ def test_verify_corpus_matches_reference():
     # a loop (element 0) beside a uniform matroid: the only circuit through
     # 0 is {0}, and {0} is a proper cyclic flat
     lambda: Matroid.from_bases(5, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
-    # one-element ground sets, where a subset array has a single axis of length 2
+    # the same with the loop last: a set of rank j holding the last element
+    # holds no independent j-set with it, so only the last step of the
+    # upward closure reaches it
+    lambda: Matroid.from_bases(5, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    # one-element ground sets, where a family of subsets has two bits
     lambda: Matroid.from_bases(1, 0, [()]),
     lambda: Matroid.from_bases(1, 1, [(0,)]),
     loop_and_coloop,
     lambda: loop_and_coloop().connected_components()[0],
     lambda: loop_and_coloop().connected_components()[2],
 ], ids=["fano", "vamos", "mk4", "example-m1", "cuspidal-5-12-3-6", "sparse-12-6",
-        "loop-plus-u24", "loop", "coloop", "loop-parallel-pair-coloop", "its-loop",
-        "its-coloop"])
+        "loop-plus-u24", "u24-plus-loop", "loop", "coloop", "loop-parallel-pair-coloop",
+        "its-loop", "its-coloop"])
 def test_named_matroids_match_reference(make):
     assert_matches_reference(make(), "")
 
@@ -163,17 +169,49 @@ def test_one_element_components_are_what_they_seem():
     assert pair.cyclic_flats() == [CyclicFlat(frozenset(), 0), CyclicFlat(frozenset({0, 1}), 1)]
 
 
-def test_importing_ncpoly_and_matroid_leaves_numpy_unloaded():
-    # nor do the recursions' modules, nor the hypersimplex recursion itself:
-    # numpy alone would add about 14 MB to such a process's peak memory
+def run_fresh(code, *args):
+    """stdout of code run in a fresh interpreter on this checkout's src/."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_importing_ncpoly_and_matroid_leaves_numpy_unloaded():
+    # nor do the recursions' modules, nor the hypersimplex recursion itself:
+    # numpy alone would add about 14 MB to such a process's peak memory
     code = ("import sys, cdx.ncpoly, cdx.matroid, cdx.hypersimplex, cdx.cuspidal, cdx.engine\n"
             "for n in range(2, 11):\n"
             "    for k in range(1, n):\n"
             "        cdx.hypersimplex.cd_hypersimplex(k, n)\n"
             "print('numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert run_fresh(code).strip() == "False"
+
+
+def test_compute_leaves_numpy_unloaded_until_the_oracle_fallback(tmp_path):
+    # only the oracle loads numpy: verify and --oracle-fallback need it,
+    # compute on a split matroid never does
+    bases = tmp_path / "square.json"
+    bases.write_text(json.dumps({"n": 4, "rank": 2, "bases": [[1, 3], [1, 4], [2, 3], [2, 4]]}))
+    flats = tmp_path / "sparse.json"
+    flats.write_text(json.dumps({"n": 8, "rank": 4, "cyclic_flats": [
+        {"set": [1, 2, 3, 4], "rank": 3}, {"set": [1, 2, 5, 6], "rank": 3}]}))
+    nested = tmp_path / "nested.json"  # connected and not split
+    nested.write_text(json.dumps({"n": 6, "rank": 3, "cyclic_flats": [
+        {"set": [1, 2], "rank": 1}, {"set": [1, 2, 3, 4], "rank": 2}]}))
+    code = ("import contextlib, io, sys\n"
+            "from cdx.cli import main\n"
+            "inputs = [['--builtin', 'fano'], ['--builtin', 'vamos'],\n"
+            "          ['--builtin', 'cuspidal', '--k', '5', '--n', '12', '--r', '3', '--h', '6'],\n"
+            "          ['--file', sys.argv[1]], ['--file', sys.argv[2]]]\n"
+            "for args in inputs:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(['compute', *args, '--f-vector', '--flag-f']) == 0, args\n"
+            "print('numpy' in sys.modules)\n"
+            "main(['compute', '--file', sys.argv[3], '--oracle-fallback'])\n"
+            "print('numpy' in sys.modules)\n")
+    unloaded, fallback, loaded = run_fresh(code, str(bases), str(flats), str(nested)).splitlines()
+    assert (unloaded, loaded) == ("False", "True")
+    M = Matroid.from_cyclic_flats(6, 3, [((0, 1), 1), ((0, 1, 2, 3), 2)])
+    assert fallback == oracle_cd_index(M).text()
