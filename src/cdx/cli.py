@@ -9,6 +9,11 @@ corpus family but the hypersimplices is built by
 `Matroid.from_cyclic_flats`.  `verify --cache FILE` instead recomputes
 the records of that cache and runs no corpus.
 
+`compute --cache FILE` reads every record of the cache back into the
+memo tables and appends the entries it lacks.  Each record is checked
+whole: one set of its letters, one of its word degrees and one of its
+coefficient types, each against the set the rules allow.
+
 Elements in files and printed diagnostics are 1-based; everything
 internal is 0-based.
 """
@@ -18,13 +23,13 @@ import fcntl
 import json
 import os
 import sys
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, repeat
 from math import comb
 
 from . import cuspidal, engine, hypersimplex, matroid
 from .errors import CacheVersionMismatch, CdxError, InvalidParams
 from .matroid import Matroid
-from .ncpoly import NcPoly, cd_f_vector, cd_to_flag_f, from_terms, word_degree
+from .ncpoly import NcPoly, cd_f_vector, cd_to_flag_f, from_terms
 
 EXIT_CODES = {
     "NOT_A_MATROID": 2,
@@ -128,19 +133,21 @@ VERIFY_MAX_DEGREE = matroid._ENUM_CAP - 1
 
 
 def poly_to_json(p):
-    return {w: str(c) for w, c in p.terms().items()}
+    t = p.terms()
+    return dict(zip(t, map(str, t.values())))
 
 
 def poly_from_json(obj, degree):
     """A record's cd-index: words over c, d of the given degree, each with an
     integer or integer-string coefficient; anything else raises ValueError."""
-    terms = {}
-    for w, c in obj.items():
-        if not (set(w) <= {"c", "d"} and word_degree(w) == degree
-                and (_is_int(c) or isinstance(c, str))):
-            raise ValueError("%r: %r is not a cd term of degree %d" % (w, c, degree))
-        terms[w] = int(c)
-    return from_terms(terms)  # every word checked above
+    words, coeffs = obj.keys(), obj.values()
+    letters = set("".join(words))
+    # a word's degree is its length once each d is written cc
+    degrees = set(map(len, map(str.replace, words, repeat("d"), repeat("cc"))))
+    types = set(map(type, coeffs))  # bool and float are not int
+    if not (letters <= {"c", "d"} and degrees <= {degree} and types <= {int, str}):
+        raise ValueError("not a cd-index of degree %d" % degree)
+    return from_terms(dict(zip(words, map(int, coeffs))))  # every word checked above
 
 
 class CacheStore:
@@ -178,7 +185,7 @@ class CacheStore:
                     raise CacheVersionMismatch(
                         "%s: record %d has unknown kind %r" % (self.path, idx + 1, kind)
                     )
-                if not isinstance(key, list) or not all(_is_int(x) for x in key):
+                if not isinstance(key, list) or not set(map(type, key)) <= {int}:
                     raise ValueError("key %r is not a list of integers" % (key,))
                 key = tuple(key)
                 table, check = _KINDS[kind]

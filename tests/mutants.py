@@ -81,6 +81,16 @@ MUTANTS = [
     Mutant("separators-at-rank-minus-one", "src/cdx/matroid.py",
            "bytes([self.rank]) * size", "bytes([self.rank - 1]) * size",
            ("tests/test_matroid.py::test_component_sets_match_the_all_bases_sweep",)),
+    Mutant("cache-degree-one-too-many", "src/cdx/cli.py",
+           "degrees <= {degree}", "degrees <= {degree, degree + 1}",
+           ("tests/test_cli.py::test_cache_record_with_a_corrupt_cd_is_skipped[degree]",)),
+    Mutant("cache-coefficient-type-unchecked", "src/cdx/cli.py",
+           "types <= {int, str}", "True",
+           ("tests/test_cli.py::test_cache_record_with_a_corrupt_cd_is_skipped[overflow]",)),
+    Mutant("cache-letters-unchecked", "src/cdx/cli.py",
+           'letters <= {"c", "d"}', "True",
+           ("tests/test_cache_property.py::"
+            "test_whole_record_checks_match_the_per_word_reference",)),
 ]
 
 

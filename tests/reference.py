@@ -6,12 +6,15 @@ keep them as the reference chain count that the recursions must equal.
 
 reference_chain_sum is the kernel chain_sum replaced: the same Horner
 steps on lists of exact ints, one comprehension per step.
+
+reference_poly_from_json is the cache record reader cli.poly_from_json
+replaced: the same rules, checked one word at a time.
 """
 
 from functools import cache
 
 from cdx.errors import InvalidParams, NotCdEquivalent
-from cdx.ncpoly import B, C, D, NcPoly, cd_order
+from cdx.ncpoly import B, C, D, NcPoly, cd_order, from_terms, word_degree
 
 
 @cache
@@ -106,3 +109,17 @@ def reference_chain_sum(dim, f0, faces):
         w, y = min((w, y) for w, y in zip(cd_order(dim - 1), p1) if y)
         raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (y, w))
     return NcPoly({w: y for w, y in zip(cd_order(dim), p0) if y})
+
+
+def reference_poly_from_json(obj, degree):
+    """cli.poly_from_json word by word: each word over c, d of the given
+    degree, each coefficient an int (not a bool) or a string that int()
+    reads; anything else raises ValueError."""
+    terms = {}
+    for w, c in obj.items():
+        if not (set(w) <= {"c", "d"} and word_degree(w) == degree
+                and ((isinstance(c, int) and not isinstance(c, bool))
+                     or isinstance(c, str))):
+            raise ValueError("%r: %r is not a cd term of degree %d" % (w, c, degree))
+        terms[w] = int(c)
+    return from_terms(terms)

@@ -1,5 +1,7 @@
-"""Property: any single line in a cache file leaves both cache readers
-with a documented exit code and never an uncaught exception."""
+"""Properties: any single line in a cache file leaves both cache readers
+with a documented exit code and never an uncaught exception, and the
+whole-record checks of cli.poly_from_json accept exactly the records the
+per-word reference accepts."""
 
 import contextlib
 import functools
@@ -8,11 +10,12 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cdx import cli, cuspidal, engine, hypersimplex
 from fuzz_inputs import damaged_bytes, json_values
+from reference import reference_poly_from_json
 
 DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4}
 
@@ -42,11 +45,12 @@ coefficients = (st.integers(-5, 10**6) | st.text("0123456789-.e", max_size=5)
 
 
 @st.composite
-def cd_words(draw, degree):
-    """A word over c, d of the given degree."""
+def cd_words(draw, degree, alphabet="cd"):
+    """A word over the alphabet of the given degree, where d counts two and
+    any other letter one; the empty word for a degree of 0 or less."""
     letters = []
     while degree > 0:
-        letter = draw(st.sampled_from("cd" if degree > 1 else "c"))
+        letter = draw(st.sampled_from(alphabet if degree > 1 else alphabet.replace("d", "")))
         letters.append(letter)
         degree -= 2 if letter == "d" else 1
     return "".join(letters)
@@ -113,3 +117,52 @@ def test_any_cache_line_gives_a_documented_exit_code(line):
     if rc == 0 and out.strip() != cli.PAPER_VALUES["fano"]:
         # a record that changed the answer is caught by verify --cache
         assert verify_rc == 1
+
+
+int_strings = st.sampled_from(["7", " 7", "1_0", "-3", "0"]) | st.integers().map(str)
+any_coefficients = (st.integers() | st.booleans() | st.floats() | st.just(1e400)
+                    | int_strings | st.sampled_from(["1.5", "", "9" * 5000])
+                    | st.text("0123456789 _-+.e", max_size=6))
+
+
+@st.composite
+def cd_values(draw):
+    """A degree and a record's cd value for it: well-formed, with words and
+    coefficients that may break any rule, or not an object at all."""
+    degree = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(["cd", "near", "not-an-object"]))
+    # words over c, d, x of degree degree - 1, degree or degree + 1
+    near_words = st.integers(-1, 1).flatmap(lambda k: cd_words(degree + k, "cdx"))
+    if shape == "cd":
+        cd = draw(st.dictionaries(cd_words(degree), st.integers() | int_strings,
+                                  max_size=4))
+    elif shape == "near":
+        cd = draw(st.dictionaries(near_words, any_coefficients, max_size=4))
+    else:
+        cd = draw(st.lists(near_words, max_size=3) | st.text("cdx", max_size=4)
+                  | st.integers() | st.floats() | st.none())
+    return cd, degree
+
+
+def read_with(reader, cd, degree):
+    """The polynomial reader makes of cd, or the type of error it raises."""
+    try:
+        return reader(cd, degree)
+    except (ValueError, AttributeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cd_values())
+@example(({"cc": " 7", "d": "1_0"}, 2))
+@example(({"": "-3"}, 0))
+@example(({"xx": "1"}, 2))
+@example(({"cc": 1e400}, 2))
+@example(({"cc": True}, 2))
+@example(({"cc": "9" * 5000}, 2))
+@example((["cc"], 2))
+def test_whole_record_checks_match_the_per_word_reference(value):
+    cd, degree = value
+    got = read_with(cli.poly_from_json, cd, degree)
+    want = read_with(reference_poly_from_json, cd, degree)
+    assert got == want

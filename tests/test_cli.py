@@ -523,6 +523,23 @@ def test_cache_record_with_a_corrupt_cd_is_skipped(capsys, tmp_path, cd):
     assert "record 1 is corrupt, skipping it" in err
 
 
+def test_a_cache_record_is_checked_without_listing_cd_words(tmp_path):
+    # the (1, 40) hypersimplex has degree 39, with about 10^8 cd words; the
+    # reader checks the record's own words and lists none of cd_order(39)
+    poly = NcPoly({"c" * 39: 1, "d" * 19 + "c": 2})
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps({"v": 1, "kind": "hypersimplex", "key": [1, 40],
+                                 "cd": cli.poly_to_json(poly)}) + "\n")
+    clear_memos()
+    ncpoly.cd_order.cache_clear()
+    try:
+        assert cli.CacheStore(str(cache)).load() == [("hypersimplex", (1, 40), poly)]
+        assert hypersimplex.memo_snapshot()[(1, 40)] == poly
+        assert ncpoly.cd_order.cache_info().currsize == 0
+    finally:
+        clear_memos()
+
+
 def test_cache_verify_counts_corrupt_records(capsys, tmp_path):
     cache = tmp_path / "cache.jsonl"
     run(capsys, "compute", "--builtin", "fano", "--cache", str(cache))
