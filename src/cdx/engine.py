@@ -156,6 +156,6 @@ def check_result(M, p):
         f0 = cd_f_vector(p, D)[0] if D > 0 else p.coeff("")
     except (DegreeMismatch, InvalidAlphabet, InvalidParams) as exc:
         raise InternalError("cd-index is not a polytope's: %s" % exc) from None
-    bases = len(M.basis_masks())
+    bases = M.basis_count()
     if f0 != bases:
         raise InternalError("cd-index has %d vertices, the matroid has %d bases" % (f0, bases))

@@ -1,4 +1,4 @@
-"""Matroids on small ground sets, stored as explicit basis bitmasks.
+"""Matroids on small ground sets, each stored as one family int of its bases.
 
 Ground set is 0-based internally; the CLI layer does the 1-based file
 translation, and diagnostics print elements 1-based.  Everything here
@@ -8,10 +8,11 @@ before it enumerates any set.
 
 A family of subsets is one Python int with bit S set for each member
 mask S: at n = 12 a family is a 4096-bit int, and one big-int operation
-acts on every subset at once.  WITH[e], the family of the sets holding
-e, is built once per n (``_families``).  For a family T, (T & WITH[e]) >>
-2^e takes each member holding e to the set without e, and (T & ~WITH[e])
-<< 2^e each member without e to the set with e.  So n such steps close
+acts on every subset at once.  A Matroid holds its bases as one family
+and in no other form.  WITH[e], the family of the sets holding e, is
+built once per n (``_families``).  For a family T, (T & WITH[e]) >> 2^e
+takes each member holding e to the set without e, and (T & ~WITH[e]) <<
+2^e each member without e to the set with e.  So n such steps close
 the bases downwards to the independent sets, and n more close the
 independent j-sets upwards to {S : r(S) >= j}, for each j up to the
 rank.  For any basis family these levels give r(S) = max |B & S| over
@@ -134,12 +135,12 @@ class CyclicFlat(NamedTuple):
 
 
 class Matroid:
-    """A matroid given by its set of bases."""
+    """A matroid given by its bases as one family int, bit S set for each basis S."""
 
-    def __init__(self, n, rank, basis_masks):
+    def __init__(self, n, rank, family):
         self.n = n
         self.rank = rank
-        self._bases = frozenset(basis_masks)
+        self.family = family
         self._tables = None  # (rank table, G), built on first use
         self._cyclic = None
 
@@ -151,19 +152,18 @@ class Matroid:
         checking the matroid axioms."""
         if n < 1 or not 0 <= rank <= n:
             raise InvalidParams("need n >= 1 and 0 <= rank <= n, got n=%d rank=%d" % (n, rank))
-        sets = set()
+        sets = []
         for b in bases:
             s = _elements(b, n)
             if s is None:
                 raise InvalidParams("basis %r out of range for n=%d" % (b, n))
             if len(s) != rank:
                 raise NotAMatroid("basis %r does not have size %d" % (_shown(s), rank))
-            sets.add(s)
+            sets.append(s)
         _check_size(n)
         if not sets:
             raise EmptyMatroid("no bases given")
-        masks = {_mask(s) for s in sets}
-        M = cls(n, rank, masks)
+        M = cls(n, rank, _family(map(_mask, sets), n))
         M._check_axioms()
         return M
 
@@ -174,7 +174,7 @@ class Matroid:
             raise InvalidParams("uniform matroid needs n >= 1 and 0 <= k <= n, got k=%d n=%d"
                                 % (k, n))
         _check_size(n)
-        return cls(n, k, {_mask(c) for c in combinations(range(n), k)})
+        return cls(n, k, _families(n)[1][k])
 
     @classmethod
     def from_cyclic_flats(cls, n, rank, flats):
@@ -195,18 +195,16 @@ class Matroid:
                 raise InvalidParams("cyclic flat presentations list proper nonempty flats only")
             fam.append((s, r))
         _check_size(n)
-        fam = [(_mask(s), r) for s, r in fam]
         keep = _families(n)[1][rank]
-        for fm, r in fam:
-            keep &= sum(_levels(n, fm, r))  # |S & F| <= r; the levels are disjoint
-        masks = set(_bits(keep))
-        if not masks:
+        for s, r in fam:
+            keep &= sum(_levels(n, _mask(s), r))  # |S & F| <= r; the levels are disjoint
+        if not keep:
             raise EmptyMatroid("the given cyclic flats cut out no bases")
-        M = cls(n, rank, masks)
+        M = cls(n, rank, keep)
         M._check_axioms()
         # the improper cyclic flats (empty set, full ground set) need not be listed
         derived = {(f.elements, f.rank) for f in M.proper_cyclic_flats()}
-        given = {(frozenset(_bits(fm)), r) for fm, r in fam}
+        given = set(fam)
         missing, extra = given - derived, derived - given
         if missing or extra:
             raise PresentationMismatch(
@@ -220,22 +218,23 @@ class Matroid:
 
     def bases(self):
         """Bases as a sorted list of sorted tuples."""
-        return sorted(tuple(_bits(m)) for m in self._bases)
+        return sorted(tuple(_bits(m)) for m in self.basis_masks())
 
     def basis_masks(self):
-        return sorted(self._bases)
+        return _bits(self.family)
+
+    def basis_count(self):
+        return self.family.bit_count()
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matroid)
-            and (self.n, self.rank, self._bases) == (other.n, other.rank, other._bases)
-        )
+        return isinstance(other, Matroid) and (
+            (self.n, self.rank, self.family) == (other.n, other.rank, other.family))
 
     def __hash__(self):
-        return hash((self.n, self.rank, self._bases))
+        return hash((self.n, self.rank, self.family))
 
     def __repr__(self):
-        return "Matroid(n=%d, rank=%d, %d bases)" % (self.n, self.rank, len(self._bases))
+        return "Matroid(n=%d, rank=%d, %d bases)" % (self.n, self.rank, self.basis_count())
 
     def _check_axioms(self):
         """Raise NotAMatroid unless the bases are a matroid's.  For sets of
@@ -268,7 +267,7 @@ class Matroid:
         over S exactly when some level holds S+x but not S."""
         if self._tables is None:
             with_e, size = _families(self.n)
-            indep = _family(self._bases, self.n)
+            indep = self.family
             for e, w in enumerate(with_e):
                 indep |= (indep & w) >> (1 << e)
             levels = []
@@ -319,8 +318,9 @@ class Matroid:
     # -- structure ----------------------------------------------------
 
     def dual(self):
-        full = (1 << self.n) - 1
-        return Matroid(self.n, self.n - self.rank, {full ^ b for b in self._bases})
+        """E - S is mask 2^n - 1 - S: reversing 2^n digits sends bit S there."""
+        digits = format(self.family, "0%db" % (1 << self.n))
+        return Matroid(self.n, self.n - self.rank, int(digits[::-1], 2))
 
     def component_sets(self):
         """Ground set partition into connected components.  S is a
@@ -363,19 +363,17 @@ class Matroid:
         pos = {e: i for i, e in enumerate(elems)}
         cm = _mask(elems)
         r = self.rank_of(cm)
-        masks = {_mask(pos[e] for e in _bits(b & cm)) for b in self._bases
-                 if (b & cm).bit_count() == r}
-        return Matroid(len(elems), r, masks)
+        masks = [_mask(pos[e] for e in _bits(b & cm)) for b in self.basis_masks()
+                 if (b & cm).bit_count() == r]
+        return Matroid(len(elems), r, _family(masks, len(elems)))
 
     def relax(self, elems):
         """Add every rank-size subset meeting elems in more than its rank."""
         fm = _mask(elems)
-        r = self.rank_of(fm)
-        added = {b for b in Matroid.uniform(self.rank, self.n)._bases
-                 if (b & fm).bit_count() > r}
+        added = _families(self.n)[1][self.rank] & ~sum(_levels(self.n, fm, self.rank_of(fm)))
         if not added:
             raise InvalidParams("relaxation of %r adds no bases" % (_shown(_bits(fm)),))
-        return Matroid(self.n, self.rank, self._bases | added)
+        return Matroid(self.n, self.rank, self.family | added)
 
 
 # -- split recognition ------------------------------------------------

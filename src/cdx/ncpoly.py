@@ -587,16 +587,18 @@ def chain_sum(dim, f0, faces, facet=None):
 
     whatever the length of the lists.  Slots may overflow in between, as
     every operation is exact on the whole int; only the final p0 and p1
-    are read back, so only their coefficients must fit a slot.  If top
-    bounds the state's coefficients and top_V, top_W those of V and W
-    (each the sum over its faces of |count| times the largest face
-    coefficient), the next state's are at most 3 top + top_V + top_W;
-    bits is the least multiple of 64 whose two's complement holds that
-    bound at the end, the largest coefficient of Psi(Q) added to it when
-    a facet is given.  So p1 is zero exactly when its int is.  The
-    result is a cd polynomial exactly when p1 ends up zero (Stanley,
-    1994), and otherwise NotCdEquivalent names the first residue word by
-    word_key.
+    are read back, so only their coefficients must fit a slot.  With v,
+    w bounds on the coefficients of V, W (the sum over their faces of
+    |count| times the largest face coefficient), top starts at f0 (dim
+    odd) or p0 and becomes 2 top + v + w each step.  It bounds the state
+    and |R| + w, R = V - 2 p0 - p1 the step's last block: the new p0 is
+    old p0, old p1 and R, the new p1 is W - V + p1 and W - 2 p1, and the
+    next R is V' + R - W, V' - W and V' - 2 R in those blocks, the first
+    V - f0 (dim odd) or V - 2 p0.  bits is the least multiple of 64
+    holding the final top, plus max |Psi(Q)| when a facet is given.  So
+    p1 is zero exactly when its int is.  The result is a cd polynomial
+    exactly when p1 ends up zero (Stanley, 1994), and otherwise
+    NotCdEquivalent names the first residue word by word_key.
     """
     if dim < 0:
         raise InvalidParams("dimension must be >= 0")
@@ -626,9 +628,9 @@ def chain_sum(dim, f0, faces, facet=None):
         p0, p1 = 1, f0 - 2 if odd else 0
     else:
         p0, p1 = 0, f0 if odd else 0
-    top = max(abs(p0), abs(p1))
+    top = f0 if odd else p0
     for s in range(odd, dim, 2):
-        top = 3 * top + tops.get(dim - s, 0) + tops.get(dim - s - 1, 0)
+        top = 2 * top + tops.get(dim - s, 0) + tops.get(dim - s - 1, 0)
     if facet is not None:
         top += _coeff_info(facet, dim - 1)[1]
     bits = _width(top)

@@ -223,6 +223,9 @@ def test_verify_gate_at_n8(capsys):
     rc, out, _ = run(capsys, "verify", "--max-n", "8")
     assert rc == 0
     assert out.splitlines()[-1] == "verify: 186 checked, 0 failed (max n = 8)"
+    # the whole stdout: each instance's name, order and PASS line
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e6485c5f385e731c0d8e55a7af51f5d5148278d5cafbf5ceec7eadca90879833")
 
 
 def test_verify_threads_deterministic(capsys):

@@ -227,6 +227,17 @@ def test_chain_sum_coefficients_at_the_edge_of_a_slot(edge):
                 assert str(err.value) == want
 
 
+def test_chain_sum_slot_bound_doubles_each_step():
+    # f0 edges cancel the trailing b of the f0 vertices, and with no other
+    # face the last block of p0, f0 - 2 after one step, doubles each step:
+    # at dim 6 it is 4 (f0 - 2), past 64 bits, though a bound that did not
+    # double, 1 + f0 + f0, fits in 64 bits
+    for f0 in (5, 2**61 + 2, 2**62 - 1):
+        got = chain_sum(6, f0, [(5, C, f0)])
+        assert got == reference_chain_sum(6, f0, [(5, C, f0)])
+        assert got.coeff("ddd") == 4 * (f0 - 2)
+
+
 def test_chain_sum_rejects_faces_outside_its_range():
     for c, face in [(0, C), (4, C), (1, B), (1, cd_hypersimplex(1, 3)), (2, C + D)]:
         with pytest.raises(InvalidParams):

@@ -14,6 +14,7 @@ from cdx.errors import (
 )
 from cdx.matroid import (
     Matroid,
+    _family,
     example_535,
     example_m1,
     example_m2,
@@ -128,7 +129,7 @@ def test_uniform_refuses_above_the_cap_before_enumerating(monkeypatch):
     def enumerates(*args):
         raise AssertionError("enumerated bases above the cap")
 
-    monkeypatch.setattr(matroid, "combinations", enumerates)
+    monkeypatch.setattr(matroid, "_families", enumerates)
     for k, n in ((1, 13), (10, 20), (63, 64), (0, 20), (20, 20), (9, 99)):
         with pytest.raises(ScaleExceeded, match="rank tables capped at n=12"):
             Matroid.uniform(k, n)
@@ -413,16 +414,56 @@ def reference_component_sets(M):
     return sorted((frozenset(g) for g in groups.values()), key=min)
 
 
+def fano_beside_a_triangle_a_loop_and_a_coloop():
+    # fano (elements 0-6) next to a triangle (7-9), a loop (10), a coloop (11)
+    return Matroid(12, 5, _family(
+        [b | 1 << t | 1 << 11 for b in fano().basis_masks() for t in (7, 8, 9)], 12))
+
+
 def test_component_sets_match_the_all_bases_sweep():
     from cdx.cli import _FIXED_BUILTINS, corpus
     from cdx.cuspidal import cuspidal_matroid
 
-    # fano (elements 0-6) next to a triangle (7-9), a loop (10), a coloop (11)
-    disconnected = Matroid(
-        12, 5, [b | 1 << t | 1 << 11 for b in fano().basis_masks() for t in (7, 8, 9)])
+    disconnected = fano_beside_a_triangle_a_loop_and_a_coloop()
     matroids = ([M for _, M in corpus(8)] + [f() for f in _FIXED_BUILTINS.values()]
                 + [cuspidal_matroid(5, 12, 3, 6), disconnected])
     for M in matroids:
         assert M.component_sets() == reference_component_sets(M), M
     assert disconnected.component_sets() == [
         frozenset(range(7)), frozenset({7, 8, 9}), frozenset({10}), frozenset({11})]
+
+
+def test_family_operations_match_their_per_mask_references():
+    """dual, relax, restriction_to_component and basis_count act on the
+    family int; check each against a loop over the basis masks."""
+    from cdx.cli import _FIXED_BUILTINS, corpus
+    from cdx.cuspidal import cuspidal_matroid
+
+    matroids = ([M for _, M in corpus(8)] + [f() for f in _FIXED_BUILTINS.values()]
+                + [cuspidal_matroid(5, 12, 3, 6), fano_beside_a_triangle_a_loop_and_a_coloop()])
+    for M in matroids:
+        masks = M.basis_masks()
+        assert masks == sorted(set(masks)) and M.basis_count() == len(masks), M
+        full = (1 << M.n) - 1
+        D = M.dual()
+        assert (D.n, D.rank) == (M.n, M.n - M.rank), M
+        assert D.basis_masks() == sorted(full ^ b for b in masks), M
+        k_sets = [sum(1 << e for e in c) for c in combinations(range(M.n), M.rank)]
+        for f in M.proper_cyclic_flats():
+            fm = sum(1 << e for e in f.elements)
+            over = [b for b in k_sets if (b & fm).bit_count() > f.rank]
+            R = M.relax(f.elements)
+            assert (R.n, R.rank) == (M.n, M.rank), (M, f)
+            assert R.basis_masks() == sorted(set(masks) | set(over)), (M, f)
+        with pytest.raises(InvalidParams, match="adds no bases"):
+            M.relax(())
+        for comp in M.component_sets():
+            elems = sorted(comp)
+            cm = sum(1 << e for e in elems)
+            r = max((b & cm).bit_count() for b in masks)
+            want = {sum(1 << i for i, e in enumerate(elems) if b >> e & 1)
+                    for b in masks if (b & cm).bit_count() == r}
+            C = M.restriction_to_component(comp)
+            assert (C.n, C.rank) == (len(elems), r), (M, elems)
+            assert C.basis_masks() == sorted(want), (M, elems)
+            assert C.basis_count() == len(want), (M, elems)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 
 from cdx import cli
 from cdx.errors import NotAMatroid
-from cdx.matroid import Matroid, _bits, _mask, _shown, is_connected_split
+from cdx.matroid import Matroid, _bits, _family, _mask, _shown, is_connected_split
 from fuzz_inputs import matroid_candidates
 from test_matroid import reference_is_connected_split
 from test_rank_table import loop_rank_table
@@ -62,7 +62,8 @@ def test_axiom_check_names_the_pair_scan_witness(obj):
     if not family or exchange_holds(family):
         return
     with pytest.raises(NotAMatroid) as scanned:
-        pair_scan_check_axioms(Matroid(obj["n"], obj["rank"], {_mask(b) for b in family}))
+        pair_scan_check_axioms(Matroid(obj["n"], obj["rank"],
+                                       _family([_mask(b) for b in family], obj["n"])))
     with pytest.raises(NotAMatroid) as checked:
         Matroid.from_bases(obj["n"], obj["rank"], family)
     assert str(checked.value) == str(scanned.value), obj

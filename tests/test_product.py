@@ -11,7 +11,7 @@ import pytest
 
 from cdx.errors import InvalidParams
 from cdx.hypersimplex import cd_hypersimplex, cd_hypersimplex_product
-from cdx.matroid import Matroid, _bits
+from cdx.matroid import Matroid, _bits, _family
 from cdx.ncpoly import FlagFVector, NcPoly, cd_to_flag_f, flag_to_cd
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product, cd_product_all
@@ -60,7 +60,7 @@ def direct_sum(*matroids):
     for M in matroids:
         masks = [b | m << at for b in masks for m in M.basis_masks()]
         at += M.n
-    return Matroid(n, rank, masks)
+    return Matroid(n, rank, _family(masks, n))
 
 
 def test_point_is_the_unit():
