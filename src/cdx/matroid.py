@@ -15,13 +15,12 @@ takes each member holding e to the set without e, and (T & ~WITH[e]) <<
 2^e each member without e to the set with e.  So n such steps close
 the bases downwards to the independent sets, and n more close the
 independent j-sets upwards to {S : r(S) >= j}, for each j up to the
-rank.  For any basis family these levels give r(S) = max |B & S| over
-the bases B.  One step per level then gives G[x] = {S without x :
-r(S+x) > r(S)} for each element x, and the axiom check and the cyclic
-flat sweep read only the G[x].  The rank table holds the rank of every
-subset as 2^n bytes (4 KB at n = 12), indexed by mask: byte S counts
-the levels holding S.  Rank queries and the connected components read
-it.
+rank.  For any basis family r(S) = max |B & S| over the bases B is the
+number of levels holding S.  One step per level gives G[x] = {S
+without x : r(S+x) > r(S)} for each element x, which the axiom check
+and the cyclic flat sweep read.  The components need no levels: they
+are those of the fundamental graph of one basis B, with an edge b - x
+whenever B - b + x is a basis, so k(n - k) bit tests on the family.
 
 Nothing here loads numpy, and nothing on the way from a matroid to its
 cd-index does; only the brute-force oracle does, for `cdx verify` and
@@ -123,12 +122,6 @@ def _family(masks, n):
     return int(flags.translate(_TO_DIGITS)[::-1], 2)
 
 
-def _spread(family, n):
-    """The family as an int of 2^n bytes: byte S is 1 for a member S, else 0."""
-    digits = format(family, "0%db" % (1 << n)).encode()  # bit S is the S-th digit from the right
-    return int.from_bytes(digits.translate(_FROM_DIGITS), "big")
-
-
 class CyclicFlat(NamedTuple):
     elements: frozenset
     rank: int
@@ -141,7 +134,7 @@ class Matroid:
         self.n = n
         self.rank = rank
         self.family = family
-        self._tables = None  # (rank table, G), built on first use
+        self._tables = None  # (levels, G), built on first use
         self._cyclic = None
 
     # -- constructors -------------------------------------------------
@@ -262,7 +255,7 @@ class Matroid:
     # -- rank machinery -----------------------------------------------
 
     def _tabulated(self):
-        """(rank table, G), built together on first use; see the module
+        """(levels, G), built together on first use; see the module
         docstring.  levels[j - 1] is {S : r(S) >= j}, and S+x gains rank
         over S exactly when some level holds S+x but not S."""
         if self._tables is None:
@@ -282,17 +275,13 @@ class Matroid:
                 for level in levels:
                     g |= ((level & w) >> (1 << x)) & ~level
                 gains.append(g)
-            ranks = sum(_spread(level, self.n) for level in levels)
-            self._tables = (ranks.to_bytes(1 << self.n, "little"), tuple(gains))
+            self._tables = (tuple(levels), tuple(gains))
         return self._tables
 
-    def _rank_table(self):
-        """Rank of every subset mask, as 2^n bytes."""
-        return self._tabulated()[0]
-
     def rank_of(self, subset):
+        """r(S): the number of rank levels that hold S."""
         m = subset if isinstance(subset, int) else _mask(subset)
-        return self._rank_table()[m]
+        return sum(level >> m & 1 for level in self._tabulated()[0])
 
     def cyclic_flats(self):
         """All cyclic flats (flats that are unions of circuits), improper included.
@@ -302,12 +291,12 @@ class Matroid:
         element e is removed: S - e is in no G[e].
         """
         if self._cyclic is None:
-            ranks, gains = self._tabulated()
+            gains = self._tabulated()[1]
             with_e = _families(self.n)[0]
             flats = (1 << (1 << self.n)) - 1
             for x, (g, w) in enumerate(zip(gains, with_e)):
                 flats &= (g | w) & ~(g << (1 << x))
-            out = [CyclicFlat(frozenset(_bits(m)), ranks[m]) for m in _bits(flats)]
+            out = [CyclicFlat(frozenset(_bits(m)), self.rank_of(m)) for m in _bits(flats)]
             out.sort(key=lambda f: (len(f.elements), sorted(f.elements)))
             self._cyclic = out
         return list(self._cyclic)
@@ -323,34 +312,37 @@ class Matroid:
         return Matroid(self.n, self.n - self.rank, int(digits[::-1], 2))
 
     def component_sets(self):
-        """Ground set partition into connected components.  S is a
-        separator when r(S) + r(E - S) = r(E), and the rank table read
-        backwards is indexed by complement, so the separators are the zero
-        bytes of (table + reversed table) ^ (r(E) in every byte).
-        Separators are closed under intersection, so the component of e is
-        the AND of the separators holding e (a matroid with c components
-        has 2^c separators).  Loops and coloops are singletons."""
-        table = self._rank_table()
-        size = len(table)
-        both = int.from_bytes(table, "little") + int.from_bytes(table[::-1], "little")
-        diff = (both ^ int.from_bytes(bytes([self.rank]) * size, "little")).to_bytes(size, "little")
-        seps = []
-        s = diff.find(0)
-        while s >= 0:
-            seps.append(s)
-            s = diff.find(0, s + 1)
-        comps = set()
-        for e in range(self.n):
-            comp = (1 << self.n) - 1
-            for s in seps:
-                if s >> e & 1:
-                    comp &= s
-            comps.add(comp)
-        return sorted((frozenset(_bits(c)) for c in comps), key=min)
+        """Ground set partition into connected components: those of the
+        fundamental graph of the least basis B (see the module docstring).
+        The parts start as the elements of B, and each x outside B joins
+        the parts that its fundamental circuit meets: a loop's circuit is x
+        alone, and a coloop is in none, so both stay singletons."""
+        fam = self.family
+        base = (fam & -fam).bit_length() - 1
+        swaps = [(1 << b, base ^ 1 << b) for b in _bits(base)]  # b and B - b
+        parts = [bit for bit, _ in swaps]
+        for x in _bits(((1 << self.n) - 1) ^ base):
+            circuit = 0
+            for bit, swap in swaps:
+                if fam >> (swap | 1 << x) & 1:
+                    circuit |= bit
+            joined, apart = 1 << x, []
+            for p in parts:
+                if p & circuit:
+                    joined |= p
+                else:
+                    apart.append(p)
+            parts = apart + [joined]
+        return sorted((frozenset(_bits(p)) for p in parts), key=min)
 
     def connected_components(self):
-        """One standalone matroid per component, elements relabeled."""
-        return [self.restriction_to_component(c) for c in self.component_sets()]
+        """One standalone matroid per component, elements relabeled, from
+        one listing of the basis masks."""
+        comps = self.component_sets()
+        if len(comps) == 1:
+            return [self]  # keeps the levels and cyclic flats already built
+        masks = self.basis_masks()
+        return [_restriction(masks, c) for c in comps]
 
     def is_connected(self):
         return len(self.component_sets()) == 1
@@ -358,14 +350,8 @@ class Matroid:
     def restriction_to_component(self, comp):
         """Standalone matroid on a component, elements relabeled to 0..len-1."""
         if len(comp) == self.n:
-            return self  # keeps the rank table and cyclic flats already built
-        elems = sorted(comp)
-        pos = {e: i for i, e in enumerate(elems)}
-        cm = _mask(elems)
-        r = self.rank_of(cm)
-        masks = [_mask(pos[e] for e in _bits(b & cm)) for b in self.basis_masks()
-                 if (b & cm).bit_count() == r]
-        return Matroid(len(elems), r, _family(masks, len(elems)))
+            return self  # keeps the levels and cyclic flats already built
+        return _restriction(self.basis_masks(), comp)
 
     def relax(self, elems):
         """Add every rank-size subset meeting elems in more than its rank."""
@@ -374,6 +360,15 @@ class Matroid:
         if not added:
             raise InvalidParams("relaxation of %r adds no bases" % (_shown(_bits(fm)),))
         return Matroid(self.n, self.rank, self.family | added)
+
+
+def _restriction(masks, comp):
+    """M|C for a component C, from the basis masks of M, elements relabeled
+    to 0..|C|-1: each basis B meets C in a basis of M|C, so r(C) = |B & C|."""
+    elems = sorted(comp)
+    cm = _mask(elems)
+    parts = [_mask(i for i, e in enumerate(elems) if p >> e & 1) for p in {b & cm for b in masks}]
+    return Matroid(len(elems), (masks[0] & cm).bit_count(), _family(parts, len(elems)))
 
 
 # -- split recognition ------------------------------------------------

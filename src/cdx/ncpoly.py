@@ -390,9 +390,11 @@ def add_product(acc, left, right):
 
 
 def from_terms(t):
-    """NcPoly of a term dict over valid words, zero terms dropped."""
+    """NcPoly of a term dict over valid words, zero terms dropped.  It takes
+    ownership of t: the dict is kept, unless it holds a zero, and the
+    caller must not change it afterwards."""
     out = NcPoly.__new__(NcPoly)
-    out._dict = {w: c for w, c in t.items() if c}
+    out._dict = t if 0 not in t.values() else {w: c for w, c in t.items() if c}
     out._vec = None
     return out
 

@@ -1,7 +1,7 @@
 """Brute-force face lattice of a matroid base polytope.
 
 Deliberately independent of the recursion modules and of the matroid
-rank table.  Faces come from Edmonds' description of the base polytope,
+rank levels.  Faces come from Edmonds' description of the base polytope,
 P(M) = {x >= 0 : x(S) <= r(S) for all S, x(E) = r(E)}: with r(S) taken
 as the largest |B & S| over the bases, every proper face is an
 intersection of the faces F_S = {B : |B & S| = r(S)}, so the faces are

@@ -86,9 +86,37 @@ MUTANTS = [
     Mutant("dual-digits-not-reversed", "src/cdx/matroid.py",
            "int(digits[::-1], 2)", "int(digits, 2)",
            ("tests/test_matroid.py::test_cyclic_flats_of_dual",)),
-    Mutant("separators-at-rank-minus-one", "src/cdx/matroid.py",
-           "bytes([self.rank]) * size", "bytes([self.rank - 1]) * size",
+    Mutant("exchange-graph-skips-the-last-element", "src/cdx/matroid.py",
+           "for x in _bits(((1 << self.n) - 1) ^ base):",
+           "for x in _bits(((1 << self.n) - 1) ^ base)[:-1]:",
            ("tests/test_matroid.py::test_component_sets_match_the_all_bases_sweep",)),
+    Mutant("doubled-chain-row", "src/cdx/oracle.py",
+           "[np.ones((1, lo[d + 1] - lo[d]))]", "[2 * np.ones((1, lo[d + 1] - lo[d]))]",
+           ("tests/test_oracle.py::test_octahedron_lattice",)),
+    Mutant("float32-guard-removed", "src/cdx/oracle.py",
+           "if A.shape[1] >= _EXACT32:", "if False:",
+           ("tests/test_oracle.py::test_containment_refuses_inexact_float32_counts",)),
+    Mutant("intersections-without-the-row-itself", "src/cdx/oracle.py",
+           "faces |= {f & g for f in faces}", "faces |= {f & g for f in faces if f != full}",
+           ("tests/test_oracle.py::test_octahedron_lattice",)),
+    Mutant("rows-of-one-vertex-skipped", "src/cdx/oracle.py",
+           "_close(sorted(rows, key=int.bit_count, reverse=True)",
+           "_close(sorted([g for g in rows if g & (g - 1)], key=int.bit_count, reverse=True)",
+           ("tests/test_oracle.py::test_facet_closure_matches_the_weight_vector_scan",)),
+    Mutant("cuspidal-chain-sum-times-one", "src/cdx/cuspidal.py",
+           "facet=cd_hypersimplex_product(r, h, k - r, n - h))",
+           "facet=cd_hypersimplex_product(r, h, k - r, n - h)) * 1",
+           ("tests/test_cuspidal.py::test_the_recursions_build_no_chain_weight",)),
+    Mutant("cuspidal-memo-under-the-larger-key", "src/cdx/cuspidal.py",
+           "MEMO.lookup(min(", "MEMO.lookup(max(",
+           ("tests/test_cuspidal.py::test_memo_stores_one_entry_per_polytope",)),
+    Mutant("cuspidal-dual-write-put-back", "src/cdx/cuspidal.py",
+           "    return chain_sum(n - 1, vertex_count(k, n, r - 1, h), faces,\n"
+           "                     facet=cd_hypersimplex_product(r, h, k - r, n - h))",
+           "    return MEMO.put(dual_key(k, n, r, h), chain_sum(\n"
+           "        n - 1, vertex_count(k, n, r - 1, h), faces,\n"
+           "        facet=cd_hypersimplex_product(r, h, k - r, n - h)))",
+           ("tests/test_cuspidal.py::test_memo_stores_one_entry_per_polytope",)),
     Mutant("cache-degree-one-too-many", "src/cdx/cli.py",
            "degrees <= {degree}", "degrees <= {degree, degree + 1}",
            ("tests/test_cli.py::test_cache_record_with_a_corrupt_cd_is_skipped[degree]",)),

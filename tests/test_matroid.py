@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from cdx import matroid
 from cdx.errors import (
     EmptyMatroid,
     InvalidParams,
@@ -59,9 +60,11 @@ def test_not_a_matroid():
 
 def test_from_bases_refuses_above_the_cap_before_enumerating(monkeypatch):
     def enumerates(*args):
-        raise AssertionError("built a rank table above the cap")
+        raise AssertionError("enumerated the subsets above the cap")
 
-    monkeypatch.setattr(Matroid, "_rank_table", enumerates)
+    # from_bases builds the family, then the levels for the axiom check
+    monkeypatch.setattr(matroid, "_family", enumerates)
+    monkeypatch.setattr(Matroid, "_tabulated", enumerates)
     # U(1,9) on elements 0-8 beside U(2,4) on 9-12: a matroid, but n = 13
     family = [(u,) + t for u in range(9) for t in combinations(range(9, 13), 2)]
     with pytest.raises(ScaleExceeded, match="rank tables capped at n=12, got n=13"):
@@ -107,8 +110,6 @@ def test_from_cyclic_flats_wants_proper_nonempty():
 
 
 def test_from_cyclic_flats_refuses_above_the_cap_before_enumerating(monkeypatch):
-    from cdx import matroid
-
     def enumerates(*args):
         raise AssertionError("enumerated subsets above the cap")
 
@@ -124,8 +125,6 @@ def test_from_cyclic_flats_refuses_above_the_cap_before_enumerating(monkeypatch)
 
 
 def test_uniform_refuses_above_the_cap_before_enumerating(monkeypatch):
-    from cdx import matroid
-
     def enumerates(*args):
         raise AssertionError("enumerated bases above the cap")
 

@@ -1,22 +1,29 @@
 """Properties of the matroid axiom check and the split test, on random
 k-set families and cyclic flat lists (fuzz_inputs.matroid_candidates)
-judged by a basis exchange scan in both directions, and the axiom check
-against a per-pair submodularity scan of the whole rank table."""
+judged by a basis exchange scan in both directions, the axiom check
+against a per-pair submodularity scan of the whole rank table, and the
+components of direct sums of uniform matroids whose summands interleave
+in element order."""
 
 import json
 import os
 import tempfile
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cdx import cli
+from cdx.engine import cd_index
 from cdx.errors import NotAMatroid
+from cdx.hypersimplex import cd_hypersimplex
 from cdx.matroid import Matroid, _bits, _family, _mask, _shown, is_connected_split
+from cdx.product import cd_product_all
 from fuzz_inputs import matroid_candidates
-from test_matroid import reference_is_connected_split
+from test_matroid import reference_component_sets, reference_is_connected_split
 from test_rank_table import loop_rank_table
 
 
@@ -96,3 +103,40 @@ def test_split_test_matches_the_relaxation_loop_on_matroids(obj):
     if split:
         for fa, fb in combinations(M.proper_cyclic_flats(), 2):
             assert len(fa.elements & fb.elements) <= fa.rank + fb.rank - M.rank, obj
+
+
+@st.composite
+def shuffled_uniform_sums(draw):
+    """The summands (k, m) of a direct sum of uniform matroids U(k, m) on at
+    most 12 elements in all, loops U(0, 1) and coloops U(1, 1) among them,
+    and the order of the ground set that deals out their elements."""
+    parts, n = [], 0
+    while n < 12 and (len(parts) < 2 or draw(st.booleans())):
+        m = draw(st.integers(1, min(8, 12 - n)))
+        parts.append((draw(st.integers(0, 1) if m == 1 else st.integers(1, m - 1)), m))
+        n += m
+    return parts, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shuffled_uniform_sums())
+def test_components_of_interleaved_uniform_sums(drawn):
+    parts, order = drawn
+    blocks, at = [], 0
+    for k, m in parts:
+        blocks.append((k, order[at:at + m]))
+        at += m
+    bases = [sum(pick, ()) for pick in product(*[combinations(elems, k) for k, elems in blocks])]
+    M = Matroid.from_bases(len(order), sum(k for k, _ in parts), bases)
+    comps = M.component_sets()
+    assert comps == reference_component_sets(M), drawn
+    # each summand with 0 < k < m is connected, a loop or coloop is alone
+    blocks.sort(key=lambda b: min(b[1]))
+    assert comps == [frozenset(elems) for _, elems in blocks], drawn
+    subs = M.connected_components()
+    assert [(C.n, C.rank) for C in subs] == [(len(elems), k) for k, elems in blocks], drawn
+    assert subs == [Matroid.uniform(C.rank, C.n) for C in subs], drawn
+    assert prod(C.basis_count() for C in subs) == M.basis_count(), drawn
+    # the components' cd-indices taken from the summands, not from M
+    assert cd_index(M) == cd_product_all([cd_hypersimplex(k, m) for k, m in parts]), drawn
