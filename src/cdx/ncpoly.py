@@ -48,20 +48,26 @@ its coefficients picks the width.  The coefficients stay exact: they
 reach 56 bits at dimension 19, where the slots are still 64 bits wide,
 and 64 bits at dimension 21.
 
-A chain_sum result keeps only that form: its degree, its largest
-|coefficient| and its packed ints by slot width.  When a sum with wider
-slots takes it as a face, the wider packing is copied from the
-narrowest one by strided byte copies, never re-encoded from words.
-text and terms read the packing and keep nothing.  The readers that
-need words, the arithmetic, coeff, ==, hash and every other reader of
-the term dict, build it from the packing on first use and keep it.  So
-the recursions' memo tables hold packed ints alone, and only the
-entries that a caller reads as words, such as the terms of the split
-formula and the products in a modular-pair term, get a dict.
+A chain_sum result keeps only that form: its degree, its packed ints
+by slot width, and its largest |coefficient|, which a later sum needs
+for its slot bound.  That maximum is read once, the first time a sum
+takes the result as a face, and kept; a result no sum takes is never
+read.  It is read from the packing's 64-bit words, not decoded: a
+nonnegative packing whose slots all have a clear top bit holds its
+slot values as its own digits.  When a sum with wider slots takes a
+result as a face, the wider packing is copied from the narrowest one
+by strided byte copies, never re-encoded from words.  text and terms
+read the packing and keep nothing.  The readers that need words, the
+arithmetic, coeff, ==, hash and every other reader of the term dict,
+build it from the packing on first use and keep it.  So the
+recursions' memo tables hold packed ints alone, and only the entries
+that a caller reads as words, such as the terms of the split formula
+and the products in a modular-pair term, get a dict.
 """
 
 import re
 import struct
+import sys
 from functools import cache
 from itertools import compress
 
@@ -95,7 +101,8 @@ class NcPoly:
 
     A polynomial built from terms holds its term dict _t; a chain_sum
     result holds only its packing _vec until a reader of _t builds the
-    dict (see the module docstring).
+    dict, and reads its largest |coefficient| only when a later sum
+    takes it as a face (see the module docstring).
     """
 
     __slots__ = ("_dict", "_vec")
@@ -486,9 +493,39 @@ def _repack(x, length, bits, wide):
     return int.from_bytes(out, "little") - _offset(length, bits, wide)
 
 
+def _max_abs(x, length, bits):
+    """max |vals[i]| for x = _pack(vals, bits), len(vals) == length.
+
+    When x >= 0 and no slot's top 64-bit word reaches 2^63, x's unsigned
+    digits base 2^bits are below 2^(bits - 1).  They are then a signed
+    packing of x as well, and since that is unique, they are vals: every
+    coefficient is >= 0, and the largest is the largest slot, its words
+    compared top word first.  The bytes are taken in the host's byte
+    order, which memoryview's native "Q" format assumes, so a slot's
+    words run low to high on a little-endian host and high to low on a
+    big-endian one.  Any other x is decoded by _unpack."""
+    if x >= 0:
+        m = bits // 64
+        words = memoryview(x.to_bytes(length * bits // 8, sys.byteorder)).cast("Q")
+        if m == 1:
+            best = (max(words),)
+        else:
+            cols = [words[j::m] for j in range(m)]
+            if sys.byteorder == "little":
+                cols.reverse()  # a slot's top word comes last
+            best = max(zip(*cols))
+        if best[0] < 1 << 63:
+            out = 0
+            for w in best:
+                out = out << 64 | w
+            return out
+    vals = _unpack(x, length, bits)
+    return max(max(vals), -min(vals))
+
+
 def _slot_values(vec):
     """(cd_order(deg), the coefficients over it) of the packed
-    coefficients vec = (deg, top, packs), read at the narrowest width."""
+    coefficients vec = [deg, top, packs], read at the narrowest width."""
     deg, _, packs = vec
     bits = min(packs)
     return cd_order(deg), _unpack(packs[bits], _cd_count(deg), bits)
@@ -509,18 +546,29 @@ def _sorted_positions(d):
 
 
 def _coeff_info(p, deg):
-    """(deg, max |coefficient|, {slot width: packed coefficients}) of p
+    """[deg, max |coefficient|, {slot width: packed coefficients}] of p
     over cd_order(deg), cached on p; InvalidParams unless p is a cd
     polynomial of degree deg (or zero).  A chain_sum result holds its
-    own from the start."""
+    own from the start, with the maximum None until _top reads it."""
     got = p._vec
     if got is None or got[0] != deg:
         t = p._t
         vals = [t.get(w, 0) for w in cd_order(deg)]
         if len(vals) - vals.count(0) != len(t):
             raise InvalidParams("a face cd-index is not a cd polynomial of degree %d" % deg)
-        got = p._vec = (deg, max(map(abs, vals)), {})
+        got = p._vec = [deg, max(map(abs, vals)), {}]
     return got
+
+
+def _top(p, deg):
+    """p's largest |coefficient| over cd_order(deg), read from its
+    narrowest packing on first use and kept."""
+    info = _coeff_info(p, deg)
+    if info[1] is None:
+        packs = info[2]
+        bits = min(packs)
+        info[1] = _max_abs(packs[bits], _cd_count(deg), bits)
+    return info[1]
 
 
 def _packed(p, deg, bits):
@@ -622,7 +670,7 @@ def chain_sum(dim, f0, faces, facet=None):
         return NcPoly.one()
     tops = {dim: f0}  # bounds on the coefficients of each face sum
     for c, group in groups.items():
-        tops[c] = sum([abs(k) * _coeff_info(face, dim - c)[1] for face, k in group.values()])
+        tops[c] = sum([abs(k) * _top(face, dim - c) for face, k in group.values()])
     # the state before the first step: (a-b)^dim starts at 1 or c - 2b,
     # and without it (a facet given) at 0 or f0 b
     odd = dim % 2
@@ -634,7 +682,7 @@ def chain_sum(dim, f0, faces, facet=None):
     for s in range(odd, dim, 2):
         top = 2 * top + tops.get(dim - s, 0) + tops.get(dim - s - 1, 0)
     if facet is not None:
-        top += _coeff_info(facet, dim - 1)[1]
+        top += _top(facet, dim - 1)
     bits = _width(top)
     sums = {dim: f0}
     for c, group in groups.items():
@@ -655,10 +703,9 @@ def chain_sum(dim, f0, faces, facet=None):
         vals = _unpack(p1, _cd_count(dim - 1), bits)
         w, y = min((w, y) for w, y in zip(cd_order(dim - 1), vals) if y)
         raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (y, w))
-    vals = _unpack(p0, _cd_count(dim), bits)
     p = NcPoly.__new__(NcPoly)
     p._dict = None  # built from the packing on first use
-    p._vec = (dim, max(max(vals), -min(vals)), {bits: p0})
+    p._vec = [dim, None, {bits: p0}]  # the maximum read by _top on first use
     return p
 
 

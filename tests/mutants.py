@@ -47,11 +47,17 @@ MUTANTS = [
            ("tests/test_engine.py::test_grouped_w_term_matches_the_per_piece_sum",
             "tests/test_engine.py::test_w_term_equals_its_dual_pairs_term")),
     Mutant("slot-bound-without-the-facet", "src/cdx/ncpoly.py",
-           "top += _coeff_info(facet, dim - 1)[1]", "top += 0",
+           "top += _top(facet, dim - 1)", "top += 0",
            ("tests/test_ncpoly.py::test_chain_sum_facet_coefficients_set_the_slot_width",)),
     Mutant("slot-bound-not-doubled", "src/cdx/ncpoly.py",
            "top = 2 * top +", "top = top +",
            ("tests/test_hypersimplex.py::test_chain_sum_slot_bound_doubles_each_step",)),
+    Mutant("max-read-guard-off-by-one", "src/cdx/ncpoly.py",
+           "if best[0] < 1 << 63:", "if best[0] <= 1 << 63:",
+           ("tests/test_ncpoly.py::test_the_maximum_read_from_the_words_agrees_with_unpack",)),
+    Mutant("max-read-low-word-first", "src/cdx/ncpoly.py",
+           "cols.reverse()", "pass",
+           ("tests/test_ncpoly.py::test_the_maximum_read_from_the_words_agrees_with_unpack",)),
     Mutant("no-empty-face", "src/cdx/oracle.py",
            "    faces.add(0)\n    return faces", "    return faces",
            ("tests/test_oracle.py::test_point",)),

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from cdx import cuspidal, hypersimplex
+from cdx import cuspidal, hypersimplex, ncpoly
 from cdx.cuspidal import (
     _compute,
     cd_cuspidal,
@@ -117,6 +117,48 @@ def test_pinned_digests_past_the_64_bit_slots():
         p = fn(*key)
         assert min(p._vec[2]) == 128, key
         assert hashlib.sha256(p.text().encode()).hexdigest() == digest, key
+
+
+def unpacked_max(p):
+    """The largest |coefficient| of a packed result, every slot decoded."""
+    deg, _, packs = p._vec
+    bits = min(packs)
+    vals = ncpoly._unpack(packs[bits], ncpoly._cd_count(deg), bits)
+    return max(max(vals), -min(vals))
+
+
+# sha256 of the sorted (table, key, slot width, largest |coefficient|) of
+# every memo entry after a cold sweep over each hypersimplex with n <= 22
+# and each cuspidal key with n <= 14, recorded when chain_sum decoded
+# every result to read its maximum
+WIDTHS_AND_MAXIMA = "a34a626fbf5b835a85c6ee5f823a3983285ff7fab6e4c7b2b6c71e1575e24f9d"
+
+
+def test_pinned_slot_widths_and_maxima():
+    hypersimplex.memo_clear()
+    cuspidal.memo_clear()
+    cd_hypersimplex(10, 20)
+    # only the maxima of faces are read, and the top result is no face
+    table = hypersimplex.memo_snapshot()
+    assert [key for key, p in table.items() if p._vec[1] is None] == [(10, 20)]
+    for key, p in table.items():
+        assert p._vec[1] in (None, unpacked_max(p)), key
+    hypersimplex.memo_clear()
+    for n in range(1, 23):
+        for k in range(n + 1):
+            cd_hypersimplex(k, n)
+    for key in valid_keys(14):
+        cd_cuspidal(*key)
+    rows = []
+    for name, table in [("hypersimplex", hypersimplex.memo_snapshot()),
+                        ("products", hypersimplex.PRODUCTS.snapshot()),
+                        ("cuspidal", memo_snapshot())]:
+        for key, p in table.items():
+            top = ncpoly._top(p, p._vec[0])
+            assert top == unpacked_max(p), (name, key)
+            rows.append((name, key, min(p._vec[2]), top))
+    rows.sort()
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == WIDTHS_AND_MAXIMA
 
 
 def memo_entries():

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from cdx import cuspidal, hypersimplex, ncpoly
 from cdx.cli import corpus
 from cdx.engine import (
     _w_compute,
@@ -287,3 +288,23 @@ def test_result_check_reads_the_vertex_count_off_the_index():
     for text in ("3*d", "cc + d + c"):
         with pytest.raises(InternalError, match="not a polytope's"):
             check_result(Matroid.uniform(1, 3), NcPoly.from_text(text))
+
+
+def test_a_top_level_result_is_decoded_once(monkeypatch):
+    # chain_sum reads its faces' maxima from their words, so only the
+    # formula's own terms are decoded, each once, when add_scaled reads them
+    hypersimplex.memo_clear()
+    cuspidal.memo_clear()
+    decoded = []
+    unpack = ncpoly._unpack
+
+    def counted(x, length, bits):
+        decoded.append(x)
+        return unpack(x, length, bits)
+
+    monkeypatch.setattr(ncpoly, "_unpack", counted)
+    M = cuspidal.cuspidal_matroid(4, 9, 2, 4)
+    got = cd_index(M)
+    terms = [cd_hypersimplex(4, 9), cuspidal.cd_cuspidal(4, 9, 2, 4)]
+    assert sorted(decoded) == sorted(p._vec[2][min(p._vec[2])] for p in terms)
+    assert cd_index(M) == got and len(decoded) == 2

@@ -288,6 +288,54 @@ def test_widening_a_packing_equals_packing_at_the_wider_width(wide):
     assert ncpoly._repack(ncpoly._pack(vals, 128), len(vals), 128, 192) == ncpoly._pack(vals, 192)
 
 
+def unpacked_max_abs(x, length, bits):
+    """The reference for ncpoly._max_abs: every slot decoded."""
+    vals = ncpoly._unpack(x, length, bits)
+    return max(max(vals), -min(vals))
+
+
+@pytest.mark.parametrize("bits", [64, 128, 192])
+def test_the_maximum_read_from_the_words_agrees_with_unpack(bits):
+    half = 1 << (bits - 1)
+    word = min(1 << 64, half - 1)  # a slot's second word, where it has one
+    extremes = slot_extremes(bits)
+    cases = [
+        [0, -5, 0], [0, -half, 0], [0, -5, 0, 1],  # a negative slot between zeros
+        [3, 0, -1], [half - 1, -1],  # -1 in the top slot
+        [-half, half - 1], [half - 1, -half], [-half, 1],
+        # a top word of exactly 2^63 whose digit is not the |value|: in a
+        # 64-bit slot only -2^63 has that word, and its digit is its |value|
+        [-(half - 1), 1],
+        [0, 0, 0], [0],  # all zero
+        [word, 5], [5, word], [half - 1, 1],  # slots that differ in one word
+    ]
+    cases += [[v] for v in extremes]  # one slot
+    cases += [[u, v, w] for u in extremes for v in extremes for w in extremes]
+    for vals in cases:
+        x = ncpoly._pack(vals, bits)
+        assert ncpoly._max_abs(x, len(vals), bits) == unpacked_max_abs(x, len(vals), bits) \
+            == max(map(abs, vals)), vals
+
+
+@st.composite
+def slot_lists(draw):
+    """(vals, bits): slot values of one width, drawn near its edges and
+    inside it, nonnegative more often than not."""
+    bits = draw(st.sampled_from([64, 128, 192]))
+    half = 1 << (bits - 1)
+    slot = (st.sampled_from(slot_extremes(bits)) | st.integers(0, half - 1)
+            | st.integers(-half, half - 1) | st.integers(0, min(1 << 64, half - 1)))
+    return draw(st.lists(slot, min_size=1, max_size=8)), bits
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(slot_lists())
+def test_the_maximum_read_from_the_words_agrees_with_unpack_on_drawn_slots(args):
+    vals, bits = args
+    x = ncpoly._pack(vals, bits)
+    assert ncpoly._max_abs(x, len(vals), bits) == unpacked_max_abs(x, len(vals), bits)
+
+
 def test_a_chain_sum_result_is_repacked_from_its_own_packing():
     hypersimplex.memo_clear()
     p = cd_hypersimplex(5, 11)
