@@ -14,7 +14,13 @@ pinned by c1 elements of F and c2 outside it to 1, and by d1 and d2 to
 exactly when c1 < r and d2 < (n - h) - (k - r), so the loop runs over
 those pinnings alone.  Its codimension is c1 + c2 + d1 + d2, and the
 vertices off the cut plane are the bases meeting F in fewer than r
-elements.
+elements.  Its maximum of x(F), c1 + min(h - c1 - d1, k - c1 - c2), is
+at most r exactly when k - c1 - c2 <= r - c1 or d1 >= h - r, so that test
+runs once per (c1, c2).  Many pinnings give the same whole face, a (k', n')
+hypersimplex, so their counts are summed per codimension and canonical
+key (min(k', n' - k'), n') first, and each key is looked up once.  A cut
+face is one per pinning, looked up under the smaller of its key and its
+dual's, computed in the loop, so the lookup hits as given.
 
 The dual matroid's polytope is the image of this one under x -> 1 - x,
 so both have one cd-index.  ``cd_cuspidal`` stores it once, under the
@@ -23,6 +29,7 @@ smaller of the two keys, as ``cd_hypersimplex`` stores (k, n) under
 under the other one still loads.
 """
 
+from functools import cache
 from math import comb
 
 from .errors import InvalidParams
@@ -61,35 +68,66 @@ def vertex_count(k, n, r, h):
 
 def cd_cuspidal(k, n, r, h):
     """cd-index of the (k, n, r, h) cuspidal matroid's base polytope,
-    memoized on the smaller of its key and its dual's."""
-    check_key(k, n, r, h)
-    return MEMO.lookup(min((k, n, r, h), dual_key(k, n, r, h)))
+    memoized on the smaller of its key and its dual's.  A key found as
+    given is returned unchecked: the table holds only checked canonical
+    keys (see memo)."""
+    got = MEMO.get((k, n, r, h))
+    if got is None:
+        check_key(k, n, r, h)
+        got = MEMO.lookup(min((k, n, r, h), dual_key(k, n, r, h)))
+    return got
+
+
+@cache
+def _binomials(m):
+    """C(m, i) for i = 0 .. m."""
+    return tuple(comb(m, i) for i in range(m + 1))
+
+
+def _face_counts(k, n, r, h):
+    """The ambient faces: {(codim, k', n'): count} of the whole
+    hypersimplex faces, keys canonical, and a list of (codim, canonical
+    cuspidal key, count) of the cut ones, one per pinning."""
+    g = n - h  # the elements outside F
+    hyper, cut = {}, []
+    bh, bg = _binomials(h), _binomials(g)
+    stop = g - (k - r)  # d2 below it keeps the minimum of x(F) below r
+    for c1 in range(r):  # r < min(k, h)
+        n1, bf, rr = bh[c1], _binomials(h - c1), r - c1
+        d1_end = min(n - k, h - c1 + 1)
+        for c2 in range(0, min(k - c1, g + 1)):
+            n2, bo, kk = n1 * bg[c2], _binomials(g - c2), k - c1 - c2
+            d2_end = min(stop, g - c2 + 1)
+            # max x(F) = c1 + min(h - c1 - d1, kk) exceeds r exactly when
+            # kk > rr and d1 < h - r: those faces are cut, the rest whole
+            split = 0 if kk <= rr else min(h - r, d1_end)
+            for d1 in range(split):
+                n3, free_f, base = n2 * bf[d1], h - c1 - d1, c1 + c2 + d1
+                for d2 in range(0 if base else 1, min(n - k - d1, d2_end)):
+                    m = n - base - d2
+                    key = (kk, m, rr, free_f)
+                    if kk + kk >= m:  # else the key is below its dual's
+                        key = min(key, (m - kk, m, rr + (m - free_f) - kk, m - free_f))
+                    cut.append((base + d2, key, n3 * bo[d2]))
+            # a whole face is the (kk, m) hypersimplex, m = n - codim, so
+            # its counts are summed by d1 + d2 before they reach the dict
+            by_s = [0] * (n - k)
+            for d1 in range(split, d1_end):
+                n3 = bf[d1]
+                for d2 in range(0 if c1 + c2 + d1 else 1, min(n - k - d1, d2_end)):
+                    by_s[d1 + d2] += n3 * bo[d2]
+            for s, count in enumerate(by_s):
+                if count:
+                    m = n - c1 - c2 - s
+                    key = (c1 + c2 + s, min(kk, m - kk), m)
+                    hyper[key] = hyper.get(key, 0) + n2 * count
+    return hyper, cut
 
 
 def _compute(k, n, r, h):
-    # ambient faces, by how the pinned sets meet F and its complement,
-    # bounded to those whose minimum of x(F) stays below r; many pinnings
-    # give the same face, so counts are summed per face first
-    ambient = {}  # (codimension, cd function, its arguments) -> count
-    for c1 in range(r):  # r < min(k, h)
-        n1 = comb(h, c1)
-        for c2 in range(0, min(k - c1, n - h + 1)):
-            n2 = n1 * comb(n - h, c2)
-            kk = k - c1 - c2
-            for d1 in range(0, min(n - k, h - c1 + 1)):
-                n3 = n2 * comb(h - c1, d1)
-                free_f = h - c1 - d1
-                hi = c1 + min(free_f, kk)
-                for d2 in range(0, min(n - k - d1, n - h - c2 + 1, (n - h) - (k - r))):
-                    codim = c1 + c2 + d1 + d2
-                    if codim == 0:
-                        continue
-                    if hi <= r:
-                        face = (codim, cd_hypersimplex, (kk, n - codim))
-                    else:
-                        face = (codim, cd_cuspidal, (kk, n - codim, r - c1, free_f))
-                    ambient[face] = ambient.get(face, 0) + n3 * comb(n - h - c2, d2)
-    faces = [(c, fn(*args), count) for (c, fn, args), count in ambient.items()]
+    hyper, cut = _face_counts(k, n, r, h)  # each key looked up once
+    faces = [(c, cd_cuspidal(*key), count) for c, key, count in cut]
+    faces += [(c, cd_hypersimplex(kk, m), count) for (c, kk, m), count in hyper.items()]
     # the faces in the cut plane are those of one facet, the product of
     # the (r, h) and (k - r, n - h) hypersimplices; the vertices off it
     # meet F in at most r - 1 elements

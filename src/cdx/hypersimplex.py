@@ -15,8 +15,14 @@ counts.  The product recursion runs on these smaller products, so it
 never builds a flag vector.  The cuspidal and modular-pair terms take
 products of two hypersimplices; ``cd_hypersimplex_product`` memoizes
 them beside the recursion's own table, and ``memo_clear`` empties both.
+
+Different pinnings, or face pairs, of one codimension are often the same
+polytope up to the symmetry x -> 1 - x, so both recursions sum their
+counts per codimension and canonical key (min(k, n - k), n), or sorted
+pair of such keys, and look each one up once.
 """
 
+from functools import cache
 from math import comb
 
 from .errors import InvalidParams
@@ -42,7 +48,12 @@ SEGMENT = chain_sum(1, 2, [])
 
 
 def cd_hypersimplex(k, n):
-    """cd-index of the (k, n) hypersimplex, memoized on (min(k, n-k), n)."""
+    """cd-index of the (k, n) hypersimplex, memoized on (min(k, n-k), n).
+    A key found as given is returned unchecked: the table holds only
+    checked canonical keys (see memo)."""
+    got = MEMO.get((k, n))
+    if got is not None:
+        return got
     _check_params(k, n)
     if k == 0 or k == n:
         return NcPoly.one()  # a single vertex
@@ -85,19 +96,42 @@ def factor_faces(k, h):
 
 def _compute(k, n):
     # recursion run for the given k as-is; duality tests call both sides
-    faces = [(i + j, cd_hypersimplex(k - i, n - i - j), count)
-             for (i, j), count in face_type_counts(k, n).items()]
+    counts = {}  # (codimension, canonical key) -> count
+    for (i, j), count in face_type_counts(k, n).items():
+        key = (i + j, min(k - i, n - k - j), n - i - j)
+        counts[key] = counts.get(key, 0) + count
+    faces = [(c, cd_hypersimplex(kk, m), count) for (c, kk, m), count in counts.items()]
     return chain_sum(n - 1, comb(n, k), faces)
 
 
+@cache
+def _canonical_faces(k, h):
+    """factor_faces(k, h) with counts summed per canonical key (min(k',
+    h' - k'), h'), as ((k', h'), count) pairs; a vertex is (0, 1)."""
+    counts = {}
+    for a, m, ct in factor_faces(k, h):
+        key = (min(a, m - a), m)
+        counts[key] = counts.get(key, 0) + ct
+    return tuple(counts.items())
+
+
 def _product(k1, n1, k2, n2):
+    # a pair of faces of dimension >= 1 is looked up in PRODUCTS directly,
+    # its key already a sorted pair of canonical keys
     dim = n1 + n2 - 2
-    faces = []
-    for a, m1, ct1 in factor_faces(k1, n1):
-        for b, m2, ct2 in factor_faces(k2, n2):
-            c = dim - (m1 - 1) - (m2 - 1)
+    counts = {}
+    second = _canonical_faces(k2, n2)
+    for key1, ct1 in _canonical_faces(k1, n1):
+        for key2, ct2 in second:
+            c = dim - (key1[1] - 1) - (key2[1] - 1)
             if 0 < c < dim:  # not the product itself, not a vertex
-                faces.append((c, cd_hypersimplex_product(a, m1, b, m2), ct1 * ct2))
+                pair = (c,) + (key1 + key2 if key1 <= key2 else key2 + key1)
+                counts[pair] = counts.get(pair, 0) + ct1 * ct2
+    faces = []
+    for (c, a, m1, b, m2), count in counts.items():
+        # a vertex factor, key (0, 1), sorts first
+        face = cd_hypersimplex(b, m2) if a == 0 else PRODUCTS.lookup((a, m1, b, m2))
+        faces.append((c, face, count))
     return chain_sum(dim, comb(n1, k1) * comb(n2, k2), faces)
 
 

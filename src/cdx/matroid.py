@@ -136,6 +136,7 @@ class Matroid:
         self.family = family
         self._tables = None  # (levels, G), built on first use
         self._cyclic = None
+        self._components = None
 
     # -- constructors -------------------------------------------------
 
@@ -312,11 +313,18 @@ class Matroid:
         return Matroid(self.n, self.n - self.rank, int(digits[::-1], 2))
 
     def component_sets(self):
-        """Ground set partition into connected components: those of the
-        fundamental graph of the least basis B (see the module docstring).
-        The parts start as the elements of B, and each x outside B joins
-        the parts that its fundamental circuit meets: a loop's circuit is x
-        alone, and a coloop is in none, so both stay singletons."""
+        """Ground set partition into connected components, sorted by least
+        element; found on first use and kept."""
+        if self._components is None:
+            self._components = self._fundamental_parts()
+        return list(self._components)
+
+    def _fundamental_parts(self):
+        """The components of the fundamental graph of the least basis B
+        (see the module docstring).  The parts start as the elements of B,
+        and each x outside B joins the parts that its fundamental circuit
+        meets: a loop's circuit is x alone, and a coloop is in none, so
+        both stay singletons."""
         fam = self.family
         base = (fam & -fam).bit_length() - 1
         swaps = [(1 << b, base ^ 1 << b) for b in _bits(base)]  # b and B - b
@@ -340,7 +348,7 @@ class Matroid:
         one listing of the basis masks."""
         comps = self.component_sets()
         if len(comps) == 1:
-            return [self]  # keeps the levels and cyclic flats already built
+            return [self]  # keeps the levels, cyclic flats and components
         masks = self.basis_masks()
         return [_restriction(masks, c) for c in comps]
 

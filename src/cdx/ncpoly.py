@@ -598,7 +598,11 @@ def chain_sum(dim, f0, faces, facet=None):
     V_c the sum of the cd-indices of the faces of codimension c and
     V_dim = f0.  faces lists (c, Psi(F), count) triples, 1 <= c < dim.
     The counts of the same face polynomial object (as a memo table
-    returns it) are summed per codimension first.
+    returns it) are summed per codimension first.  A face that is a
+    chain_sum result has its degree, largest coefficient and packings in
+    _vec, and each pass over a codimension reads them there: _top runs
+    only for a maximum no sum has read yet, and _packed only for a width
+    the face lacks.  A face built from terms goes through _coeff_info.
 
     With facet = Psi(Q) for a facet Q of P, faces and f0 list only the
     faces and vertices of P that are not in Q, and Q's own faces enter
@@ -656,9 +660,11 @@ def chain_sum(dim, f0, faces, facet=None):
         raise InvalidParams("a polytope has at least one vertex")
     groups = {}  # codimension -> {id(face): [face, count]}
     for c, face, count in faces:
-        if not 0 < c < dim:
-            raise InvalidParams("a face of codimension %d in dimension %d" % (c, dim))
-        group = groups.setdefault(c, {})
+        group = groups.get(c)
+        if group is None:
+            if not 0 < c < dim:
+                raise InvalidParams("a face of codimension %d in dimension %d" % (c, dim))
+            group = groups[c] = {}
         entry = group.get(id(face))
         if entry is None:
             group[id(face)] = [face, count]
@@ -670,7 +676,16 @@ def chain_sum(dim, f0, faces, facet=None):
         return NcPoly.one()
     tops = {dim: f0}  # bounds on the coefficients of each face sum
     for c, group in groups.items():
-        tops[c] = sum([abs(k) * _top(face, dim - c) for face, k in group.values()])
+        deg, t = dim - c, 0
+        for face, k in group.values():
+            vec = face._vec
+            if vec is None or vec[0] != deg:  # a face built from terms
+                vec = _coeff_info(face, deg)
+            most = vec[1]
+            if most is None:  # a chain_sum result no sum has read yet
+                most = _top(face, deg)
+            t += abs(k) * most
+        tops[c] = t
     # the state before the first step: (a-b)^dim starts at 1 or c - 2b,
     # and without it (a facet given) at 0 or f0 b
     odd = dim % 2
@@ -686,7 +701,14 @@ def chain_sum(dim, f0, faces, facet=None):
     bits = _width(top)
     sums = {dim: f0}
     for c, group in groups.items():
-        sums[c] = sum([k * _packed(face, dim - c, bits) for face, k in group.values()])
+        deg, v = dim - c, 0
+        for face, k in group.values():
+            vec = face._vec
+            x = vec[2].get(bits) if vec[0] == deg else None
+            if x is None:  # not yet at this width
+                x = _packed(face, deg, bits)
+            v += k * x
+        sums[c] = v
     e = odd
     while e < dim:
         size, short = _cd_count(e), _cd_count(e - 1)

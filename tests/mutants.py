@@ -70,9 +70,24 @@ MUTANTS = [
            ("tests/test_engine.py::test_w_term_minimal_overlap_closed_form",
             "tests/test_engine.py::test_w_term_degenerate_empty_sum")),
     Mutant("cuspidal-hi-below-r", "src/cdx/cuspidal.py",
-           "if hi <= r:", "if hi < r:",
+           "split = 0 if kk <= rr else", "split = 0 if kk < rr else",
            ("tests/test_cuspidal.py::test_grouped_recursion_matches_the_per_face_type_sum",
-            "tests/test_cuspidal.py::test_duality")),
+            "tests/test_cuspidal.py::test_duality",
+            "tests/test_cuspidal.py::test_face_counts_match_the_per_pinning_loop")),
+    Mutant("cuspidal-inline-dual-off-by-one", "src/cdx/cuspidal.py",
+           "rr + (m - free_f) - kk,", "rr + (m - free_f) - kk + 1,",
+           ("tests/test_cuspidal.py::test_face_counts_match_the_per_pinning_loop",)),
+    Mutant("cuspidal-miss-unchecked", "src/cdx/cuspidal.py",
+           "        check_key(k, n, r, h)\n        got = MEMO.lookup",
+           "        got = MEMO.lookup",
+           ("tests/test_cuspidal.py::test_invalid_key_raises",)),
+    Mutant("hypersimplex-miss-unchecked", "src/cdx/hypersimplex.py",
+           "        return got\n    _check_params(k, n)\n", "        return got\n",
+           ("tests/test_hypersimplex.py::test_invalid_params",)),
+    Mutant("components-not-kept", "src/cdx/matroid.py",
+           "        if self._components is None:\n            self._components = self._fundamental_parts()\n",
+           "        self._components = self._fundamental_parts()\n",
+           ("tests/test_engine.py::test_cd_index_scans_a_connected_input_for_components_once",)),
     Mutant("negative-coefficient-check-dropped", "src/cdx/engine.py",
            "        if k < 0:\n            raise InternalError",
            "        if False:\n            raise InternalError",

@@ -9,10 +9,15 @@ steps on lists of exact ints, one comprehension per step.
 
 reference_poly_from_json is the cache record reader cli.poly_from_json
 replaced: the same rules, checked one word at a time.
+
+reference_cuspidal_faces is the ambient-face loop cuspidal._compute
+replaced: one count per pinning, each face canonicalized on its own.
 """
 
 from functools import cache
+from math import comb
 
+from cdx.cuspidal import dual_key
 from cdx.errors import InvalidParams, NotCdEquivalent
 from cdx.ncpoly import B, C, D, NcPoly, cd_order, from_terms, word_degree
 
@@ -123,3 +128,34 @@ def reference_poly_from_json(obj, degree):
             raise ValueError("%r: %r is not a cd term of degree %d" % (w, c, degree))
         terms[w] = int(c)
     return from_terms(terms)
+
+
+def reference_cuspidal_faces(k, n, r, h):
+    """The ambient faces of the (k, n, r, h) cuspidal polytope as
+    {(codim, kind, canonical key): count}, one pinning at a time: c1 and
+    c2 elements of F and outside it pinned to 1, d1 and d2 to 0, for each
+    pinning whose minimum of x(F) is below r.  A face whose maximum of
+    x(F) is at most r is a whole "hypersimplex" under (min(k', n' - k'),
+    n'); any other is "cuspidal" under the smaller of its key and its
+    dual's."""
+    out = {}
+    for c1 in range(r):
+        for c2 in range(0, min(k - c1, n - h + 1)):
+            kk = k - c1 - c2
+            for d1 in range(0, min(n - k, h - c1 + 1)):
+                free_f = h - c1 - d1
+                hi = c1 + min(free_f, kk)
+                for d2 in range(0, min(n - k - d1, n - h - c2 + 1, (n - h) - (k - r))):
+                    codim = c1 + c2 + d1 + d2
+                    if codim == 0:
+                        continue
+                    m = n - codim
+                    if hi <= r:
+                        face = (codim, "hypersimplex", (min(kk, m - kk), m))
+                    else:
+                        key = (kk, m, r - c1, free_f)
+                        face = (codim, "cuspidal", min(key, dual_key(*key)))
+                    count = (comb(h, c1) * comb(n - h, c2)
+                             * comb(h - c1, d1) * comb(n - h - c2, d2))
+                    out[face] = out.get(face, 0) + count
+    return out

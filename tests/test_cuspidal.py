@@ -7,6 +7,7 @@ import pytest
 from cdx import cuspidal, hypersimplex, ncpoly
 from cdx.cuspidal import (
     _compute,
+    _face_counts,
     cd_cuspidal,
     check_key,
     cuspidal_matroid,
@@ -21,7 +22,7 @@ from cdx.matroid import is_connected_split, split_profile
 from cdx.ncpoly import NcPoly, normalize_mixed
 from cdx.oracle import oracle_cd_index
 from cdx.product import cd_product
-from reference import emve_mixed, g_cd
+from reference import emve_mixed, g_cd, reference_cuspidal_faces
 
 
 def valid_keys(max_n):
@@ -78,6 +79,44 @@ def reference_cuspidal(k, n, r, h):
 def test_grouped_recursion_matches_the_per_face_type_sum():
     for key in valid_keys(10):
         assert _compute(*key) == reference_cuspidal(*key), key
+
+
+def face_count_map(k, n, r, h):
+    """_face_counts in the form of reference_cuspidal_faces."""
+    hyper, cut = _face_counts(k, n, r, h)
+    out = {(c, "hypersimplex", (kk, m)): count for (c, kk, m), count in hyper.items()}
+    for c, key, count in cut:
+        out[c, "cuspidal", key] = out.get((c, "cuspidal", key), 0) + count
+    return out
+
+
+def test_face_counts_match_the_per_pinning_loop():
+    keys = valid_keys(14)
+    assert len(keys) == 1001
+    for key in keys:
+        assert face_count_map(*key) == reference_cuspidal_faces(*key), key
+
+
+def test_every_stored_key_is_canonical_and_passes_its_check():
+    # the premise of the entries' hit path: a key found as given needs no
+    # check, as only checked canonical keys are ever stored
+    hypersimplex.memo_clear()
+    cuspidal.memo_clear()
+    for n in range(1, 15):
+        for k in range(n + 1):
+            cd_hypersimplex(k, n)
+    for key in valid_keys(14):
+        cd_cuspidal(*key)
+        cd_cuspidal(*dual_key(*key))
+    stored = memo_snapshot()
+    assert set(stored) == {min(key, dual_key(*key)) for key in valid_keys(14)}
+    for key in stored:
+        check_key(*key)
+        assert key <= dual_key(*key), key
+    for key in hypersimplex.memo_snapshot():
+        hypersimplex._check_key(*key)  # refuses a key that is not canonical
+    for k1, n1, k2, n2 in hypersimplex.PRODUCTS.snapshot():
+        assert 1 <= k1 <= n1 - k1 and 1 <= k2 <= n2 - k2 and (k1, n1) <= (k2, n2)
 
 
 # sha256 of .text() for keys above the range of the reference recursions,
@@ -287,5 +326,12 @@ def test_degree_and_nonnegativity():
 def test_invalid_key_raises():
     with pytest.raises(InvalidParams):
         cd_cuspidal(2, 4, 2, 3)
+    # keys whose duals are invalid too, on a warm table: a miss is checked
+    cd_cuspidal(2, 4, 1, 2)
+    for bad in [(2, 4, 0, 2), (5, 5, 2, 3), (3, 6, 1, 6)]:
+        with pytest.raises(InvalidParams):
+            check_key(*dual_key(*bad))
+        with pytest.raises(InvalidParams):
+            cd_cuspidal(*bad)
     with pytest.raises(InvalidParams):
         cuspidal_matroid(3, 5, 1, 3)

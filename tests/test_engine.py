@@ -272,6 +272,25 @@ def test_cd_index_runs_the_split_test_once_per_component(monkeypatch):
     assert got == cd_product(cd_split_matroid(fano()), cd_hypersimplex(1, 3))
 
 
+def test_cd_index_scans_a_connected_input_for_components_once(monkeypatch):
+    # connected_components finds vamos connected and hands it on as it
+    # is, so split_profile's connectivity check reads the kept partition
+    scans = []
+    scan = Matroid._fundamental_parts
+
+    def counted(self):
+        scans.append(self.n)
+        return scan(self)
+
+    monkeypatch.setattr(Matroid, "_fundamental_parts", counted)
+    M = vamos()
+    got = cd_index(M)
+    assert scans == [8]
+    assert got == cd_split_matroid(M) and scans == [8]
+    assert M.component_sets() == [frozenset(range(8))]
+    assert M.component_sets() is not M.component_sets()  # copies
+
+
 def test_result_check_reads_the_vertex_count_off_the_index():
     # a point has one basis; the segment and the triangle 2 and 3 vertices
     assert cd_index(Matroid.uniform(0, 3)) == 1

@@ -26,3 +26,14 @@ def test_put_keeps_the_first_value_and_snapshot_is_a_copy():
     assert table.snapshot() == {(1,): [0]}
     table.clear()
     assert table.snapshot() == {}
+
+
+def test_get_reads_the_table_and_computes_nothing():
+    calls = []
+    table = Memo(lambda a: calls.append(a) or [a])
+    assert table.get((1,)) is None and calls == []
+    got = table.lookup((1,))
+    assert table.get((1,)) is got and calls == [1]
+    table.clear()
+    assert table.get((1,)) is None
+    assert table.lookup((1,)) is table.get((1,)) and calls == [1, 1]
