@@ -4,8 +4,9 @@ and keep a persistent result cache.
 `verify` runs one PASS/FAIL loop over a list of named checks, each a
 formula result and its reference: the corpus against the face-lattice
 oracle, or with `--only paper-values` the cd-indices printed in the
-paper.  A selection with no check in it is invalid input.  Every named
-corpus family but the hypersimplices is built by
+paper.  Corpus names that give one labelled matroid share one oracle
+run per call.  A selection with no check in it is invalid input.  Every
+named corpus family but the hypersimplices is built by
 `Matroid.from_cyclic_flats`.  `verify --cache FILE` instead recomputes
 the records of that cache and runs no corpus.
 
@@ -461,7 +462,15 @@ def cmd_verify(args):
     else:
         labels = ("formula:", "oracle: ")
         summary = "verify: %%d checked, %%d failed (max n = %d)" % args.max_n
-        checks = [(name, lambda M=M: (engine.cd_index(M), oracle.oracle_cd_index(M)))
+        refs = {}  # one oracle run per labelled matroid in this call
+
+        def reference(M):
+            key = (M.n, M.rank, M.family)
+            if key not in refs:
+                refs[key] = oracle.oracle_cd_index(M)
+            return refs[key]
+
+        checks = [(name, lambda M=M: (engine.cd_index(M), reference(M)))
                   for name, M in corpus(args.max_n) if name.startswith(args.only or "")]
         if not checks:
             raise InvalidParams("--max-n %d%s selects no corpus instance" % (

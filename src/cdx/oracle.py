@@ -14,15 +14,18 @@ Every step after it is a whole-array pass over one packed incidence
 array, the faces sorted by mask with row i holding the vertex bits of
 face i, ⌈m/8⌉ bytes for m vertices.
 
-Each face is the base polytope of a direct sum of minors
-(Feichtner-Sturmfels, 2005), so its dimension is n minus the number of
-connected components of the matroid whose bases are its vertices, read
-from the fundamental graph of one vertex.  For a block of faces at a
-time: the first vertex of each face, the exchange edges of that vertex
-that stay inside the face, one bincount into an (n, faces) array of
-per-element neighbour bitmasks, n Warshall steps to close them, and the
-component count is the number of elements lowest in their closure.  A
-stable sort on dimension then keeps the mask order inside each
+Dimensions come from the facets.  Taken largest first, the rows that
+add to the set are the facets: any other proper face is the intersection
+of the facets through it, all larger, so closed before it.  The subsets
+S tight on a face F (F inside F_S) are closed under union and
+intersection, by submodularity, so their indicators span as many
+dimensions as there are classes of elements that no tight S separates,
+and dim F is n minus that count.  The least S of each facet through F,
+with the separators (the S whose row is every vertex), span the same
+space, and a family's class count lies between its rank and that of all
+tight S, so they give the same count: one containment pass against the
+facets and one matmul against their split pairs count it for every
+face.  A stable sort on dimension then keeps the mask order inside each
 dimension, so layer d is a contiguous row range.
 
 The flag vector counts chains through containment blocks, one lower
@@ -45,14 +48,10 @@ _EXACT = float(1 << 53)
 # float32 sums of 0/1 entries are exact below this; a containment count
 # sums one entry per vertex
 _EXACT32 = 1 << 24
-# faces per row block of the dimension pass
-_BLOCK = 512
 # entries per containment block: a lower layer against as many higher
-# faces as fit, so a block's float32 counts and float64 0/1 stay small
+# faces as fit, or as many faces against the facets, so a block's
+# float32 counts and float64 0/1 stay small
 _CELLS = 1 << 18
-# _LOWBIT[b]: index of the lowest set bit of the byte b (0 for b = 0)
-_LOWBIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)],
-                   dtype=np.intp)
 
 
 def _pack(masks, width):
@@ -79,48 +78,6 @@ def _containment(A, outside):
         raise InternalError("containment counts over %d vertices reach 2^24, "
                             "past exact float32" % A.shape[1])
     return (A @ outside.T == 0).astype(np.float64)
-
-
-def _face_dims(n, rank, V, packed):
-    """dim of each face of packed (rows sorted by mask, row 0 the empty
-    face): n minus the components of the fundamental graph of its first
-    vertex, restricted to the exchanges that stay inside the face."""
-    m = len(V)
-    # the exchange edges: B_j = B_i - x + y, in row-major order of (i, j)
-    I, J = np.nonzero(V @ V.T == rank - 1)
-    diff = V[I] - V[J]
-    X, Y = diff.argmax(axis=1), diff.argmin(axis=1)
-    # vertex i's edges padded to width slots: the byte and bit of B_j in a
-    # packed row (mask 0 in an unused slot), and x and y
-    deg = np.bincount(I, minlength=m)
-    width = int(deg.max()) if len(I) else 0
-    slot = np.arange(len(I)) - (np.cumsum(deg) - deg)[I]
-    tabByte = np.zeros((m, width), dtype=np.intp)
-    tabBit = np.zeros((m, width), dtype=np.uint8)
-    tabX = np.zeros((m, width), dtype=np.intp)
-    tabY = np.zeros((m, width), dtype=np.intp)
-    tabByte[I, slot], tabBit[I, slot], tabX[I, slot], tabY[I, slot] = J >> 3, 1 << (J & 7), X, Y
-    elem = np.arange(n)
-    below = ((1 << elem) - 1)[:, np.newaxis]
-    dims = np.empty(len(packed), dtype=np.intp)
-    for r0 in range(0, len(packed), _BLOCK):
-        P = packed[r0:r0 + _BLOCK]
-        rows = np.arange(len(P))[:, np.newaxis]
-        byte = (P != 0).argmax(axis=1)
-        first = 8 * byte + _LOWBIT[P[rows[:, 0], byte]]
-        inside = (P[rows, tabByte[first]] & tabBit[first]) != 0
-        x, y = tabX[first], tabY[first]
-        # each element's neighbours as a bitmask; the pairs (x, y) of one
-        # vertex are distinct, so the sum over an element's edges is an OR
-        nbr = np.bincount(np.concatenate([(rows * n + x).ravel(), (rows * n + y).ravel()]),
-                          weights=np.concatenate([(inside << y).ravel(), (inside << x).ravel()]),
-                          minlength=len(P) * n)
-        R = nbr.reshape(len(P), n).T.astype(np.int64) | (1 << elem)[:, np.newaxis]
-        for k in range(n):
-            R |= (R >> k & 1) * R[k]
-        dims[r0:r0 + len(P)] = n - (R & below == 0).sum(axis=0)
-    dims[0] = -1
-    return dims
 
 
 class FaceLattice:
@@ -154,17 +111,25 @@ class FaceLattice:
 
 def _close(generators, full):
     """Every intersection of the generators (bitmasks inside full), with
-    full itself and the empty set; the same set for any order.
+    full itself and the empty set, the same set for any order; and the
+    generators that added to it, in order.
 
     After each generator the set holds every intersection of the
     generators taken so far, so a generator already in it adds nothing.
     """
-    faces = {full}
+    faces, taken = {full}, []
     for g in generators:
         if g not in faces:
             faces |= {f & g for f in faces}
+            taken.append(g)
     faces.add(0)
-    return faces
+    return faces, taken
+
+
+def _apart(subsets):
+    """(len(subsets), n, n) bool: entry [i, x, y] is whether the 0/1 row
+    subsets[i] holds exactly one of x and y."""
+    return subsets[:, :, np.newaxis] != subsets[:, np.newaxis, :]
 
 
 def face_lattice(M):
@@ -179,12 +144,32 @@ def face_lattice(M):
     m = len(verts)
     V = _unpack(_pack(verts, n), n)
     # meet[S, j] = |S & B_j| for every subset S; F_S is where a row peaks
-    meet = _unpack(_pack(range(1 << n), n), n) @ V.T
+    subsets = _unpack(_pack(range(1 << n), n), n)
+    meet = subsets @ V.T
     tight = np.packbits(meet == meet.max(axis=1, keepdims=True), axis=1, bitorder="little")
-    rows = {int.from_bytes(row.tobytes(), "little") for row in tight}
-    faces = sorted(_close(sorted(rows, key=int.bit_count, reverse=True), (1 << m) - 1))
+    # each distinct row with the least S giving it: later keys overwrite
+    keys = [int.from_bytes(row.tobytes(), "little") for row in tight]
+    least = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    full = (1 << m) - 1
+    faces, facets = _close(sorted(least, key=int.bit_count, reverse=True), full)
+    faces = sorted(faces)
     packed = _pack(faces, m)
-    dims = _face_dims(n, M.rank, V, packed)
+    # elements x, y lie in one class of a face when every facet through
+    # it and every separator (a subset whose row is full) holds both or
+    # neither; n minus the class count is the count of elements with a
+    # lower element in their class
+    split = _apart(subsets[[least[g] for g in facets]]).reshape(len(facets), n * n)
+    cut = _apart(subsets[[S for S, g in enumerate(keys) if g == full]]).any(axis=0)
+    outside = 1 - _unpack(_pack(facets, m), m)
+    lower = np.tri(n, k=-1, dtype=bool)
+    dims = np.empty(len(faces), dtype=np.intp)
+    # a block's vertex rows and pair counts stay within _CELLS entries
+    step = max(1, _CELLS // (m + n * n))
+    for r0 in range(0, len(faces), step):
+        inc = _containment(_unpack(packed[r0:r0 + step], m), outside)
+        apart = (inc @ split).reshape(-1, n, n) != 0
+        dims[r0:r0 + len(inc)] = (~(apart | cut) & lower).any(axis=2).sum(axis=1)
+    dims[0] = -1
     order = np.argsort(dims, kind="stable")
     return FaceLattice(verts, [faces[i] for i in order], dims[order], packed[order])
 

@@ -13,10 +13,16 @@ failure (exit status 1).  pyproject.toml puts the copy's src/ first on
 the path, so the tests import the mutated package.  The exit status is
 0 when every mutant is caught.
 
-Equivalent, so not listed: chain_sum's slot bound with ``3 * top`` in
-place of ``2 * top``.  The chain_sum docstring shows that ``2 * top``
-bounds every coefficient read back, so the larger bound changes no
-result, only the slot width of a few inputs.
+Equivalent, so not listed:
+
+- chain_sum's slot bound with ``3 * top`` in place of ``2 * top``.  The
+  chain_sum docstring shows that ``2 * top`` bounds every coefficient
+  read back, so the larger bound changes no result, only the slot width
+  of a few inputs.
+- face_lattice keeping the greatest subset S of each facet's row in
+  place of the least.  Every such S adds the same equation to the
+  affine hull, so the class count, and with it each dimension, is the
+  same for any choice (see the oracle docstring).
 """
 
 import os
@@ -24,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -38,10 +45,18 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("warshall-step-fewer", "src/cdx/oracle.py",
-           "for k in range(n):\n            R |=", "for k in range(n - 1):\n            R |=",
+    Mutant("face-dims-without-separators", "src/cdx/oracle.py",
+           "(~(apart | cut) & lower)", "(~apart & lower)",
+           ("tests/test_oracle.py::test_disconnected_face_dims_match_the_reference",
+            "tests/test_oracle.py::test_component_count_dimensions_match_affine_rank")),
+    Mutant("face-dims-element-against-itself", "src/cdx/oracle.py",
+           "np.tri(n, k=-1, dtype=bool)", "np.tri(n, dtype=bool)",
            ("tests/test_oracle.py::test_component_count_dimensions_match_affine_rank",
             "tests/test_oracle.py::test_octahedron_lattice")),
+    Mutant("verify-oracle-keyed-without-family", "src/cdx/cli.py",
+           "key = (M.n, M.rank, M.family)", "key = (M.n, M.rank)",
+           ("tests/test_cli.py::test_verify_runs_the_oracle_once_per_distinct_matroid",
+            "tests/test_cli.py::test_verify_gate_at_n8")),
     Mutant("w-faces-include-the-cut-plane", "src/cdx/engine.py",
            "n1 + n2 < n:", "n1 + n2 <= n:",
            ("tests/test_engine.py::test_grouped_w_term_matches_the_per_piece_sum",
@@ -59,7 +74,7 @@ MUTANTS = [
            "cols.reverse()", "pass",
            ("tests/test_ncpoly.py::test_the_maximum_read_from_the_words_agrees_with_unpack",)),
     Mutant("no-empty-face", "src/cdx/oracle.py",
-           "    faces.add(0)\n    return faces", "    return faces",
+           "    faces.add(0)\n    return faces, taken", "    return faces, taken",
            ("tests/test_oracle.py::test_point",)),
     Mutant("w-count-changed-above-11", "src/cdx/engine.py",
            "cd_hypersimplex_product(k1, n1, k2, n2), ct1 * ct2)",
@@ -121,8 +136,8 @@ MUTANTS = [
            "faces |= {f & g for f in faces}", "faces |= {f & g for f in faces if f != full}",
            ("tests/test_oracle.py::test_octahedron_lattice",)),
     Mutant("rows-of-one-vertex-skipped", "src/cdx/oracle.py",
-           "_close(sorted(rows, key=int.bit_count, reverse=True)",
-           "_close(sorted([g for g in rows if g & (g - 1)], key=int.bit_count, reverse=True)",
+           "_close(sorted(least, key=int.bit_count, reverse=True)",
+           "_close(sorted([g for g in least if g & (g - 1)], key=int.bit_count, reverse=True)",
            ("tests/test_oracle.py::test_facet_closure_matches_the_weight_vector_scan",)),
     Mutant("cuspidal-chain-sum-times-one", "src/cdx/cuspidal.py",
            "facet=cd_hypersimplex_product(r, h, k - r, n - h))",
@@ -185,6 +200,7 @@ def main(names):
     if unknown:
         raise SystemExit("no mutant named %s" % ", ".join(unknown))
     chosen = [known[n] for n in names] if names else MUTANTS
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         _copy(tmp)
         tests = sorted({t for m in chosen for t in m.tests})
@@ -201,7 +217,8 @@ def main(names):
         caught = status == 1
         survived += not caught
         print("%-8s %s: %s" % ("caught" if caught else "SURVIVED", m.name, last))
-    print("%d of %d mutants caught" % (len(chosen) - survived, len(chosen)))
+    print("%d of %d mutants caught in %.0f s"
+          % (len(chosen) - survived, len(chosen), time.perf_counter() - start))
     return 1 if survived else 0
 
 

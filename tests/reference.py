@@ -12,10 +12,17 @@ replaced: the same rules, checked one word at a time.
 
 reference_cuspidal_faces is the ambient-face loop cuspidal._compute
 replaced: one count per pinning, each face canonicalized on its own.
+
+reference_face_dims is the dimension pass oracle.face_lattice replaced:
+each face is the base polytope of a direct sum of minors
+(Feichtner-Sturmfels, 2005), so its dimension is n minus the connected
+components of the fundamental graph of one of its vertices.
 """
 
 from functools import cache
 from math import comb
+
+import numpy as np
 
 from cdx.cuspidal import dual_key
 from cdx.errors import InvalidParams, NotCdEquivalent
@@ -159,3 +166,60 @@ def reference_cuspidal_faces(k, n, r, h):
                              * comb(h - c1, d1) * comb(n - h - c2, d2))
                     out[face] = out.get(face, 0) + count
     return out
+
+
+# faces per row block of the dimension pass
+_BLOCK = 512
+# _LOWBIT[b]: index of the lowest set bit of the byte b (0 for b = 0)
+_LOWBIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)],
+                   dtype=np.intp)
+
+
+def reference_face_dims(n, rank, V, packed):
+    """dim of each face of packed (rows sorted by mask, row 0 the empty
+    face), given the vertices' 0/1 rows V: n minus the components of the
+    fundamental graph of its first vertex, restricted to the exchanges
+    that stay inside the face.
+
+    For a block of faces at a time: the first vertex of each face, the
+    exchange edges of that vertex that stay inside the face, one
+    bincount into an (n, faces) array of per-element neighbour bitmasks,
+    n Warshall steps to close them, and the component count is the
+    number of elements lowest in their closure.
+    """
+    m = len(V)
+    # the exchange edges: B_j = B_i - x + y, in row-major order of (i, j)
+    I, J = np.nonzero(V @ V.T == rank - 1)
+    diff = V[I] - V[J]
+    X, Y = diff.argmax(axis=1), diff.argmin(axis=1)
+    # vertex i's edges padded to width slots: the byte and bit of B_j in a
+    # packed row (mask 0 in an unused slot), and x and y
+    deg = np.bincount(I, minlength=m)
+    width = int(deg.max()) if len(I) else 0
+    slot = np.arange(len(I)) - (np.cumsum(deg) - deg)[I]
+    tabByte = np.zeros((m, width), dtype=np.intp)
+    tabBit = np.zeros((m, width), dtype=np.uint8)
+    tabX = np.zeros((m, width), dtype=np.intp)
+    tabY = np.zeros((m, width), dtype=np.intp)
+    tabByte[I, slot], tabBit[I, slot], tabX[I, slot], tabY[I, slot] = J >> 3, 1 << (J & 7), X, Y
+    elem = np.arange(n)
+    below = ((1 << elem) - 1)[:, np.newaxis]
+    dims = np.empty(len(packed), dtype=np.intp)
+    for r0 in range(0, len(packed), _BLOCK):
+        P = packed[r0:r0 + _BLOCK]
+        rows = np.arange(len(P))[:, np.newaxis]
+        byte = (P != 0).argmax(axis=1)
+        first = 8 * byte + _LOWBIT[P[rows[:, 0], byte]]
+        inside = (P[rows, tabByte[first]] & tabBit[first]) != 0
+        x, y = tabX[first], tabY[first]
+        # each element's neighbours as a bitmask; the pairs (x, y) of one
+        # vertex are distinct, so the sum over an element's edges is an OR
+        nbr = np.bincount(np.concatenate([(rows * n + x).ravel(), (rows * n + y).ravel()]),
+                          weights=np.concatenate([(inside << y).ravel(), (inside << x).ravel()]),
+                          minlength=len(P) * n)
+        R = nbr.reshape(len(P), n).T.astype(np.int64) | (1 << elem)[:, np.newaxis]
+        for k in range(n):
+            R |= (R >> k & 1) * R[k]
+        dims[r0:r0 + len(P)] = n - (R & below == 0).sum(axis=0)
+    dims[0] = -1
+    return dims

@@ -228,6 +228,32 @@ def test_verify_gate_at_n8(capsys):
         "e6485c5f385e731c0d8e55a7af51f5d5148278d5cafbf5ceec7eadca90879833")
 
 
+def test_verify_runs_the_oracle_once_per_distinct_matroid(capsys, monkeypatch):
+    calls = []
+    lattice = oracle.face_lattice
+    monkeypatch.setattr(oracle, "face_lattice", lambda M: calls.append(M) or lattice(M))
+    rc, out, _ = run(capsys, "verify", "--max-n", "7")
+    assert rc == 0
+    # 107 names, 25 of them a labelled matroid an earlier name already gave
+    assert len(calls) == len(set(calls)) == 82
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9b68e92f6c2f56f2164c3258436deed2f41253a7f31debdda93ccb70b0a6c2c4")
+
+
+def test_verify_reports_a_formula_fault_under_every_name_of_one_matroid(capsys, monkeypatch):
+    names = ["cuspidal-2-4-1-2", "sparse-2-4-l1-m0", "rank2-2+1+1"]
+    corpus = dict(cli.corpus(4))
+    shared = corpus[names[0]]
+    assert all(corpus[name] == shared for name in names)
+    truth = engine.cd_index
+    monkeypatch.setattr(engine, "cd_index",
+                        lambda M, **kw: truth(M, **kw) + C if M == shared else truth(M, **kw))
+    rc, out, _ = run(capsys, "verify", "--max-n", "4")
+    assert rc == 1
+    assert [l[5:] for l in out.splitlines() if l.startswith("FAIL ")] == names
+    assert out.splitlines()[-1] == "verify: %d checked, 3 failed (max n = 4)" % len(corpus)
+
+
 def test_verify_threads_deterministic(capsys):
     rc1, out1, _ = run(capsys, "verify", "--max-n", "5")
     rc2, out2, _ = run(capsys, "verify", "--max-n", "5", "--threads", "4")

@@ -19,6 +19,8 @@ from cdx.oracle import (
     oracle_cd_index,
     oracle_flag_f,
 )
+from reference import reference_face_dims
+from test_product import direct_sum
 
 
 @lru_cache(maxsize=None)
@@ -133,6 +135,19 @@ def _affine_dim(vectors):
 
 
 CORPUS7 = cli.corpus(7)
+LOOP = Matroid.uniform(0, 1)
+COLOOP = Matroid.uniform(1, 1)
+# corpus(n) is all connected; here separators other than the empty set
+# and E cut the elements into classes, and loops and coloops are classes
+DISCONNECTED = [
+    ("U(1,2)+U(1,2)+loop", direct_sum(Matroid.uniform(1, 2), Matroid.uniform(1, 2), LOOP)),
+    ("fano+coloop+loop", direct_sum(fano(), COLOOP, LOOP)),
+    ("U(1,3)+U(2,4)", direct_sum(Matroid.uniform(1, 3), Matroid.uniform(2, 4))),
+    ("coloop+U(2,4)+loop", direct_sum(COLOOP, Matroid.uniform(2, 4), LOOP)),
+    ("U(2,4)+U(2,4)", direct_sum(Matroid.uniform(2, 4), Matroid.uniform(2, 4))),
+    ("U(0,3)", Matroid.uniform(0, 3)),
+    ("U(3,3)", Matroid.uniform(3, 3)),
+]
 
 
 @pytest.mark.parametrize("name,M", CORPUS7, ids=[name for name, _ in CORPUS7])
@@ -167,11 +182,37 @@ def test_a_lattice_built_by_hand_is_sorted_and_packed():
 
 
 def test_component_count_dimensions_match_affine_rank():
-    for name, M in CORPUS7:
+    for name, M in CORPUS7 + DISCONNECTED:
         L = face_lattice(M)
         verts = [[(b >> i) & 1 for i in range(M.n)] for b in L.vertex_masks]
         for fm, d in zip(L.faces, L.dims):
             assert _affine_dim([verts[j] for j in _bits(fm)]) == d, (name, _bits(fm))
+
+
+def _assert_matches_the_reference_dims(name, M):
+    """faces, dims and packed rows equal those of the fundamental-graph
+    dimension pass on the same faces, sorted the same way."""
+    L = face_lattice(M)
+    m = len(L.vertex_masks)
+    faces = sorted(L.faces)
+    packed = oracle._pack(faces, m)
+    V = oracle._unpack(oracle._pack(L.vertex_masks, M.n), M.n)
+    dims = reference_face_dims(M.n, M.rank, V, packed)
+    order = np.argsort(dims, kind="stable")
+    assert L.faces == [faces[i] for i in order], name
+    assert L.dims.tolist() == dims[order].tolist(), name
+    assert np.array_equal(L.packed, packed[order]), name
+
+
+def test_face_dims_match_the_reference():
+    corpus = cli.corpus(8)
+    for name, M in corpus + [(name + "*", M.dual()) for name, M in corpus[::7]]:
+        _assert_matches_the_reference_dims(name, M)
+
+
+def test_disconnected_face_dims_match_the_reference():
+    for name, M in DISCONNECTED:
+        _assert_matches_the_reference_dims(name, M)
 
 
 def test_triangle_faces():
@@ -295,7 +336,7 @@ def test_closure_is_the_same_for_any_generator_order():
         shuffled = ascending[:]
         rng.shuffle(shuffled)
         for order in (ascending, ascending[::-1], shuffled):
-            assert oracle._close(order, full) == want, name
+            assert oracle._close(order, full)[0] == want, name
 
 
 def test_face_count_past_the_cap(monkeypatch):
@@ -336,6 +377,8 @@ def test_containment_refuses_inexact_float32_counts(monkeypatch):
         oracle_flag_f(L)  # the octahedron has 6 vertices
     with pytest.raises(InternalError, match="past exact float32"):
         eulerian_check(L)
+    with pytest.raises(InternalError, match="past exact float32"):
+        face_lattice(Matroid.uniform(2, 4))  # the face-by-facet incidence
     monkeypatch.setattr(oracle, "_EXACT32", 7)
     assert oracle_flag_f(L).f(frozenset({0, 1, 2})) == 48
 
