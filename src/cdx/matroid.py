@@ -47,7 +47,7 @@ _ENUM_CAP = 12  # 2^n subset sweeps beyond this are not desk scale
 def _check_size(n):
     """ScaleExceeded above the cap, before any set is enumerated."""
     if n > _ENUM_CAP:
-        raise ScaleExceeded("rank tables capped at n=%d, got n=%d" % (_ENUM_CAP, n))
+        raise ScaleExceeded("basis families capped at n=%d, got n=%d" % (_ENUM_CAP, n))
 
 
 def _elements(elems, n):

@@ -20,9 +20,14 @@ at position i and [i in S] + [i+1 in S] for a d at positions i, i+1.
 The f-vector, f_S at the sets S = {i}, needs only the words with at
 most one d, so cd_f_vector reads it off dim coefficients.
 
-The way back peels the same factors off the flag sums, first letter
-first, so ab -> cd is a subset-sum pass over the ab coefficients and
-then that peel.
+The way back is one peel, _cd_words: it takes the same factors off
+the flag sums, first letter first.  By Bayer and Billera the sparse
+entries, those of the sets S within 0..dim-2 with no two consecutive
+elements, fix a cd polynomial, and the peel reads nothing else, so
+sparse_flag_to_cd turns sparse counts alone into the cd-index.  A full
+vector need not come from a cd polynomial at all: flag_to_cd and
+ab_to_cd (a subset-sum pass over the ab coefficients, then the peel)
+expand the result back and raise NoCdForm unless every entry agrees.
 
 The recursions' kernel, chain_sum, works on coefficient lists instead
 of word dicts.  cd_order(d) lists the cd words of degree d with the
@@ -326,8 +331,9 @@ def ab_to_cd(p):
 
     The words of each length m are one block: their coefficients by mask
     of the b positions, summed over subsets, are the flag sums f_S, which
-    _cd_words peels into cd words.  It raises NoCdForm when there is no cd
-    form; an integer input has an integer one whenever it has one at all.
+    _checked_cd peels into cd words.  It raises NoCdForm when there is no
+    cd form; an integer input has an integer one whenever it has one at
+    all.
     """
     bad = p.letters() - set("ab")
     if bad:
@@ -339,7 +345,7 @@ def ab_to_cd(p):
     for m, block in blocks.items():
         vec = [block.get(mask, 0) for mask in range(1 << m)]
         _subset_sums(vec, m, 1)
-        _cd_words(vec, m, "", out)
+        out.update(_checked_cd(vec, m))
     return from_terms(out)
 
 
@@ -355,12 +361,17 @@ def _subset_sums(vec, dim, sign):
 
 def _cd_words(f, dim, prefix, out):
     """Add to the term dict out, each word after prefix, the cd polynomial
-    of degree dim whose flag sums by mask (see _flag_vector) are f.
+    of degree dim whose flag sums by mask (see _flag_vector) agree with f
+    at the sparse masks, those of the sets within 0..dim-2 with no two
+    consecutive elements.
 
     With u and v the flag sums of the words after a first c and after a
-    first d, f[4m] = u[2m], f[4m+1] = 2u[2m] + v[m], f[4m+2] = u[2m+1] +
-    v[m] and f[4m+3] = 2f[4m+2], so u and v follow and recurse.  It raises
-    NoCdForm when the last identity fails, or when v is not zero at dim 1.
+    first d, f[4m] = u[2m], f[4m+1] = 2u[2m] + v[m] and f[4m+2] = u[2m+1]
+    + v[m], so v and u follow and recurse.  Each of u and v is right at
+    its own sparse masks when f is right at its, and at dim 1 only u[0] =
+    f[0] is read, so no other entry of f reaches the result: the peel
+    checks nothing, and f[4m+3] = 2f[4m+2], the identity that a cd
+    polynomial's flag sums satisfy, is never read.
     """
     if not any(f):
         return
@@ -368,14 +379,23 @@ def _cd_words(f, dim, prefix, out):
         out[prefix] = f[0]
         return
     v = [y - 2 * x for x, y in zip(f[0::4], f[1::4])]
-    if f[3::4] != [2 * x for x in f[2::4]] or (dim == 1 and v[0]):
-        raise NoCdForm("the flag sums after %r fit no cd word" % prefix)
     u = [0] * (1 << (dim - 1))
     u[0::2] = f[0::4]
     u[1::2] = [x - y for x, y in zip(f[2::4], v)]
     _cd_words(u, dim - 1, prefix + "c", out)
     if dim > 1:
         _cd_words(v, dim - 2, prefix + "d", out)
+
+
+def _checked_cd(f, dim):
+    """Term dict of the cd polynomial of degree dim whose flag sums by mask
+    are all of f; NoCdForm when there is none.  The peel reads only the
+    sparse entries, so its result is expanded back and compared with f."""
+    out = {}
+    _cd_words(f, dim, "", out)
+    if _flag_vector(out, dim) != f:
+        raise NoCdForm("flag sums of degree %d that fit no cd polynomial" % dim)
+    return out
 
 
 def add_scaled(acc, p, k):
@@ -914,8 +934,20 @@ def flag_to_ab(fv):
     return from_terms(t)
 
 
-def flag_to_cd(fv):
-    """The cd-index with flag vector fv; NoCdForm when there is none."""
+def sparse_flag_to_cd(dim, f):
+    """The cd polynomial of degree dim whose flag sums agree with the list
+    f (by mask, 2^dim entries) at the sparse masks, the sets within
+    0..dim-2 with no two consecutive elements.  No other entry is read,
+    and nothing is checked: any sparse entries have a cd polynomial."""
     out = {}
-    _cd_words(fv._v, fv.dim, "", out)
+    _cd_words(f, dim, "", out)
     return from_terms(out)
+
+
+def flag_to_cd(fv):
+    """The cd-index with flag vector fv; NoCdForm when there is none.
+
+    The peel reads the sparse entries only, and the cd polynomial it
+    gives is expanded back and compared with every entry of fv.
+    """
+    return from_terms(_checked_cd(fv._v, fv.dim))

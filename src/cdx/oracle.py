@@ -28,25 +28,38 @@ facets and one matmul against their split pairs count it for every
 face.  A stable sort on dimension then keeps the mask order inside each
 dimension, so layer d is a contiguous row range.
 
-The flag vector counts chains through containment blocks, one lower
-layer against the higher faces, in float32 (a count of vertices is
-exact below 2^24); the chain counts stay float64.  Only the flag-to-cd
-peel (ncpoly.flag_to_cd) and the bitmask-to-element-list helper are
-shared.
+The same pass keeps that face x facet incidence, in the sorted row
+order.  Every proper face is the intersection of the facets through it,
+so face i lies in face j exactly when every facet through j passes
+through i: a containment count sums over the facets, not the vertices
+(at n <= 9, at most 21 against up to 126).  Chains are counted
+through containment blocks, one lower layer against the higher faces,
+in float32 (a count of facets or vertices is exact below 2^24); the
+chain counts stay float64.  oracle_cd_index counts only the sparse
+chain types, the sets S within 0..D-2 with no two consecutive
+dimensions, so no layer meets the next one up and no chain reaches a
+facet; by Bayer and Billera these Fib(D + 1) counts fix the cd-index,
+which one peel (ncpoly.sparse_flag_to_cd) gives.  As a check on the
+lattice, the cd-index's f-vector must be the lattice's: the facet count
+is not a sparse entry, and the cd-index gives it by Euler's relation.
+oracle_flag_f counts every chain type, through the vertex rows, for the
+whole flag vector; the same walk does both, given the rows and the
+least step in dimension.  Only the peel and the bitmask-to-element-list
+helper are shared.
 """
 
 import numpy as np
 
 from .errors import InternalError, ScaleExceeded
 from .matroid import _bits
-from .ncpoly import FlagFVector, flag_to_cd
+from .ncpoly import FlagFVector, cd_f_vector, sparse_flag_to_cd
 
 DEFAULT_MAX_N = 9
 
 # float64 sums of nonnegative integers are exact below this
 _EXACT = float(1 << 53)
 # float32 sums of 0/1 entries are exact below this; a containment count
-# sums one entry per vertex
+# sums one entry per vertex or per facet
 _EXACT32 = 1 << 24
 # entries per containment block: a lower layer against as many higher
 # faces as fit, or as many faces against the facets, so a block's
@@ -69,13 +82,16 @@ def _unpack(rows, width):
 def _containment(A, outside):
     """C[i, j] == 1.0 iff face A[i] lies inside face j, given A's vertex
     indicator rows and, for face j, the indicator of the vertices
-    outside it (1 - its row).
+    outside it (1 - its row); or, over the facets, the indicator of the
+    facets that miss A[i] (1 - its incidence row) and face j's incidence
+    row.
 
-    One float32 matmul counts the vertices of A[i] outside face j; it is
-    exact while the vertex count stays below 2^24.
+    One float32 matmul counts the vertices of A[i] outside face j, or
+    the facets through j that miss A[i]; it is exact while the vertex or
+    facet count stays below 2^24.
     """
     if A.shape[1] >= _EXACT32:
-        raise InternalError("containment counts over %d vertices reach 2^24, "
+        raise InternalError("containment counts over %d vertices or facets reach 2^24, "
                             "past exact float32" % A.shape[1])
     return (A @ outside.T == 0).astype(np.float64)
 
@@ -87,10 +103,13 @@ class FaceLattice:
     The faces are sorted by (dimension, mask), and packed[i] holds the bits
     of faces[i] as uint8 rows (see _pack), so the faces of dimension d are
     rows lo[d]:lo[d + 1].  Containment of faces is bitmask containment.
-    When packed is not given, the faces are sorted and packed here.
+    incidence[i, j] is whether face i lies in facet j, rows in the same
+    order; oracle_cd_index needs it, oracle_flag_f does not.  When packed
+    is not given, the faces are sorted and packed here, and there is no
+    incidence.
     """
 
-    def __init__(self, vertex_masks, faces, dims, packed=None):
+    def __init__(self, vertex_masks, faces, dims, packed=None, incidence=None):
         self.vertex_masks = vertex_masks
         if packed is None:
             dims, faces = zip(*sorted(zip(dims, faces)))
@@ -98,6 +117,7 @@ class FaceLattice:
         self.faces = list(faces)
         self.dims = np.asarray(dims, dtype=np.intp)
         self.packed = packed
+        self.incidence = incidence
         self.dim = int(self.dims[-1])
         self.lo = np.searchsorted(self.dims, np.arange(self.dim + 2))
 
@@ -163,28 +183,35 @@ def face_lattice(M):
     outside = 1 - _unpack(_pack(facets, m), m)
     lower = np.tri(n, k=-1, dtype=bool)
     dims = np.empty(len(faces), dtype=np.intp)
+    incidence = np.empty((len(faces), len(facets)), dtype=bool)
     # a block's vertex rows and pair counts stay within _CELLS entries
     step = max(1, _CELLS // (m + n * n))
     for r0 in range(0, len(faces), step):
         inc = _containment(_unpack(packed[r0:r0 + step], m), outside)
+        incidence[r0:r0 + len(inc)] = inc
         apart = (inc @ split).reshape(-1, n, n) != 0
         dims[r0:r0 + len(inc)] = (~(apart | cut) & lower).any(axis=2).sum(axis=1)
     dims[0] = -1
     order = np.argsort(dims, kind="stable")
-    return FaceLattice(verts, [faces[i] for i in order], dims[order], packed[order])
+    return FaceLattice(verts, [faces[i] for i in order], dims[order], packed[order],
+                       incidence[order])
 
 
-def oracle_flag_f(L):
-    """Flag f-vector of the boundary, from chains of proper faces."""
-    D = L.dim
+def _chain_counts(L, below, above, stride):
+    """Flag counts by mask, 2^D of them: f_S for every chain type S whose
+    dimensions lie below D + 1 - stride and differ by at least stride,
+    and 0 for every other S.
+
+    below[i] @ above[j] is 0 exactly when face i lies in face j, for the
+    rows from layer 0 up (row 0 is L.lo[0]).
+    """
     lo = L.lo - L.lo[0]
-    X = _unpack(L.packed[L.lo[0]:L.lo[D]], len(L.vertex_masks))
-    outside = 1 - X
+    top = L.dim + 1 - stride
     # tops[d]: the masks S with max(S) == d, and one row per S whose
     # entry j counts the chains of type S ending in face j of layer d
-    tops = [([1 << d], [np.ones((1, lo[d + 1] - lo[d]))]) for d in range(D)]
-    flags = [1] + [0] * ((1 << D) - 1)
-    for t in range(D):
+    tops = [([1 << d], [np.ones((1, lo[d + 1] - lo[d]))]) for d in range(top)]
+    flags = [1] + [0] * ((1 << L.dim) - 1)
+    for t in range(top):
         sets, rows = tops[t]
         vecs = np.vstack(rows)
         totals = vecs.sum(axis=1)
@@ -195,20 +222,46 @@ def oracle_flag_f(L):
             flags[S] = int(total)
         # up[:, j]: chains of each type through layer t into higher face j,
         # one column block of the containment at a time to bound memory
-        base, end = lo[t + 1], lo[D]
+        first = min(t + stride, top)  # the lowest layer a chain steps up to
+        base, end = lo[first], lo[top]
         up = np.empty((len(sets), end - base))
-        step = max(1, _CELLS // max(1, base - lo[t]))
+        step = max(1, _CELLS // max(1, lo[t + 1] - lo[t]))
         for c in range(base, end, step):
-            block = outside[c:min(c + step, end)]
-            up[:, c - base:c - base + len(block)] = vecs @ _containment(X[lo[t]:base], block)
-        for d in range(t + 1, D):
+            block = above[c:min(c + step, end)]
+            up[:, c - base:c - base + len(block)] = (
+                vecs @ _containment(below[lo[t]:lo[t + 1]], block))
+        for d in range(first, top):
             tops[d][1].append(up[:, lo[d] - base:lo[d + 1] - base])
             tops[d][0].extend(S | 1 << d for S in sets)
-    return FlagFVector.from_vector(D, flags)
+    return flags
+
+
+def oracle_flag_f(L):
+    """Flag f-vector of the boundary, from chains of proper faces, every
+    chain type counted through the vertex rows."""
+    X = _unpack(L.packed[L.lo[0]:L.lo[L.dim]], len(L.vertex_masks))
+    return FlagFVector.from_vector(L.dim, _chain_counts(L, X, 1 - X, 1))
+
+
+def sparse_flag_counts(L):
+    """Flag counts by mask, 2^D of them, f_S for the Fib(D + 1) sparse
+    sets S (within 0..D-2, no two consecutive) and 0 for the rest, with
+    containment tested through the facet incidence."""
+    inc = L.incidence[L.lo[0]:L.lo[L.dim]].astype(np.float32)
+    return _chain_counts(L, 1 - inc, inc, 2)
 
 
 def oracle_cd_index(M):
-    return flag_to_cd(oracle_flag_f(face_lattice(M)))
+    """The cd-index of M's base polytope from the sparse flag counts of
+    its face lattice; InternalError unless its f-vector is the lattice's."""
+    L = face_lattice(M)
+    D = L.dim
+    p = sparse_flag_to_cd(D, sparse_flag_counts(L))
+    f = cd_f_vector(p, D)
+    if f != L.f_vector():
+        raise InternalError("the face lattice has f-vector %s, but its sparse flag "
+                            "counts give %s" % (L.f_vector(), f))
+    return p
 
 
 def eulerian_check(L):

@@ -153,6 +153,18 @@ MUTANTS = [
            "        n - 1, vertex_count(k, n, r - 1, h), faces,\n"
            "        facet=cd_hypersimplex_product(r, h, k - r, n - h)))",
            ("tests/test_cuspidal.py::test_memo_stores_one_entry_per_polytope",)),
+    Mutant("polytope-in-every-facet", "src/cdx/oracle.py",
+           "    dims[0] = -1\n", "    dims[0] = -1\n    incidence[-1] = True\n",
+           ("tests/test_oracle.py::test_facet_incidence_is_containment_in_each_facet",)),
+    Mutant("sparse-walk-steps-to-the-next-layer", "src/cdx/oracle.py",
+           "first = min(t + stride, top)", "first = min(t + 1, top)",
+           ("tests/test_oracle.py::test_the_sparse_walk_counts_exactly_the_sparse_chain_types",)),
+    Mutant("f-vector-self-check-skipped", "src/cdx/oracle.py",
+           "if f != L.f_vector():", "if False:",
+           ("tests/test_oracle.py::test_a_lattice_missing_a_face_fails_the_f_vector_check",)),
+    Mutant("cd-form-not-expanded-back", "src/cdx/ncpoly.py",
+           "if _flag_vector(out, dim) != f:", "if False:",
+           ("tests/test_ncpoly.py::test_flag_to_cd_checks_every_entry",)),
     Mutant("cache-degree-one-too-many", "src/cdx/cli.py",
            "degrees <= {degree}", "degrees <= {degree, degree + 1}",
            ("tests/test_cli.py::test_cache_record_with_a_corrupt_cd_is_skipped[degree]",)),

@@ -67,7 +67,7 @@ def test_from_bases_refuses_above_the_cap_before_enumerating(monkeypatch):
     monkeypatch.setattr(Matroid, "_tabulated", enumerates)
     # U(1,9) on elements 0-8 beside U(2,4) on 9-12: a matroid, but n = 13
     family = [(u,) + t for u in range(9) for t in combinations(range(9, 13), 2)]
-    with pytest.raises(ScaleExceeded, match="rank tables capped at n=12, got n=13"):
+    with pytest.raises(ScaleExceeded, match="basis families capped at n=12, got n=13"):
         Matroid.from_bases(13, 3, family)
     with pytest.raises(ScaleExceeded, match="got n=24"):
         Matroid.from_bases(24, 2, [(a, b) for a in range(12) for b in range(12, 24)])
@@ -115,9 +115,9 @@ def test_from_cyclic_flats_refuses_above_the_cap_before_enumerating(monkeypatch)
 
     monkeypatch.setattr(Matroid, "uniform", classmethod(enumerates))
     monkeypatch.setattr(matroid, "_levels", enumerates)
-    with pytest.raises(ScaleExceeded, match="rank tables capped at n=12"):
+    with pytest.raises(ScaleExceeded, match="basis families capped at n=12"):
         Matroid.from_cyclic_flats(20, 10, [(range(5), 3)])
-    with pytest.raises(ScaleExceeded, match="rank tables capped at n=12"):
+    with pytest.raises(ScaleExceeded, match="basis families capped at n=12"):
         Matroid.from_cyclic_flats(13, 6, [])
     # a malformed flat is still reported as such
     with pytest.raises(InvalidParams):
@@ -130,7 +130,7 @@ def test_uniform_refuses_above_the_cap_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(matroid, "_families", enumerates)
     for k, n in ((1, 13), (10, 20), (63, 64), (0, 20), (20, 20), (9, 99)):
-        with pytest.raises(ScaleExceeded, match="rank tables capped at n=12"):
+        with pytest.raises(ScaleExceeded, match="basis families capped at n=12"):
             Matroid.uniform(k, n)
     monkeypatch.undo()
     # U(0, n) and U(n, n) have one basis each, and their polytope is a point

@@ -32,6 +32,7 @@ from cdx.ncpoly import (
     flag_to_ab,
     flag_to_cd,
     normalize_mixed,
+    sparse_flag_to_cd,
     word_degree,
 )
 from cdx import cli, cuspidal, engine, hypersimplex, ncpoly
@@ -455,6 +456,47 @@ def test_flag_roundtrip():
         fv = cd_to_flag_f(p, dim)
         assert flag_to_cd(fv) == p
         assert ab_to_cd(flag_to_ab(fv)) == p
+
+
+def sparse_masks(dim):
+    """Masks of the sets within 0..dim-2 with no two consecutive elements."""
+    return [S for S in range(1 << max(dim - 1, 0)) if not S & S >> 1]
+
+
+def test_the_sparse_masks_are_as_many_as_the_cd_words():
+    for dim in range(12):
+        assert len(sparse_masks(dim)) == len(cd_order(dim)), dim
+
+
+def test_the_peel_reads_only_the_sparse_entries():
+    rng = random.Random(36)
+    words = cd_words(9)
+    for _ in range(200):
+        dim = rng.randint(0, 9)
+        p = NcPoly({w: rng.randint(-9, 9) for w in rng.sample(words[dim], min(len(words[dim]), 5))})
+        full = ncpoly._flag_vector(p.terms(), dim)
+        keep = set(sparse_masks(dim))
+        sparse = [x if S in keep else 0 for S, x in enumerate(full)]
+        noise = [x if S in keep else rng.randint(-99, 99) for S, x in enumerate(full)]
+        assert sparse_flag_to_cd(dim, full) == p
+        assert sparse_flag_to_cd(dim, sparse) == p
+        assert sparse_flag_to_cd(dim, noise) == p
+
+
+def test_flag_to_cd_checks_every_entry():
+    # the octahedron's flag vector with one entry off the sparse sets
+    # changed: the peel alone would return the octahedron's cd-index
+    p = C**3 + 6 * C * D + 4 * D * C
+    v = cd_to_flag_f(p, 3).vector()
+    for S in range(8):
+        if S in sparse_masks(3):
+            continue
+        bad = list(v)
+        bad[S] += 2
+        assert sparse_flag_to_cd(3, bad) == p
+        with pytest.raises(NoCdForm):
+            flag_to_cd(FlagFVector.from_vector(3, bad))
+    assert flag_to_cd(FlagFVector.from_vector(3, v)) == p
 
 
 def test_flag_errors():

@@ -1,7 +1,8 @@
 import random
-from functools import lru_cache
-from itertools import permutations
+from functools import lru_cache, reduce
+from itertools import compress, permutations
 from math import comb
+from operator import or_
 
 import numpy as np
 import pytest
@@ -11,15 +12,17 @@ from cdx.cuspidal import cd_cuspidal, cuspidal_matroid
 from cdx.errors import InternalError, ScaleExceeded
 from cdx.hypersimplex import cd_hypersimplex, face_type_counts
 from cdx.matroid import Matroid, _bits, example_535, fano
-from cdx.ncpoly import FlagFVector, NcPoly, cd_f_vector, flag_to_ab
+from cdx.ncpoly import FlagFVector, NcPoly, cd_f_vector, flag_to_ab, flag_to_cd
 from cdx.oracle import (
     FaceLattice,
     eulerian_check,
     face_lattice,
     oracle_cd_index,
     oracle_flag_f,
+    sparse_flag_counts,
 )
 from reference import reference_face_dims
+from test_ncpoly import sparse_masks
 from test_product import direct_sum
 
 
@@ -387,3 +390,67 @@ def test_scale_guard():
     with pytest.raises(ScaleExceeded, match=r"closes the faces of all 2\^n subsets; refusing n=10 > 9"):
         face_lattice(Matroid.uniform(2, 10))
     assert oracle.DEFAULT_MAX_N == 9
+
+
+def test_facet_incidence_is_containment_in_each_facet():
+    # a column's faces are those inside its facet, which is their union
+    for name, M in CORPUS7 + DISCONNECTED:
+        L = face_lattice(M)
+        assert len(L.incidence) == len(L.faces), name
+        for column in L.incidence.T:
+            F = reduce(or_, compress(L.faces, column))
+            assert column.tolist() == [f & ~F == 0 for f in L.faces], name
+
+
+def _simplex_lattice(D):
+    """The face lattice of the D-simplex, the base polytope of U(1, D + 1),
+    built by hand: every vertex set is a face, of dimension its size
+    minus one, and facet j misses vertex j."""
+    m = D + 1
+    faces = sorted(range(1 << m), key=lambda f: (f.bit_count(), f))
+    incidence = np.array([[not f >> j & 1 for j in range(m)] for f in faces])
+    return FaceLattice([1 << j for j in range(m)], faces, [f.bit_count() - 1 for f in faces],
+                       oracle._pack(faces, m), incidence)
+
+
+def test_the_sparse_walk_counts_exactly_the_sparse_chain_types():
+    # every chain type of a simplex has chains, so the nonzero counts are
+    # the types the walk reaches
+    fib = [0, 1]
+    for D in range(9):
+        fib.append(fib[-1] + fib[-2])
+        reached = {S for S, x in enumerate(sparse_flag_counts(_simplex_lattice(D))) if x}
+        assert reached == set(sparse_masks(D)), D
+        assert len(reached) == fib[D + 1], D
+
+
+def test_sparse_counts_equal_the_full_counts_at_every_sparse_set():
+    for name, M in CORPUS7:
+        L = face_lattice(M)
+        full = oracle_flag_f(L).vector()
+        counts = sparse_flag_counts(L)
+        assert len(counts) == len(full), name
+        assert all(counts[S] == full[S] for S in sparse_masks(L.dim)), name
+
+
+def test_the_full_vector_gives_the_sparse_path_cd_index():
+    seen = set()
+    for name, M in cli.corpus(8):
+        key = (M.n, M.rank, M.family)
+        if key in seen:
+            continue
+        seen.add(key)
+        assert flag_to_cd(oracle_flag_f(face_lattice(M))) == oracle_cd_index(M), name
+
+
+def test_a_lattice_missing_a_face_fails_the_f_vector_check(monkeypatch):
+    L = _simplex_lattice(5)
+    # one face dropped from each layer in turn; a missing facet changes no
+    # sparse count, so only Euler's relation on the facet count finds it
+    for d in range(L.dim):
+        keep = [i for i in range(len(L.faces)) if i != L.lo[d]]
+        cut = FaceLattice(L.vertex_masks, [L.faces[i] for i in keep], L.dims[keep],
+                          L.packed[keep], L.incidence[keep])
+        monkeypatch.setattr(oracle, "face_lattice", lambda M: cut)
+        with pytest.raises(InternalError, match="f-vector"):
+            oracle_cd_index(Matroid.uniform(1, 6))
