@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedMatroid,
 )
 from .memo import Memo
-from .ncpoly import NcPoly, D as _D, add_product, add_scaled, cd_f_vector, from_terms
+from .ncpoly import NcPoly, cd_f_vector, cd_sum, d_product
 from .hypersimplex import cd_hypersimplex, cd_hypersimplex_product, factor_faces
 from .cuspidal import cd_cuspidal
 from .product import cd_product, cd_product_all  # noqa: F401  cd_product: see ROADMAP item 7
@@ -51,18 +51,17 @@ def w_term(alpha, beta, a, b, n):
 
 def _w_compute(alpha, beta, a, b, n):
     # products of a face of each flat's hypersimplex, summed by size
-    # n1 + n2, each sum times D * simplex(n - n1 - n2) once
+    # n1 + n2, each sum times d * simplex(n - n1 - n2) once
     by_size = {}
     for k1, n1, ct1 in factor_faces(alpha, a):
         for k2, n2, ct2 in factor_faces(beta, b):
             # no vertex factor; n1 + n2 = n would be the whole cut plane
             if 0 < k1 < n1 and 0 < k2 < n2 and n1 + n2 < n:
-                add_scaled(by_size.setdefault(n1 + n2, {}),
-                           cd_hypersimplex_product(k1, n1, k2, n2), ct1 * ct2)
-    out = {}
-    for s, group in by_size.items():
-        add_product(out, group, _D * cd_hypersimplex(1, n - s))
-    return from_terms(out)
+                by_size.setdefault(n1 + n2, []).append(
+                    (cd_hypersimplex_product(k1, n1, k2, n2), ct1 * ct2))
+    terms = [(d_product(cd_sum(s - 2, group), s - 2, cd_hypersimplex(1, n - s), n - s - 1), 1)
+             for s, group in by_size.items()]
+    return cd_sum(n - 1, terms)
 
 
 W_MEMO = Memo(_w_compute)
@@ -79,13 +78,10 @@ def cd_split_matroid(M):
 def _split_formula(prof):
     """The closed formula, from the SplitProfile alone."""
     k, n = prof.k, prof.n
-    out = {}
-    add_scaled(out, cd_hypersimplex(k, n), 1 - sum(prof.lam.values()))
-    for (r, h), cnt in prof.lam.items():
-        add_scaled(out, cd_cuspidal(k, n, r, h), cnt)
-    for (alpha, beta, a, b), cnt in prof.mu.items():
-        add_scaled(out, w_term(alpha, beta, a, b, n), -cnt)
-    return from_terms(out)
+    return cd_sum(n - 1, [(cd_hypersimplex(k, n), 1 - sum(prof.lam.values()))]
+                  + [(cd_cuspidal(k, n, r, h), cnt) for (r, h), cnt in prof.lam.items()]
+                  + [(w_term(alpha, beta, a, b, n), -cnt)
+                     for (alpha, beta, a, b), cnt in prof.mu.items()])
 
 
 def cd_sparse_paving(M):
@@ -148,10 +144,10 @@ def check_result(M, p):
     cd polynomial, c^D with coefficient 1) come out as InternalError too;
     a point's one vertex is the coefficient of the empty word.
     """
+    D = p.degree()  # decodes a packed p once and keeps its words
     for w, k in p.terms().items():
         if k < 0:
             raise InternalError("cd-index has the negative coefficient %d*%s" % (k, w))
-    D = p.degree()
     try:
         f0 = cd_f_vector(p, D)[0] if D > 0 else p.coeff("")
     except (DegreeMismatch, InvalidAlphabet, InvalidParams) as exc:

@@ -27,7 +27,7 @@ from math import comb
 
 from .errors import InvalidParams
 from .memo import Memo
-from .ncpoly import NcPoly, chain_sum
+from .ncpoly import chain_sum
 
 
 def face_type_counts(k, n):
@@ -42,8 +42,9 @@ def _check_params(k, n):
         raise InvalidParams("hypersimplex needs 0 <= k <= n, n >= 1, got k=%d n=%d" % (k, n))
 
 
-# the (1, 2) hypersimplex, packed like every other recursion result, so
-# that no face of the recursion needs its words listed
+# the point and the (1, 2) hypersimplex, packed like every other
+# recursion result, so that no face or factor needs its words listed
+POINT = chain_sum(0, 1, [])
 SEGMENT = chain_sum(1, 2, [])
 
 
@@ -56,7 +57,7 @@ def cd_hypersimplex(k, n):
         return got
     _check_params(k, n)
     if k == 0 or k == n:
-        return NcPoly.one()  # a single vertex
+        return POINT  # a single vertex
     if n == 2:
         return SEGMENT
     return MEMO.lookup((min(k, n - k), n))

@@ -53,21 +53,21 @@ its coefficients picks the width.  The coefficients stay exact: they
 reach 56 bits at dimension 19, where the slots are still 64 bits wide,
 and 64 bits at dimension 21.
 
-A chain_sum result keeps only that form: its degree, its packed ints
-by slot width, and its largest |coefficient|, which a later sum needs
-for its slot bound.  That maximum is read once, the first time a sum
-takes the result as a face, and kept; a result no sum takes is never
-read.  It is read from the packing's 64-bit words, not decoded: a
-nonnegative packing whose slots all have a clear top bit holds its
-slot values as its own digits.  When a sum with wider slots takes a
-result as a face, the wider packing is copied from the narrowest one
-by strided byte copies, never re-encoded from words.  text and terms
-read the packing and keep nothing.  The readers that need words, the
-arithmetic, coeff, ==, hash and every other reader of the term dict,
-build it from the packing on first use and keep it.  So the
-recursions' memo tables hold packed ints alone, and only the entries
-that a caller reads as words, such as the terms of the split formula
-and the products in a modular-pair term, get a dict.
+A packed result keeps only that form: its degree, its packed ints by
+slot width, and its largest |coefficient|, which a later sum needs for
+its slot bound.  That maximum is read once, the first time a sum takes
+the result, and kept; a result no sum takes is never read.  It is read
+from the packing's 64-bit words, not decoded: a nonnegative packing
+whose slots all have a clear top bit holds its slot values as its own
+digits.  When a sum with wider slots takes a result, the wider packing
+is copied from the narrowest one by strided byte copies, never
+re-encoded from words.  chain_sum, cd_sum (a combination of results)
+and d_product (p d q, by the same suffix blocks) all return packed
+results, so the split formula runs packed from the recursions to its
+output.  text and terms read the packing and keep nothing; coeff, ==,
+the arithmetic and every other reader of the term dict build it from
+the packing on first use and keep it, so a result is decoded once
+however many of them read it.
 """
 
 import re
@@ -104,10 +104,10 @@ def word_key(w):
 class NcPoly:
     """Integer combination of words over the alphabet abcd.
 
-    A polynomial built from terms holds its term dict _t; a chain_sum
+    A polynomial built from terms holds its term dict _t; a packed
     result holds only its packing _vec until a reader of _t builds the
     dict, and reads its largest |coefficient| only when a later sum
-    takes it as a face (see the module docstring).
+    takes it (see the module docstring).
     """
 
     __slots__ = ("_dict", "_vec")
@@ -191,7 +191,8 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         t = dict(self._t)
-        add_scaled(t, other, 1)
+        for w, k in other._t.items():
+            t[w] = t.get(w, 0) + k
         return from_terms(t)
 
     __radd__ = __add__
@@ -213,7 +214,9 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         t = {}
-        add_product(t, self._t, other)
+        for w1, c1 in self._t.items():
+            for w2, c2 in other._t.items():
+                t[w1 + w2] = t.get(w1 + w2, 0) + c1 * c2
         return from_terms(t)
 
     def __rmul__(self, other):
@@ -233,7 +236,7 @@ class NcPoly:
         """Canonical text form, e.g. "cc + 2*d"; "0" for zero."""
         if self._dict is None:
             # one degree, so word_key order is the words' own order
-            order, vals = _slot_values(self._vec)
+            order, vals = cd_order(self._vec[0]), _slot_values(self._vec)
             items = [(order[i], vals[i]) for i in _sorted_positions(self._vec[0]) if vals[i]]
         else:
             items = [(w, self._dict[w]) for w in self.words()]
@@ -398,24 +401,6 @@ def _checked_cd(f, dim):
     return out
 
 
-def add_scaled(acc, p, k):
-    """acc += k * p in place, acc a term dict."""
-    get = acc.get
-    for w, c in p._t.items():
-        acc[w] = get(w, 0) + k * c
-
-
-def add_product(acc, left, right):
-    """acc += left * right in place; acc and left are term dicts, right
-    an NcPoly."""
-    get = acc.get
-    right = right._t.items()
-    for w1, c1 in left.items():
-        for w2, c2 in right:
-            w = w1 + w2
-            acc[w] = get(w, 0) + c1 * c2
-
-
 def from_terms(t):
     """NcPoly of a term dict over valid words, zero terms dropped.  It takes
     ownership of t: the dict is kept, unless it holds a zero, and the
@@ -466,7 +451,7 @@ def _offset(length, bits, wide=None):
 
 def _pack(vals, bits):
     """The sum of vals[i] * 2^(bits * i), each vals[i] in the slot's
-    two's complement range.  Only faces built from terms, and narrowing,
+    two's complement range.  Only polynomials built from terms, and narrowing,
     which no input in reach needs, take this path, so it need not be
     fast."""
     size = bits // 8
@@ -544,17 +529,17 @@ def _max_abs(x, length, bits):
 
 
 def _slot_values(vec):
-    """(cd_order(deg), the coefficients over it) of the packed
-    coefficients vec = [deg, top, packs], read at the narrowest width."""
+    """The coefficients over cd_order(deg) of the packed coefficients
+    vec = [deg, top, packs], read at the narrowest width."""
     deg, _, packs = vec
     bits = min(packs)
-    return cd_order(deg), _unpack(packs[bits], _cd_count(deg), bits)
+    return _unpack(packs[bits], _cd_count(deg), bits)
 
 
 def _packed_terms(vec):
     """The (word, coefficient) pairs of the nonzero slots of vec."""
-    order, vals = _slot_values(vec)
-    return compress(zip(order, vals), vals)
+    vals = _slot_values(vec)
+    return compress(zip(cd_order(vec[0]), vals), vals)
 
 
 @cache
@@ -568,15 +553,17 @@ def _sorted_positions(d):
 def _coeff_info(p, deg):
     """[deg, max |coefficient|, {slot width: packed coefficients}] of p
     over cd_order(deg), cached on p; InvalidParams unless p is a cd
-    polynomial of degree deg (or zero).  A chain_sum result holds its
-    own from the start, with the maximum None until _top reads it."""
+    polynomial of degree deg (or zero).  A packed result holds its own,
+    the maximum None until _top reads it; one built from terms is packed
+    here once, at its own width."""
     got = p._vec
     if got is None or got[0] != deg:
         t = p._t
         vals = [t.get(w, 0) for w in cd_order(deg)]
         if len(vals) - vals.count(0) != len(t):
             raise InvalidParams("a face cd-index is not a cd polynomial of degree %d" % deg)
-        got = p._vec = [deg, max(map(abs, vals)), {}]
+        top = max(map(abs, vals))
+        got = p._vec = [deg, top, {_width(top): _pack(vals, _width(top))}]
     return got
 
 
@@ -593,19 +580,52 @@ def _top(p, deg):
 
 def _packed(p, deg, bits):
     """p's coefficients over cd_order(deg) packed in slots of bits,
-    repacked from its narrowest packing, or from its term dict when it
-    has none."""
+    repacked from its narrowest packing."""
     packs = _coeff_info(p, deg)[2]
     x = packs.get(bits)
     if x is None:
-        if packs:
-            old = min(packs)
-            x = _repack(packs[old], _cd_count(deg), old, bits)
-        else:
-            t = p._t
-            x = _pack([t.get(w, 0) for w in cd_order(deg)], bits)
-        packs[bits] = x
+        old = min(packs)
+        x = packs[bits] = _repack(packs[old], _cd_count(deg), old, bits)
     return x
+
+
+def _result(deg, bits, x):
+    """The packed result of degree deg whose coefficients over
+    cd_order(deg) are x, in slots of bits."""
+    p = NcPoly.__new__(NcPoly)
+    p._dict, p._vec = None, [deg, None, {bits: x}]
+    return p
+
+
+def cd_sum(deg, pairs):
+    """The sum of k * p over the (p, k) pairs, each p a cd polynomial of
+    degree deg (or zero), as a packed result.  Its slots hold the sum of
+    |k| * max |p|, which bounds every coefficient."""
+    pairs = [(p, k) for p, k in pairs if k]
+    bits = _width(sum(abs(k) * _top(p, deg) for p, k in pairs))
+    return _result(deg, bits, sum(k * _packed(p, deg, bits) for p, k in pairs))
+
+
+def d_product(p, dp, q, dq):
+    """p d q as a packed result, p and q cd polynomials of degrees dp and
+    dq (or zero).  By the split of cd_order on the last letter, p d is p
+    shifted past cd_order(dp + 1), and with q = q_c c + q_d d, x q of
+    degree deg is x q_c followed by x q_d shifted past cd_order(deg - 1).
+    So the product is one scaled copy of the packed p d per word of q,
+    each output word in one copy, in slots that hold max |p| max |q|."""
+    bits = _width(_top(p, dp) * max(_top(q, dq), 1))  # p is packed at bits too
+    x = _packed(p, dp, bits) << bits * _cd_count(dp + 1)
+
+    def times(vals, e):  # x times the coefficients vals over cd_order(e)
+        if e == 0:
+            return vals[0] * x
+        deg, split = dp + 2 + e, _cd_count(e - 1)
+        out = times(vals[:split], e - 1)
+        if e > 1:
+            out += times(vals[split:], e - 2) << bits * _cd_count(deg - 1)
+        return out
+
+    return _result(dp + dq + 2, bits, times(_slot_values(_coeff_info(q, dq)), dq))
 
 
 def chain_sum(dim, f0, faces, facet=None):
@@ -619,7 +639,7 @@ def chain_sum(dim, f0, faces, facet=None):
     V_dim = f0.  faces lists (c, Psi(F), count) triples, 1 <= c < dim.
     The counts of the same face polynomial object (as a memo table
     returns it) are summed per codimension first.  A face that is a
-    chain_sum result has its degree, largest coefficient and packings in
+    packed result has its degree, largest coefficient and packings in
     _vec, and each pass over a codimension reads them there: _top runs
     only for a maximum no sum has read yet, and _packed only for a width
     the face lacks.  A face built from terms goes through _coeff_info.
@@ -693,7 +713,7 @@ def chain_sum(dim, f0, faces, facet=None):
     if dim == 0:
         if facet is not None:
             raise InvalidParams("a point has no facet")
-        return NcPoly.one()
+        return _result(0, 64, 1)
     tops = {dim: f0}  # bounds on the coefficients of each face sum
     for c, group in groups.items():
         deg, t = dim - c, 0
@@ -702,7 +722,7 @@ def chain_sum(dim, f0, faces, facet=None):
             if vec is None or vec[0] != deg:  # a face built from terms
                 vec = _coeff_info(face, deg)
             most = vec[1]
-            if most is None:  # a chain_sum result no sum has read yet
+            if most is None:  # a packed result no sum has read yet
                 most = _top(face, deg)
             t += abs(k) * most
         tops[c] = t
@@ -745,10 +765,7 @@ def chain_sum(dim, f0, faces, facet=None):
         vals = _unpack(p1, _cd_count(dim - 1), bits)
         w, y = min((w, y) for w, y in zip(cd_order(dim - 1), vals) if y)
         raise NotCdEquivalent("residue %d*%sb after collecting trailing b" % (y, w))
-    p = NcPoly.__new__(NcPoly)
-    p._dict = None  # built from the packing on first use
-    p._vec = [dim, None, {bits: p0}]  # the maximum read by _top on first use
-    return p
+    return _result(dim, bits, p0)
 
 
 _TRAILING = re.compile(r"^[cd]*b?$")

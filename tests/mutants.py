@@ -67,6 +67,12 @@ MUTANTS = [
     Mutant("slot-bound-not-doubled", "src/cdx/ncpoly.py",
            "top = 2 * top +", "top = top +",
            ("tests/test_hypersimplex.py::test_chain_sum_slot_bound_doubles_each_step",)),
+    Mutant("cd-sum-bound-without-abs", "src/cdx/ncpoly.py",
+           "_width(sum(abs(k) * _top(p, deg)", "_width(sum(k * _top(p, deg)",
+           ("tests/test_ncpoly.py::test_cd_sum_slot_bound_takes_each_count_by_its_absolute_value",)),
+    Mutant("d-product-d-block-shifted-short", "src/cdx/ncpoly.py",
+           "e - 2) << bits * _cd_count(deg - 1)", "e - 2) << bits * _cd_count(deg - 2)",
+           ("tests/test_ncpoly.py::test_d_product_on_simplex_right_factors",)),
     Mutant("max-read-guard-off-by-one", "src/cdx/ncpoly.py",
            "if best[0] < 1 << 63:", "if best[0] <= 1 << 63:",
            ("tests/test_ncpoly.py::test_the_maximum_read_from_the_words_agrees_with_unpack",)),

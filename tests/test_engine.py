@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from cdx import cuspidal, hypersimplex, ncpoly
+from cdx import cuspidal, engine, hypersimplex, ncpoly
 from cdx.cli import corpus
 from cdx.engine import (
     _w_compute,
@@ -34,6 +34,7 @@ from cdx.matroid import (
     example_m3,
     fano,
     mk4,
+    SplitProfile,
     split_profile,
     vamos,
 )
@@ -310,10 +311,10 @@ def test_result_check_reads_the_vertex_count_off_the_index():
 
 
 def test_a_top_level_result_is_decoded_once(monkeypatch):
-    # chain_sum reads its faces' maxima from their words, so only the
-    # formula's own terms are decoded, each once, when add_scaled reads them
-    hypersimplex.memo_clear()
-    cuspidal.memo_clear()
+    # the formula sums its terms packed, so a cd_index call decodes its
+    # result's own packing once, and check_result reads the words kept by
+    # then.  Cold, a modular-pair term decodes only its simplex factors,
+    # whose coefficients scale its copies; no formula term is decoded.
     decoded = []
     unpack = ncpoly._unpack
 
@@ -321,9 +322,49 @@ def test_a_top_level_result_is_decoded_once(monkeypatch):
         decoded.append(x)
         return unpack(x, length, bits)
 
+    def narrowest(p):
+        return p._vec[2][min(p._vec[2])]
+
     monkeypatch.setattr(ncpoly, "_unpack", counted)
-    M = cuspidal.cuspidal_matroid(4, 9, 2, 4)
-    got = cd_index(M)
-    terms = [cd_hypersimplex(4, 9), cuspidal.cd_cuspidal(4, 9, 2, 4)]
-    assert sorted(decoded) == sorted(p._vec[2][min(p._vec[2])] for p in terms)
-    assert cd_index(M) == got and len(decoded) == 2
+    for M in (cuspidal.cuspidal_matroid(4, 9, 2, 4), example_m2(), fano()):
+        hypersimplex.memo_clear()
+        cuspidal.memo_clear()
+        engine.w_memo_clear()
+        for cold in (True, False):
+            decoded.clear()
+            got = cd_index(M)
+            assert decoded[-1] == narrowest(got)
+            simplices = {narrowest(cd_hypersimplex(1, m)) for m in range(1, M.n)}
+            assert set(decoded[:-1]) <= simplices and (cold or len(decoded) == 1)
+            assert bool(decoded[:-1]) == (cold and M.n == 7)  # only fano has mu > 0
+        # check_result on its own decodes a fresh result once
+        p = cd_split_matroid(M)
+        decoded.clear()
+        check_result(M, p)
+        assert decoded == [narrowest(p)]
+
+
+def test_a_cold_split_formula_lists_no_cd_word():
+    # every term and sum stays packed; only text() lists the words.  The
+    # profiles meet the point (example_535), the segment (mk4) and larger
+    # simplices as right factors of a modular-pair term.
+    profiles = [split_profile(example_535()), split_profile(mk4()), split_profile(fano()),
+                SplitProfile(n=12, k=6, lam={(5, 6): 3, (4, 7): 1},
+                             mu={(1, 1, 2, 2): 2, (1, 2, 2, 3): 1})]
+    for prof in profiles:
+        hypersimplex.memo_clear()
+        cuspidal.memo_clear()
+        engine.w_memo_clear()
+        ncpoly.cd_order.cache_clear()
+        p = engine._split_formula(prof)
+        assert ncpoly.cd_order.cache_info().currsize == 0, prof
+        assert p._dict is None
+        assert all(w._dict is None for w in engine.w_memo_snapshot().values())
+        k, n = prof.k, prof.n
+        want = (1 - sum(prof.lam.values())) * cd_hypersimplex(k, n)
+        for (r, h), cnt in prof.lam.items():
+            want = want + cnt * cuspidal.cd_cuspidal(k, n, r, h)
+        for key, cnt in prof.mu.items():
+            want = want - cnt * w_term(*key, n)
+        assert p.text() == want.text()
+        assert ncpoly.cd_order.cache_info().currsize > 0

@@ -349,6 +349,86 @@ def test_a_chain_sum_result_is_repacked_from_its_own_packing():
     assert p == NcPoly(p.terms()) and p._dict is not None
 
 
+def packed_form(p, deg, extra=0):
+    """p as a packed result of degree deg, in slots extra * 64 bits wider
+    than its coefficients need."""
+    vals = [p.coeff(w) for w in cd_order(deg)]
+    bits = ncpoly._width(max(map(abs, vals))) + 64 * extra
+    return ncpoly._result(deg, bits, ncpoly._pack(vals, bits))
+
+
+@st.composite
+def cd_polys(draw, deg):
+    """A cd polynomial of degree deg (or zero) with coefficients of either
+    sign, some past 2^63, built from terms or packed."""
+    coeff = (st.integers(-9, 9) | st.integers(-2**70, 2**70)
+             | st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1]))
+    p = NcPoly(draw(st.dictionaries(st.sampled_from(cd_order(deg)), coeff, max_size=10)))
+    form = draw(st.integers(0, 2))
+    return p if form == 0 else packed_form(p, deg, form - 1)
+
+
+@st.composite
+def cd_sum_inputs(draw):
+    deg = draw(st.integers(0, 9))
+    count = st.integers(-3, 3) | st.integers(-2**66, 2**66)
+    return deg, draw(st.lists(st.tuples(cd_polys(deg), count), max_size=5))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cd_sum_inputs())
+def test_cd_sum_equals_the_term_dict_sum(args):
+    deg, pairs = args
+    got = ncpoly.cd_sum(deg, pairs)
+    assert got._dict is None and got._vec[0] == deg
+    want = NcPoly.zero()
+    for p, k in pairs:
+        want = want + k * p
+    assert got == want and got.text() == want.text()
+
+
+def test_cd_sum_slot_bound_takes_each_count_by_its_absolute_value():
+    # the counts cancel, the coefficients add up to 2^63
+    p, q = NcPoly({"cc": 2**62, "d": 1}), NcPoly({"cc": -2**62})
+    for pair in [(p, q), (packed_form(p, 2), packed_form(q, 2))]:
+        got = ncpoly.cd_sum(2, [(pair[0], 1), (pair[1], -1)])
+        assert set(got._vec[2]) == {128}
+        assert got == NcPoly({"cc": 2**63, "d": 1})
+    assert ncpoly.cd_sum(3, []) == NcPoly.zero()
+
+
+@st.composite
+def d_product_inputs(draw):
+    dp, dq = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    return draw(cd_polys(dp)), dp, draw(cd_polys(dq)), dq
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(d_product_inputs())
+def test_d_product_equals_the_term_dict_product(args):
+    p, dp, q, dq = args
+    got = ncpoly.d_product(p, dp, q, dq)
+    assert got._dict is None and got._vec[0] == dp + dq + 2
+    assert got == p * D * q
+
+
+def test_d_product_on_simplex_right_factors():
+    # cd_hypersimplex(1, 1) is the packed point, NcPoly.one() the one
+    # built from terms; the (1, 2) hypersimplex is the segment
+    rights = [NcPoly.one(), cd_hypersimplex(1, 1), hypersimplex.SEGMENT]
+    rights += [cd_hypersimplex(1, m) for m in range(3, 10)]
+    lefts = [NcPoly.one(), C, C * C + D, hypersimplex.cd_hypersimplex_product(1, 2, 1, 3),
+             cd_hypersimplex(2, 5)]
+    for p in lefts:
+        dp = p.degree()
+        for q in rights:
+            dq = q.degree()
+            assert ncpoly.d_product(p, dp, q, dq) == p * D * q, (p, q)
+    # slots hold max |p| times max |q|, here past 2^63
+    got = ncpoly.d_product(2**40 * C, 1, 2**30 * C * C - D, 2)
+    assert set(got._vec[2]) == {128} and got == 2**40 * C * D * (2**30 * C * C - D)
+
+
 def hypersimplex_off_facet(k, n):
     """(f0, faces) of the (k, n) hypersimplex off its facet x_n = 0: the
     vertices with x_n = 1, and the faces pinned by (C, D), n not in D."""
